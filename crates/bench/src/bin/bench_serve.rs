@@ -159,7 +159,6 @@ fn run_config(n: usize, window: u64, rounds: usize, qbatch: usize, readers: usiz
         readers,
         queue_cap: 64,
         write_budget: INSERT_BATCH,
-        coalesce: true,
         ..ServiceConfig::default()
     };
     let svc = Service::start(structure(n, window), svc_cfg);
@@ -330,7 +329,6 @@ fn run_wal_config(
         readers,
         queue_cap: 64,
         write_budget: INSERT_BATCH,
-        coalesce: true,
         sync,
         // Off: checkpoint compaction cost is a different axis; these rows
         // price the per-batch logging overhead alone.
@@ -449,7 +447,6 @@ fn run_obs_config(n: usize, window: u64, rounds: usize, readers: usize) -> Vec<S
         readers,
         queue_cap: 64,
         write_budget: INSERT_BATCH,
-        coalesce: true,
         ..ServiceConfig::default()
     };
     let on = Service::start(structure(n, window), svc_cfg);

@@ -87,12 +87,13 @@ use bimst_query::WindowConnectivity;
 use bimst_sliding::{
     SlidingWrite, SwConn, SwConnEager, TenantConfig, TenantSet, TenantSpec, WindowCheckpoint,
 };
+use bimst_wal::{Meta, Recovery, Store};
 
 mod reader;
 mod replica;
 mod shard;
 
-use shard::{DurCtl, Req};
+use shard::{DurCtl, Req, SnapshotFn};
 
 pub use bimst_wal::SyncPolicy;
 pub use replica::{ReplicaSet, ReplicaSetConfig};
@@ -121,10 +122,6 @@ pub struct ServiceConfig {
     /// ops until the merged batch holds at least this many edges (a single
     /// submitted op larger than the budget is still applied whole).
     pub write_budget: usize,
-    /// Merge adjacent queued query batches of the same kind into one
-    /// shared-work plan. Disabling serves each request as its own plan
-    /// (answers are identical either way).
-    pub coalesce: bool,
     /// When the writer fsyncs WAL appends — only meaningful for durable
     /// services ([`Service::eager_durable`] / [`Service::lazy_durable`] /
     /// [`Service::recover`]); ignored by the in-memory constructors.
@@ -135,8 +132,9 @@ pub struct ServiceConfig {
     /// acked-but-unsynced op means under each policy.
     pub sync: SyncPolicy,
     /// Durable services write a compacted checkpoint after at least this
-    /// many admitted write ops (`0` = never; recovery then replays the
-    /// whole log). Ignored by the in-memory constructors.
+    /// many write groups (= WAL records = generations; `0` = never,
+    /// recovery then replays the whole log). Ignored by the in-memory
+    /// constructors.
     pub checkpoint_every: u64,
 }
 
@@ -146,7 +144,6 @@ impl Default for ServiceConfig {
             readers: 2,
             queue_cap: 1024,
             write_budget: 1 << 14,
-            coalesce: true,
             sync: SyncPolicy::GroupCommit,
             checkpoint_every: 1 << 15,
         }
@@ -164,8 +161,11 @@ pub enum QueryReq {
     /// Window connectivity (`is_connected` on the served structure).
     WindowConnected(Vec<(VertexId, VertexId)>),
     /// Path-max over the underlying MSF (`None` when disconnected or
-    /// `u == v`). Equivalent to [`QueryReq::PathFold`] with
-    /// [`FoldKind::Max`]; kept as its own kind for the common case.
+    /// `u == v`). On an eager window this equals [`QueryReq::PathFold`]
+    /// with [`FoldKind::Max`]. On a lazy window it does not: `PathMax`
+    /// walks the retained MSF, expired edges included, while `PathFold`
+    /// applies the window cutoff and answers `None` across an expired
+    /// edge.
     PathMax(Vec<(VertexId, VertexId)>),
     /// Monoid path aggregation over the window MSF
     /// (`bimst_query::QueryBatch::batch_window_path_fold`): `kind` picks
@@ -409,15 +409,34 @@ impl ServiceHandle {
         }
     }
 
+    /// Admits `req`, blocking under backpressure.
+    fn submit(&self, req: Req) -> Result<(), ServiceClosed> {
+        self.tx.send(req).map_err(|_| ServiceClosed)?;
+        self.submitted.inc();
+        Ok(())
+    }
+
+    /// Admits `req` without blocking; a rejected request is handed back
+    /// through `back`, which recovers the caller's op from it.
+    fn try_submit<T>(&self, req: Req, back: fn(Req) -> T) -> Result<(), TrySubmitError<T>> {
+        match self.tx.try_send(req) {
+            Ok(()) => {
+                self.submitted.inc();
+                Ok(())
+            }
+            Err(TrySendError::Full(r)) => {
+                self.rejected.inc();
+                Err(TrySubmitError::Full(back(r)))
+            }
+            Err(TrySendError::Disconnected(r)) => Err(TrySubmitError::Closed(back(r))),
+        }
+    }
+
     /// Admits an insert batch (blocking under backpressure). The edges are
     /// appended on the new side of the window, positions assigned in
     /// admission order.
     pub fn insert(&self, edges: Vec<(VertexId, VertexId)>) -> Result<(), ServiceClosed> {
-        self.tx
-            .send(Req::Insert(edges))
-            .map_err(|_| ServiceClosed)?;
-        self.submitted.inc();
-        Ok(())
+        self.submit(Req::Insert(edges))
     }
 
     /// [`ServiceHandle::insert`] without blocking: under a full queue the
@@ -426,44 +445,24 @@ impl ServiceHandle {
         &self,
         edges: Vec<(VertexId, VertexId)>,
     ) -> Result<(), TrySubmitError<Vec<(VertexId, VertexId)>>> {
-        match self.tx.try_send(Req::Insert(edges)) {
-            Ok(()) => {
-                self.submitted.inc();
-                Ok(())
-            }
-            Err(TrySendError::Full(Req::Insert(v))) => {
-                self.rejected.inc();
-                Err(TrySubmitError::Full(v))
-            }
-            Err(TrySendError::Disconnected(Req::Insert(v))) => Err(TrySubmitError::Closed(v)),
-            Err(_) => unreachable!("try_insert sent Req::Insert"),
-        }
+        self.try_submit(Req::Insert(edges), |r| match r {
+            Req::Insert(v) => v,
+            _ => unreachable!("try_insert sent Req::Insert"),
+        })
     }
 
     /// Admits an expiration of the `delta` oldest stream positions
     /// (blocking under backpressure).
     pub fn expire(&self, delta: u64) -> Result<(), ServiceClosed> {
-        self.tx
-            .send(Req::Expire(delta))
-            .map_err(|_| ServiceClosed)?;
-        self.submitted.inc();
-        Ok(())
+        self.submit(Req::Expire(delta))
     }
 
     /// [`ServiceHandle::expire`] without blocking.
     pub fn try_expire(&self, delta: u64) -> Result<(), TrySubmitError<u64>> {
-        match self.tx.try_send(Req::Expire(delta)) {
-            Ok(()) => {
-                self.submitted.inc();
-                Ok(())
-            }
-            Err(TrySendError::Full(Req::Expire(d))) => {
-                self.rejected.inc();
-                Err(TrySubmitError::Full(d))
-            }
-            Err(TrySendError::Disconnected(Req::Expire(d))) => Err(TrySubmitError::Closed(d)),
-            Err(_) => unreachable!("try_expire sent Req::Expire"),
-        }
+        self.try_submit(Req::Expire(delta), |r| match r {
+            Req::Expire(d) => d,
+            _ => unreachable!("try_expire sent Req::Expire"),
+        })
     }
 
     /// Admits a query batch (blocking under backpressure); the ticket
@@ -471,10 +470,7 @@ impl ServiceHandle {
     pub fn query(&self, req: QueryReq) -> Result<QueryTicket, ServiceClosed> {
         let (resp, rx) = mpsc::channel();
         let at = bimst_obs::enabled().then(std::time::Instant::now);
-        self.tx
-            .send(Req::Query { req, resp, at })
-            .map_err(|_| ServiceClosed)?;
-        self.submitted.inc();
+        self.submit(Req::Query { req, resp, at })?;
         Ok(QueryTicket { rx })
     }
 
@@ -482,20 +478,11 @@ impl ServiceHandle {
     pub fn try_query(&self, req: QueryReq) -> Result<QueryTicket, TrySubmitError<QueryReq>> {
         let (resp, rx) = mpsc::channel();
         let at = bimst_obs::enabled().then(std::time::Instant::now);
-        match self.tx.try_send(Req::Query { req, resp, at }) {
-            Ok(()) => {
-                self.submitted.inc();
-                Ok(QueryTicket { rx })
-            }
-            Err(TrySendError::Full(Req::Query { req, .. })) => {
-                self.rejected.inc();
-                Err(TrySubmitError::Full(req))
-            }
-            Err(TrySendError::Disconnected(Req::Query { req, .. })) => {
-                Err(TrySubmitError::Closed(req))
-            }
-            Err(_) => unreachable!("try_query sent Req::Query"),
-        }
+        self.try_submit(Req::Query { req, resp, at }, |r| match r {
+            Req::Query { req, .. } => req,
+            _ => unreachable!("try_query sent Req::Query"),
+        })?;
+        Ok(QueryTicket { rx })
     }
 
     /// Admits a tenant-scoped connectivity batch
@@ -522,10 +509,7 @@ impl ServiceHandle {
     /// once every write admitted before it has been applied.
     pub fn barrier(&self) -> Result<BarrierTicket, ServiceClosed> {
         let (resp, rx) = mpsc::channel();
-        self.tx
-            .send(Req::Barrier(resp))
-            .map_err(|_| ServiceClosed)?;
-        self.submitted.inc();
+        self.submit(Req::Barrier(resp))?;
         Ok(BarrierTicket { rx })
     }
 
@@ -542,10 +526,7 @@ impl ServiceHandle {
     /// the snapshot is empty.
     pub fn metrics_snapshot(&self) -> Result<bimst_obs::Snapshot, ServiceClosed> {
         let (resp, rx) = mpsc::channel();
-        self.tx
-            .send(Req::Metrics(resp))
-            .map_err(|_| ServiceClosed)?;
-        self.submitted.inc();
+        self.submit(Req::Metrics(resp))?;
         rx.recv().map_err(|_| ServiceClosed)
     }
 
@@ -595,7 +576,7 @@ impl Service {
         w: W,
         cfg: ServiceConfig,
         generation: u64,
-        dur: Option<DurCtl<W>>,
+        dur: Option<(DurCtl, SnapshotFn<W>)>,
         rec: bimst_obs::Recorder,
     ) -> Service {
         let (tx, rx) = mpsc::sync_channel(cfg.queue_cap.max(1));
@@ -673,13 +654,11 @@ impl Service {
         cfg: ServiceConfig,
     ) -> io::Result<Service> {
         let _ = (specs, tcfg, cfg);
-        let meta = bimst_wal::Meta {
-            n: n as u64,
-            seed,
-            eager: false,
+        let meta = Meta {
             tenants: true,
+            ..shard::meta(n, seed, false)
         };
-        match bimst_wal::Store::create(path, &meta) {
+        match Store::create(path, &meta) {
             Err(e) => Err(e),
             // Unreachable today; if the WAL ever learns to log a tenant
             // registry this constructor must grow a real serving path
@@ -694,27 +673,15 @@ impl Service {
     /// [`Service::eager`] with durability: admitted write ops are logged
     /// to a fresh WAL store at `path` (created; must not already hold
     /// one) *before* they are applied, under `cfg.sync`, with compacted
-    /// checkpoints every `cfg.checkpoint_every` ops. After a crash or
-    /// shutdown, [`Service::recover`] resumes from `path`.
+    /// checkpoints every `cfg.checkpoint_every` write groups. After a
+    /// crash or shutdown, [`Service::recover`] resumes from `path`.
     pub fn eager_durable(
         path: impl AsRef<Path>,
         n: usize,
         seed: u64,
         cfg: ServiceConfig,
     ) -> io::Result<Service> {
-        let meta = bimst_wal::Meta {
-            n: n as u64,
-            seed,
-            eager: true,
-            tenants: false,
-        };
-        let store = bimst_wal::Store::create(path, &meta)?;
-        Ok(Service::start_durable(
-            SwConnEager::new(n, seed),
-            store,
-            0,
-            cfg,
-        ))
+        Service::create_durable(path, shard::meta(n, seed, true), cfg)
     }
 
     /// [`Service::lazy`] with durability; see [`Service::eager_durable`].
@@ -724,14 +691,16 @@ impl Service {
         seed: u64,
         cfg: ServiceConfig,
     ) -> io::Result<Service> {
-        let meta = bimst_wal::Meta {
-            n: n as u64,
-            seed,
-            eager: false,
-            tenants: false,
-        };
-        let store = bimst_wal::Store::create(path, &meta)?;
-        Ok(Service::start_durable(SwConn::new(n, seed), store, 0, cfg))
+        Service::create_durable(path, shard::meta(n, seed, false), cfg)
+    }
+
+    fn create_durable(
+        path: impl AsRef<Path>,
+        meta: Meta,
+        cfg: ServiceConfig,
+    ) -> io::Result<Service> {
+        let store = Store::create(path, &meta)?;
+        Ok(shard::open_window(&meta, None, &[], Durable(store, 0, cfg)))
     }
 
     /// Reopens the WAL store at `path`, rebuilds the window it describes
@@ -746,7 +715,7 @@ impl Service {
     /// (pinned by `tests/wal_recovery.rs` and the torture suite in
     /// `crates/wal/tests/`).
     pub fn recover(path: impl AsRef<Path>, cfg: ServiceConfig) -> io::Result<Service> {
-        let (store, meta, rec) = bimst_wal::Store::open(path)?;
+        let (store, meta, rec) = Store::open(path)?;
         Ok(Service::resume(store, meta, rec, cfg))
     }
 
@@ -764,76 +733,13 @@ impl Service {
         eager: bool,
         cfg: ServiceConfig,
     ) -> io::Result<Service> {
-        let expect = bimst_wal::Meta {
-            n: n as u64,
-            seed,
-            eager,
-            tenants: false,
-        };
-        let (store, meta, rec) = bimst_wal::Store::open_expecting(path, &expect)?;
+        let (store, meta, rec) = Store::open_expecting(path, &shard::meta(n, seed, eager))?;
         Ok(Service::resume(store, meta, rec, cfg))
     }
 
-    fn resume(
-        store: bimst_wal::Store,
-        meta: bimst_wal::Meta,
-        rec: bimst_wal::Recovery,
-        cfg: ServiceConfig,
-    ) -> Service {
-        let n = meta.n as usize;
-        if meta.eager {
-            let mut w = SwConnEager::new(n, meta.seed);
-            Service::rebuild(&mut w, &rec);
-            Service::start_durable(w, store, rec.generation, cfg)
-        } else {
-            let mut w = SwConn::new(n, meta.seed);
-            Service::rebuild(&mut w, &rec);
-            Service::start_durable(w, store, rec.generation, cfg)
-        }
-    }
-
-    fn rebuild<W: ServeWindow + WindowCheckpoint>(w: &mut W, rec: &bimst_wal::Recovery) {
-        if let Some(ck) = &rec.checkpoint {
-            w.restore(&ck.edges, ck.tw, ck.t);
-        }
-        for op in &rec.tail {
-            match op {
-                Op::Insert(edges) => {
-                    w.batch_insert(edges);
-                }
-                Op::Expire(delta) => w.batch_expire(*delta),
-                // The service only logs writes; skip anything else a
-                // foreign writer may have appended.
-                _ => {}
-            }
-        }
-    }
-
-    fn start_durable<W: ServeWindow + WindowCheckpoint>(
-        w: W,
-        mut store: bimst_wal::Store,
-        generation: u64,
-        cfg: ServiceConfig,
-    ) -> Service {
-        let rec = bimst_obs::Recorder::new();
-        // WAL metrics (`wal_*`) land on the service recorder: the store is
-        // owned by this writer, so they are per-service too.
-        store.attach_obs(&rec);
-        Service::spawn(
-            w,
-            cfg,
-            generation,
-            Some(DurCtl::new(
-                store,
-                cfg.sync,
-                cfg.checkpoint_every,
-                |w: &W| {
-                    let (tw, t) = w.window();
-                    (tw, t, w.compact_edges())
-                },
-            )),
-            rec,
-        )
+    fn resume(store: Store, meta: Meta, rec: Recovery, cfg: ServiceConfig) -> Service {
+        let durable = Durable(store, rec.generation, cfg);
+        shard::open_window(&meta, rec.checkpoint.as_ref(), &rec.tail, durable)
     }
 
     /// A client endpoint for another thread.
@@ -867,6 +773,24 @@ impl std::ops::Deref for Service {
     }
 }
 
+/// A durable service to start over the window [`shard::open_window`]
+/// rebuilds: its store, starting generation and shape.
+struct Durable(Store, u64, ServiceConfig);
+
+impl shard::OpenWith for Durable {
+    type Out = Service;
+
+    fn with<W: ServeWindow + WindowCheckpoint>(self, w: W) -> Service {
+        let Durable(store, generation, cfg) = self;
+        let rec = bimst_obs::Recorder::new();
+        // WAL metrics (`wal_*`) land on the service recorder: the store is
+        // owned by this writer, so they are per-service too.
+        let dur = DurCtl::new(store, cfg.sync, cfg.checkpoint_every, &rec);
+        let snapshot: SnapshotFn<W> = shard::checkpoint_of::<W>;
+        Service::spawn(w, cfg, generation, Some((dur, snapshot)), rec)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -876,7 +800,6 @@ mod tests {
             readers,
             queue_cap: 64,
             write_budget: 1 << 12,
-            coalesce: true,
             ..ServiceConfig::default()
         }
     }
@@ -947,6 +870,29 @@ mod tests {
                 seq.is_connected(1, 2),
                 seq.is_connected(0, 2)
             ]
+        );
+        svc.shutdown();
+    }
+
+    /// On a lazy window `PathMax` is not `PathFold { Max }`: the former
+    /// walks the retained MSF, expired edges included, while the fold
+    /// applies the window cutoff.
+    #[test]
+    fn lazy_path_max_ignores_the_window_cutoff_path_fold_applies() {
+        let svc = Service::lazy(4, 9, cfg(1));
+        let mut seq = SwConn::new(4, 9);
+        svc.insert(vec![(0, 1), (1, 2)]).unwrap();
+        seq.batch_insert(&[(0, 1), (1, 2)]);
+        svc.expire(1).unwrap();
+        seq.batch_expire(1);
+        let pm = svc.query(QueryReq::PathMax(vec![(0, 2)])).unwrap();
+        let pf = svc.query_fold(FoldKind::Max, vec![(0, 2)]).unwrap();
+        let want = seq.msf().path_max(0, 2);
+        assert!(want.is_some(), "the retained MSF keeps the expired edge");
+        assert_eq!(pm.wait().unwrap().resp.into_path_max().unwrap(), vec![want]);
+        assert_eq!(
+            pf.wait().unwrap().resp.into_path_fold().unwrap(),
+            vec![None]
         );
         svc.shutdown();
     }

@@ -9,18 +9,24 @@
 //!
 //! ```text
 //!   clients ──► admission thread ──► OpLog (WAL-framed, in memory)
-//!    insert /      (group commit,      │ │ │
-//!    expire         log-before-bus     │ │ └─► feeder 2 ─► replica 2
-//!    barrier        when durable)      │ └───► feeder 1 ─► replica 1
+//!    insert /      (Queue + DurCtl:    │ │ │
+//!    expire         group commit,      │ │ └─► feeder 2 ─► replica 2
+//!    barrier        log-before-bus)    │ └───► feeder 1 ─► replica 1
 //!                                      └─────► feeder 0 ─► replica 0
 //!   clients ──► serve_at(g, query) ── routed to any replica with fed ≥ g
 //! ```
 //!
+//! Every thread here runs pieces of the single-service write pipeline
+//! (`crate::shard`). The admission thread runs its group-commit step and
+//! WAL writer, publishing each write group to the bus instead of applying
+//! it. Each replica writer runs the `Service` writer core, fed one bus
+//! record per message.
+//!
 //! * **One log, one order.** Every write is admitted exactly once, by a
-//!   single admission thread that merges consecutive ops exactly like the
-//!   single-service writer (positions concatenate, deltas add) and appends
-//!   one record per merged group to the [`OpLog`]. The record index *is*
-//!   the generation — the same numbering the WAL store and the
+//!   single admission thread that group-commits with the same step as the
+//!   single-service writer (positions concatenate, deltas add) and
+//!   appends one record per merged group to the [`OpLog`]. The record
+//!   index *is* the generation — the same numbering the WAL store and the
 //!   single-service writer use, which is what makes replicated answers
 //!   comparable (and bit-identical) to a sequential replay.
 //! * **The bus is the WAL format.** OpLog records are framed and encoded
@@ -31,10 +37,11 @@
 //!   record boundary.
 //! * **Deterministic replicas.** Each replica applies the same record
 //!   sequence to an identically-seeded structure, so at equal generation
-//!   every replica is answer-identical — not merely converged. Queries
-//!   are coalesced and served per replica by the same
-//!   publish→serve→retire protocol as the single service (shared
-//!   `shard::serve`), so sharding is invisible here too.
+//!   every replica is answer-identical — not merely converged. Its queue
+//!   may merge consecutive records into one apply (the group counts every
+//!   record it folds, so the generation still counts records), and
+//!   queries are coalesced and served by the same publish→serve→retire
+//!   protocol as the single service, so sharding is invisible here too.
 //! * **Bounded-staleness routing.** [`ReplicaSet::serve_at`] routes a
 //!   query to a replica whose *fed* watermark (records enqueued on its
 //!   apply channel) has reached the caller's minimum generation. FIFO
@@ -59,21 +66,20 @@
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, SyncSender, TryRecvError};
+use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bimst_graphgen::Op;
 use bimst_primitives::VertexId;
-use bimst_sliding::{SwConn, SwConnEager, WindowCheckpoint};
+use bimst_sliding::WindowCheckpoint;
 use bimst_wal::{
     decode_op, encode_op, write_frame, Checkpoint, Frames, Meta, ReplayCursor, Store, SyncPolicy,
 };
 
-use crate::reader::{Partial, ReaderPool};
-use crate::shard::{serve, RunEntry, ServeScratch, SvcObs};
-use crate::{Answered, BarrierTicket, QueryReq, QueryTicket, ServeWindow, ServiceClosed};
+use crate::shard::{self, checkpoint_of, Core, DurCtl, OpenWith, Queue, Req, Step};
+use crate::{BarrierTicket, QueryReq, QueryTicket, ServeWindow, ServiceClosed, ServiceHandle};
 
 /// Shape of a [`ReplicaSet`].
 #[derive(Clone, Copy, Debug)]
@@ -90,16 +96,17 @@ pub struct ReplicaSetConfig {
     /// [`crate::ServiceConfig::write_budget`]).
     pub write_budget: usize,
     /// Replica 0 installs an in-memory checkpoint after at least this
-    /// many admitted write ops (`0` = never; restarts then replay from
-    /// generation 0 or the store's newest on-disk checkpoint). The
-    /// durable constructors deliberately do **not** write mid-stream
-    /// on-disk checkpoints: the store's segment-naming invariant ties
-    /// checkpoint generation to the record count, which only the single
-    /// admission thread knows — so restart positioning uses
-    /// [`bimst_wal::ReplayCursor::seek`] instead.
+    /// many write groups (= log records = generations; `0` = never;
+    /// restarts then replay from generation 0 or the store's newest
+    /// on-disk checkpoint). The durable constructors deliberately do
+    /// **not** write mid-stream on-disk checkpoints: the store's
+    /// segment-naming invariant ties checkpoint generation to the record
+    /// count, which only the single admission thread knows — so restart
+    /// positioning uses [`bimst_wal::ReplayCursor::seek`] instead.
     pub checkpoint_every: u64,
-    /// How many log records a feeder hands its replica per apply message
-    /// while catching up (and per bus poll when live). Clamped to ≥ 1.
+    /// How many log records a feeder reads per batch while catching up
+    /// (and per bus poll when live); its `fed` watermark advances once
+    /// per batch. Clamped to ≥ 1.
     pub catchup_batch: usize,
     /// When the admission thread fsyncs WAL appends (durable sets only;
     /// see [`crate::ServiceConfig::sync`]). Under [`SyncPolicy::Always`] the
@@ -250,124 +257,45 @@ impl OpLog {
     }
 }
 
-/// A write or barrier, as submitted to the admission thread.
-enum LogReq {
-    Insert(Vec<(VertexId, VertexId)>),
-    Expire(u64),
-    /// Resolves with the generation once every prior write is logged (and
-    /// therefore, by bus order, bound for every replica).
-    Barrier(Sender<u64>),
-}
-
-/// What a feeder hands its replica's writer. Writes arrive pre-merged
-/// (`groups` log records folded into one apply — positions concatenate,
-/// deltas add), so the writer's generation still counts records exactly.
-enum RepReq {
-    Insert {
-        edges: Vec<(VertexId, VertexId)>,
-        groups: u64,
-    },
-    Expire {
-        delta: u64,
-        groups: u64,
-    },
-    Query {
-        req: QueryReq,
-        resp: Sender<Answered>,
-        at: Option<std::time::Instant>,
-    },
-    Metrics(Sender<bimst_obs::Snapshot>),
-}
-
 /// The admission loop: single consumer of the client-facing write queue,
 /// single producer of the op bus (and, for a durable set, the WAL store).
-/// Merging mirrors the single-service writer; the write path is **log
-/// before publish**: a group's record hits the store (and is fsynced,
-/// per policy) before any replica can observe it on the bus, so no
-/// served answer can ever out-run the disk — and a rejoining replica's
-/// disk replay always covers every generation the bus has published.
-fn admission_main(
-    rx: Receiver<LogReq>,
-    log: Arc<OpLog>,
-    mut store: Option<Store>,
-    cfg: ReplicaSetConfig,
-) {
-    let merge = !(store.is_some() && cfg.sync == SyncPolicy::Always);
-    let mut carry: Option<LogReq> = None;
-    let mut wbuf: Vec<(VertexId, VertexId)> = Vec::new();
-    loop {
-        let first = match carry.take() {
-            Some(r) => r,
-            None => match rx.recv() {
-                Ok(r) => r,
-                Err(_) => break, // every handle dropped and queue drained
-            },
-        };
-        match first {
-            LogReq::Insert(edges) => {
-                wbuf.clear();
-                wbuf.extend_from_slice(&edges);
-                while merge && wbuf.len() < cfg.write_budget.max(1) {
-                    match rx.try_recv() {
-                        Ok(LogReq::Insert(more)) => wbuf.extend_from_slice(&more),
-                        Ok(other) => {
-                            carry = Some(other);
-                            break;
-                        }
-                        Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
-                    }
+/// The write path is **log before publish**: a group's record hits the
+/// store (and is fsynced, per policy) before any replica can observe it
+/// on the bus, so no served answer can ever out-run the disk — and a
+/// rejoining replica's disk replay always covers every generation the bus
+/// has published.
+fn admission_main(mut q: Queue, log: Arc<OpLog>, mut dur: Option<DurCtl>) {
+    let mut run = Vec::new();
+    while let Some(step) = q.next(log.generation(), &mut run) {
+        match step {
+            Step::Write(op, _) => {
+                if let Some(d) = dur.as_mut() {
+                    d.log(&op);
                 }
-                if let Some(s) = store.as_mut() {
-                    s.append_insert(&wbuf)
-                        .expect("bimst-service: WAL append failed");
-                    if cfg.sync != SyncPolicy::None {
-                        s.sync().expect("bimst-service: WAL fsync failed");
-                    }
-                }
-                log.append(&Op::Insert(std::mem::take(&mut wbuf)));
+                log.append(&op);
             }
-            LogReq::Expire(delta) => {
-                let mut delta = delta;
-                if merge {
-                    loop {
-                        match rx.try_recv() {
-                            Ok(LogReq::Expire(more)) => delta = delta.saturating_add(more),
-                            Ok(other) => {
-                                carry = Some(other);
-                                break;
-                            }
-                            Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
-                        }
-                    }
-                }
-                if let Some(s) = store.as_mut() {
-                    s.append_expire(delta)
-                        .expect("bimst-service: WAL append failed");
-                    if cfg.sync != SyncPolicy::None {
-                        s.sync().expect("bimst-service: WAL fsync failed");
-                    }
-                }
-                log.append(&Op::Expire(delta));
-            }
-            LogReq::Barrier(resp) => {
+            Step::Barrier(resp) => {
                 let _ = resp.send(log.generation());
+            }
+            Step::Serve | Step::Metrics(_) => {
+                unreachable!("bimst-service: the admission queue carries writes and barriers only")
             }
         }
     }
-    // Orderly shutdown: whatever the policy deferred is synced now.
-    if let Some(s) = store.as_mut() {
-        let _ = s.sync();
+    if let Some(d) = dur {
+        d.close();
     }
     log.close();
 }
 
 /// One feeder: tails the log (optionally a disk prefix first, for a
-/// rejoin) and pushes merged apply messages to its replica's writer.
+/// rejoin) and pushes one apply message per record to its replica's
+/// writer.
 /// The `fed` watermark is published only *after* the records it covers
 /// are enqueued — that ordering is the entire freshness guarantee.
 struct Feeder {
     log: Arc<OpLog>,
-    tx: SyncSender<RepReq>,
+    tx: SyncSender<Req>,
     fed: Arc<AtomicU64>,
     stop: Arc<AtomicBool>,
     notify: Arc<(Mutex<()>, Condvar)>,
@@ -411,51 +339,21 @@ impl Feeder {
         }
     }
 
-    /// Merges a decoded record run into apply messages and enqueues them;
-    /// then publishes the watermark and wakes the router. Returns `false`
-    /// if the writer is gone (killed replica).
+    /// Enqueues a decoded record run, one message per record, then
+    /// publishes the watermark and wakes the router. Returns `false` if
+    /// the writer is gone (killed replica).
     fn ship(&mut self, ops: Vec<Op>) -> bool {
         let advanced = ops.len() as u64;
-        let mut queue: Vec<RepReq> = Vec::new();
         for op in ops {
-            match op {
-                Op::Insert(mut more) => {
-                    if matches!(queue.last(), Some(RepReq::Insert { .. })) {
-                        if let Some(RepReq::Insert { edges, groups }) = queue.last_mut() {
-                            edges.append(&mut more);
-                            *groups += 1;
-                        }
-                    } else {
-                        queue.push(RepReq::Insert {
-                            edges: more,
-                            groups: 1,
-                        });
-                    }
-                }
-                Op::Expire(more) => {
-                    if matches!(queue.last(), Some(RepReq::Expire { .. })) {
-                        if let Some(RepReq::Expire { delta, groups }) = queue.last_mut() {
-                            *delta = delta.saturating_add(more);
-                            *groups += 1;
-                        }
-                    } else {
-                        queue.push(RepReq::Expire {
-                            delta: more,
-                            groups: 1,
-                        });
-                    }
-                }
+            let req = match op {
+                Op::Insert(edges) => Req::Insert(edges),
+                Op::Expire(delta) => Req::Expire(delta),
                 // The admission thread only logs writes; a foreign record
                 // kind still occupies a generation, so it must advance
                 // the replica's count to keep numbering aligned.
-                _ => queue.push(RepReq::Expire {
-                    delta: 0,
-                    groups: 1,
-                }),
-            }
-        }
-        for msg in queue {
-            if self.tx.send(msg).is_err() {
+                _ => Req::Expire(0),
+            };
+            if self.tx.send(req).is_err() {
                 return false;
             }
         }
@@ -470,117 +368,74 @@ impl Feeder {
     }
 }
 
-/// One replica's writer loop: applies pre-merged write groups, coalesces
-/// query runs, and serves them through the shared publish→serve→retire
-/// protocol. Replica 0 doubles as the set's checkpointer.
-#[allow(clippy::too_many_arguments)]
-fn replica_main<W: ServeWindow + WindowCheckpoint>(
-    mut w: W,
+/// A replica writer to start over the window [`shard::open_window`]
+/// rebuilds.
+struct Writer {
     idx: usize,
-    readers: usize,
-    rx: Receiver<RepReq>,
-    mut generation: u64,
+    cfg: ReplicaSetConfig,
+    rx: Receiver<Req>,
+    base: u64,
     applied: Arc<AtomicU64>,
     log: Arc<OpLog>,
-    checkpoint_every: u64,
-    rec: bimst_obs::Recorder,
-) {
-    let obs = SvcObs::new(rec);
-    obs.generation.set(generation);
+}
+
+impl OpenWith for Writer {
+    type Out = JoinHandle<()>;
+
+    fn with<W: ServeWindow + WindowCheckpoint>(self, w: W) -> JoinHandle<()> {
+        std::thread::Builder::new()
+            .name(format!("bimst-replica-writer-{}", self.idx))
+            .spawn(move || replica_main(w, self))
+            .expect("bimst-service: spawn replica writer")
+    }
+}
+
+/// One replica's writer loop: the single-service writer core, fed one
+/// bus record per write message, so a write group advances the
+/// generation by the records it folds. Replica 0 doubles as the set's
+/// checkpointer.
+fn replica_main<W: ServeWindow + WindowCheckpoint>(w: W, a: Writer) {
+    let mut core = Core::new(w, a.base, a.cfg.readers, bimst_obs::Recorder::new());
     // Per-replica staleness: bus generation minus applied generation,
     // sampled after every apply. Keyed by index so a set-wide absorbed
     // snapshot keeps them apart (`gauges_with_prefix("replica_")`).
-    let lag = obs.rec.gauge(&format!("replica_{idx}_lag"));
-    let mut since_ckpt = 0u64;
-    let mut pool: ReaderPool<W> = ReaderPool::spawn(readers);
-    let (done_tx, done_rx) = channel::<Partial>();
-    let mut carry: Option<RepReq> = None;
-    let mut run: Vec<RunEntry> = Vec::new();
-    let mut scratch = ServeScratch::default();
-
-    loop {
-        let first = match carry.take() {
-            Some(r) => r,
-            None => match rx.recv() {
-                Ok(r) => r,
-                Err(_) => break, // feeder and router both gone; drained
-            },
-        };
-        match first {
-            RepReq::Insert { edges, groups } => {
-                w.batch_insert(&edges);
-                generation += groups;
-                applied.store(generation, Ordering::Release);
-                obs.groups.add(groups);
-                obs.ops_insert.add(groups);
-                obs.generation.set(generation);
-                lag.set(log.generation().saturating_sub(generation));
-                since_ckpt += groups;
+    let lag = core.obs.rec.gauge(&format!("replica_{}_lag", a.idx));
+    // No edge budget: the admission thread already capped each record, and
+    // applying every queued record at once pays the batch bound once.
+    let mut q = Queue::new(a.rx, true, usize::MAX);
+    let mut ckpt_gen = a.base;
+    while let Some(step) = q.next(core.generation, &mut core.run) {
+        match step {
+            Step::Write(op, records) => {
+                core.apply(&op, records, records);
+                a.applied.store(core.generation, Ordering::Release);
+                lag.set(a.log.generation().saturating_sub(core.generation));
             }
-            RepReq::Expire { delta, groups } => {
-                w.batch_expire(delta);
-                generation += groups;
-                applied.store(generation, Ordering::Release);
-                obs.groups.add(groups);
-                obs.ops_expire.add(groups);
-                obs.generation.set(generation);
-                lag.set(log.generation().saturating_sub(generation));
-                since_ckpt += groups;
+            Step::Serve => core.serve(),
+            Step::Metrics(resp) => {
+                let _ = resp.send(core.metrics());
             }
-            RepReq::Metrics(resp) => {
-                let mut snap = obs.rec.snapshot();
-                if let Some(r) = w.obs_recorder() {
-                    snap.absorb(&r.snapshot());
-                }
-                let _ = resp.send(snap);
-            }
-            RepReq::Query { req, resp, at } => {
-                run.clear();
-                run.push((req, resp, at));
-                loop {
-                    match rx.try_recv() {
-                        Ok(RepReq::Query { req, resp, at }) => run.push((req, resp, at)),
-                        Ok(other) => {
-                            carry = Some(other);
-                            break;
-                        }
-                        Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
-                    }
-                }
-                serve(
-                    &w,
-                    generation,
-                    &mut pool,
-                    &done_tx,
-                    &done_rx,
-                    &mut run,
-                    &mut scratch,
-                    &obs,
-                );
+            // Barriers resolve on the admission thread; none reach here.
+            Step::Barrier(resp) => {
+                let _ = resp.send(core.generation);
             }
         }
         // Replica 0 is the checkpointer: the checkpoint is installed on
         // the bus, not the store (see `ReplicaSetConfig::checkpoint_every`),
         // so any replica can restart from it regardless of durability.
-        if idx == 0 && checkpoint_every != 0 && since_ckpt >= checkpoint_every {
-            let (tw, t) = w.window();
-            log.install_ckpt(Checkpoint {
-                generation,
-                tw,
-                t,
-                edges: w.compact_edges(),
-            });
-            since_ckpt = 0;
+        let every = a.cfg.checkpoint_every;
+        if a.idx == 0 && every != 0 && core.generation - ckpt_gen >= every {
+            a.log.install_ckpt(checkpoint_of(&core.w, core.generation));
+            ckpt_gen = core.generation;
         }
     }
-    drop(done_tx);
-    pool.shutdown();
+    core.shutdown();
 }
 
 /// One replica's runtime handles, as the router sees them. `tx: None`
 /// marks a killed replica (skipped by routing until restarted).
 struct ReplicaSlot {
-    tx: Option<SyncSender<RepReq>>,
+    tx: Option<SyncSender<Req>>,
     /// Records enqueued on the apply channel (the freshness watermark).
     fed: Arc<AtomicU64>,
     /// Records applied by the writer (drives the lag gauge; also the
@@ -614,7 +469,8 @@ struct ReplicaSlot {
 /// ```
 pub struct ReplicaSet {
     log: Arc<OpLog>,
-    admission_tx: Option<SyncSender<LogReq>>,
+    /// The admission queue's client end (`None` once shut down).
+    admit: Option<ServiceHandle>,
     admission: Option<JoinHandle<()>>,
     replicas: Vec<ReplicaSlot>,
     /// Round-robin cursor for fresh-enough replicas.
@@ -628,24 +484,22 @@ pub struct ReplicaSet {
     route_queries: bimst_obs::Counter,
     route_lagged: bimst_obs::Counter,
     route_waits: bimst_obs::Counter,
-    n: usize,
-    seed: u64,
-    eager: bool,
+    meta: Meta,
     dir: Option<PathBuf>,
     cfg: ReplicaSetConfig,
 }
 
 impl ReplicaSet {
     /// An in-memory replica set over eagerly-maintained windows
-    /// ([`SwConnEager`]), each seeded identically.
+    /// ([`bimst_sliding::SwConnEager`]), each seeded identically.
     pub fn eager(n: usize, seed: u64, cfg: ReplicaSetConfig) -> ReplicaSet {
-        ReplicaSet::boot(n, seed, true, None, None, 0, None, &[], cfg)
+        ReplicaSet::boot(shard::meta(n, seed, true), None, 0, None, &[], cfg)
     }
 
     /// An in-memory replica set over lazily-maintained windows
-    /// ([`SwConn`]).
+    /// ([`bimst_sliding::SwConn`]).
     pub fn lazy(n: usize, seed: u64, cfg: ReplicaSetConfig) -> ReplicaSet {
-        ReplicaSet::boot(n, seed, false, None, None, 0, None, &[], cfg)
+        ReplicaSet::boot(shard::meta(n, seed, false), None, 0, None, &[], cfg)
     }
 
     /// A durable replica set: the admission thread writes every group to
@@ -657,24 +511,7 @@ impl ReplicaSet {
         seed: u64,
         cfg: ReplicaSetConfig,
     ) -> io::Result<ReplicaSet> {
-        let meta = Meta {
-            n: n as u64,
-            seed,
-            eager: true,
-            tenants: false,
-        };
-        let store = Store::create(&path, &meta)?;
-        Ok(ReplicaSet::boot(
-            n,
-            seed,
-            true,
-            Some(path.as_ref().to_path_buf()),
-            Some(store),
-            0,
-            None,
-            &[],
-            cfg,
-        ))
+        ReplicaSet::create(path.as_ref(), shard::meta(n, seed, true), cfg)
     }
 
     /// [`ReplicaSet::eager_durable`] over lazy windows.
@@ -684,24 +521,13 @@ impl ReplicaSet {
         seed: u64,
         cfg: ReplicaSetConfig,
     ) -> io::Result<ReplicaSet> {
-        let meta = Meta {
-            n: n as u64,
-            seed,
-            eager: false,
-            tenants: false,
-        };
-        let store = Store::create(&path, &meta)?;
-        Ok(ReplicaSet::boot(
-            n,
-            seed,
-            false,
-            Some(path.as_ref().to_path_buf()),
-            Some(store),
-            0,
-            None,
-            &[],
-            cfg,
-        ))
+        ReplicaSet::create(path.as_ref(), shard::meta(n, seed, false), cfg)
+    }
+
+    fn create(path: &Path, meta: Meta, cfg: ReplicaSetConfig) -> io::Result<ReplicaSet> {
+        let store = Store::create(path, &meta)?;
+        let dur = Some((path.to_path_buf(), store));
+        Ok(ReplicaSet::boot(meta, dur, 0, None, &[], cfg))
     }
 
     /// Recovers a durable replica set from `path`: every replica is
@@ -710,12 +536,10 @@ impl ReplicaSet {
     /// resumes at the recovered generation.
     pub fn recover(path: impl AsRef<Path>, cfg: ReplicaSetConfig) -> io::Result<ReplicaSet> {
         let (store, meta, rec) = Store::open(&path)?;
+        let dur = Some((path.as_ref().to_path_buf(), store));
         Ok(ReplicaSet::boot(
-            meta.n as usize,
-            meta.seed,
-            meta.eager,
-            Some(path.as_ref().to_path_buf()),
-            Some(store),
+            meta,
+            dur,
             rec.generation,
             rec.checkpoint,
             &rec.tail,
@@ -723,32 +547,36 @@ impl ReplicaSet {
         ))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn boot(
-        n: usize,
-        seed: u64,
-        eager: bool,
-        dir: Option<PathBuf>,
-        store: Option<Store>,
+        meta: Meta,
+        dur: Option<(PathBuf, Store)>,
         base: u64,
         ckpt: Option<Checkpoint>,
         tail: &[Op],
         cfg: ReplicaSetConfig,
     ) -> ReplicaSet {
+        let rec = bimst_obs::Recorder::new();
+        // No mid-stream disk checkpoints (see `checkpoint_every`); the
+        // `wal_*` metrics land on the set's own recorder.
+        let (dir, dur) = match dur {
+            Some((dir, store)) => (Some(dir), Some(DurCtl::new(store, cfg.sync, 0, &rec))),
+            None => (None, None),
+        };
         let log = Arc::new(OpLog::new(base, ckpt.clone()));
         let notify = Arc::new((Mutex::new(()), Condvar::new()));
         let (admission_tx, admission_rx) = std::sync::mpsc::sync_channel(cfg.queue_cap.max(1));
+        let merge = dur.as_ref().is_none_or(DurCtl::merges);
+        let q = Queue::new(admission_rx, merge, cfg.write_budget);
         let admission = {
             let log = log.clone();
             std::thread::Builder::new()
                 .name("bimst-replica-log".into())
-                .spawn(move || admission_main(admission_rx, log, store, cfg))
+                .spawn(move || admission_main(q, log, dur))
                 .expect("bimst-service: spawn replica admission thread")
         };
-        let rec = bimst_obs::Recorder::new();
         let mut set = ReplicaSet {
             log,
-            admission_tx: Some(admission_tx),
+            admit: Some(ServiceHandle::new(admission_tx, &rec)),
             admission: Some(admission),
             replicas: Vec::new(),
             rr: AtomicUsize::new(0),
@@ -757,9 +585,7 @@ impl ReplicaSet {
             route_lagged: rec.counter("replica_route_lagged"),
             route_waits: rec.counter("replica_route_waits"),
             rec,
-            n,
-            seed,
-            eager,
+            meta,
             dir,
             cfg,
         };
@@ -781,46 +607,19 @@ impl ReplicaSet {
         tail: &[Op],
         disk: Option<(ReplayCursor, u64)>,
     ) -> ReplicaSlot {
-        fn rebuild<W: ServeWindow + WindowCheckpoint>(
-            w: &mut W,
-            ckpt: Option<&Checkpoint>,
-            tail: &[Op],
-        ) {
-            if let Some(ck) = ckpt {
-                w.restore(&ck.edges, ck.tw, ck.t);
-            }
-            for op in tail {
-                match op {
-                    Op::Insert(edges) => {
-                        w.batch_insert(edges);
-                    }
-                    Op::Expire(delta) => w.batch_expire(*delta),
-                    _ => {}
-                }
-            }
-        }
-
-        let (tx, rx) = std::sync::mpsc::sync_channel::<RepReq>(self.cfg.queue_cap.max(1));
+        let (tx, rx) = std::sync::mpsc::sync_channel::<Req>(self.cfg.queue_cap.max(1));
         let fed = Arc::new(AtomicU64::new(base));
         let applied = Arc::new(AtomicU64::new(base));
         let stop = Arc::new(AtomicBool::new(false));
-        let rec = bimst_obs::Recorder::new();
-        let (log, readers) = (self.log.clone(), self.cfg.readers);
-        let (ap, ckpt_every) = (applied.clone(), self.cfg.checkpoint_every);
-        let writer = {
-            let name = format!("bimst-replica-writer-{idx}");
-            let b = std::thread::Builder::new().name(name);
-            if self.eager {
-                let mut w = SwConnEager::new(self.n, self.seed);
-                rebuild(&mut w, ckpt, tail);
-                b.spawn(move || replica_main(w, idx, readers, rx, base, ap, log, ckpt_every, rec))
-            } else {
-                let mut w = SwConn::new(self.n, self.seed);
-                rebuild(&mut w, ckpt, tail);
-                b.spawn(move || replica_main(w, idx, readers, rx, base, ap, log, ckpt_every, rec))
-            }
-            .expect("bimst-service: spawn replica writer")
+        let writer = Writer {
+            idx,
+            cfg: self.cfg,
+            rx,
+            base,
+            applied: applied.clone(),
+            log: self.log.clone(),
         };
+        let writer = shard::open_window(&self.meta, ckpt, tail, writer);
         let feeder = Feeder {
             log: self.log.clone(),
             tx: tx.clone(),
@@ -855,36 +654,26 @@ impl ReplicaSet {
         self.log.generation()
     }
 
+    fn admit(&self) -> Result<&ServiceHandle, ServiceClosed> {
+        self.admit.as_ref().ok_or(ServiceClosed)
+    }
+
     /// Admits an insert batch (blocking under backpressure). Applied by
     /// every replica in admission order.
     pub fn insert(&self, edges: Vec<(VertexId, VertexId)>) -> Result<(), ServiceClosed> {
-        self.admission_tx
-            .as_ref()
-            .ok_or(ServiceClosed)?
-            .send(LogReq::Insert(edges))
-            .map_err(|_| ServiceClosed)
+        self.admit()?.insert(edges)
     }
 
     /// Admits an expiration of the `delta` oldest stream positions.
     pub fn expire(&self, delta: u64) -> Result<(), ServiceClosed> {
-        self.admission_tx
-            .as_ref()
-            .ok_or(ServiceClosed)?
-            .send(LogReq::Expire(delta))
-            .map_err(|_| ServiceClosed)
+        self.admit()?.expire(delta)
     }
 
     /// Admits a write barrier: resolves with the generation `g` at which
     /// every previously-admitted write is logged and bus-visible.
     /// `serve_at(g, ..)` after it is read-your-writes on any replica.
     pub fn barrier(&self) -> Result<BarrierTicket, ServiceClosed> {
-        let (resp, rx) = std::sync::mpsc::channel();
-        self.admission_tx
-            .as_ref()
-            .ok_or(ServiceClosed)?
-            .send(LogReq::Barrier(resp))
-            .map_err(|_| ServiceClosed)?;
-        Ok(BarrierTicket { rx })
+        self.admit()?.barrier()
     }
 
     /// Serves a query batch from any live replica (no freshness floor:
@@ -896,50 +685,10 @@ impl ReplicaSet {
     /// Serves a query batch from a replica whose watermark has reached
     /// `min_gen` (lag-bounded freshness). Blocks while every live
     /// replica is behind; fails with [`ServiceClosed`] when none is
-    /// alive. The answer's [`Answered::generation`] is ≥ `min_gen`.
+    /// alive. The answer's [`crate::Answered::generation`] is ≥ `min_gen`.
     pub fn serve_at(&self, min_gen: u64, req: QueryReq) -> Result<QueryTicket, ServiceClosed> {
-        let (resp, rx) = std::sync::mpsc::channel();
-        let at = bimst_obs::enabled().then(std::time::Instant::now);
-        let mut msg = RepReq::Query { req, resp, at };
-        loop {
-            let k = self.replicas.len();
-            let start = self.rr.fetch_add(1, Ordering::Relaxed);
-            let mut alive = 0usize;
-            let mut lagged = false;
-            for j in 0..k {
-                let slot = &self.replicas[(start + j) % k];
-                let Some(tx) = slot.tx.as_ref() else { continue };
-                alive += 1;
-                if slot.fed.load(Ordering::Acquire) < min_gen {
-                    lagged = true;
-                    continue;
-                }
-                match tx.send(msg) {
-                    Ok(()) => {
-                        self.route_queries.inc();
-                        if lagged {
-                            self.route_lagged.inc();
-                        }
-                        return Ok(QueryTicket { rx });
-                    }
-                    // Writer died (killed mid-route); try the next one.
-                    Err(std::sync::mpsc::SendError(m)) => msg = m,
-                }
-            }
-            if alive == 0 {
-                return Err(ServiceClosed);
-            }
-            // Every live replica is behind `min_gen`: wait for a feeder
-            // to advance a watermark (or time out and re-scan, in case
-            // the only fresh replica was killed while we slept).
-            self.route_waits.inc();
-            let guard = self.notify.0.lock().unwrap();
-            let _ = self
-                .notify
-                .1
-                .wait_timeout(guard, Duration::from_millis(10))
-                .unwrap();
-        }
+        let start = self.rr.fetch_add(1, Ordering::Relaxed);
+        self.route(start, self.replicas.len(), min_gen, req)
     }
 
     /// [`ReplicaSet::serve_at`] pinned to replica `i` — for tests and
@@ -952,18 +701,48 @@ impl ReplicaSet {
         min_gen: u64,
         req: QueryReq,
     ) -> Result<QueryTicket, ServiceClosed> {
+        self.route(i, 1, min_gen, req)
+    }
+
+    /// Sends the query to the first of the `count` slots from `start`
+    /// (cyclically) whose watermark has reached `min_gen`.
+    fn route(
+        &self,
+        start: usize,
+        count: usize,
+        min_gen: u64,
+        req: QueryReq,
+    ) -> Result<QueryTicket, ServiceClosed> {
         let (resp, rx) = std::sync::mpsc::channel();
         let at = bimst_obs::enabled().then(std::time::Instant::now);
-        let slot = &self.replicas[i];
+        let mut msg = Req::Query { req, resp, at };
         loop {
-            let tx = slot.tx.as_ref().ok_or(ServiceClosed)?;
-            if slot.fed.load(Ordering::Acquire) >= min_gen {
-                self.route_queries.inc();
-                return match tx.send(RepReq::Query { req, resp, at }) {
-                    Ok(()) => Ok(QueryTicket { rx }),
-                    Err(_) => Err(ServiceClosed),
-                };
+            let mut behind = 0usize;
+            for j in 0..count {
+                let slot = &self.replicas[(start + j) % self.replicas.len()];
+                let Some(tx) = slot.tx.as_ref() else { continue };
+                if slot.fed.load(Ordering::Acquire) < min_gen {
+                    behind += 1;
+                    continue;
+                }
+                match tx.send(msg) {
+                    Ok(()) => {
+                        self.route_queries.inc();
+                        if behind > 0 {
+                            self.route_lagged.inc();
+                        }
+                        return Ok(QueryTicket { rx });
+                    }
+                    // Writer died (killed mid-route); try the next one.
+                    Err(std::sync::mpsc::SendError(m)) => msg = m,
+                }
             }
+            if behind == 0 {
+                return Err(ServiceClosed);
+            }
+            // Every live candidate is behind `min_gen`: wait for a feeder
+            // to advance a watermark (or time out and re-scan, in case
+            // the only fresh replica was killed while we slept).
             self.route_waits.inc();
             let guard = self.notify.0.lock().unwrap();
             let _ = self
@@ -1049,7 +828,7 @@ impl ReplicaSet {
         for slot in &self.replicas {
             let Some(tx) = slot.tx.as_ref() else { continue };
             let (resp, rx) = std::sync::mpsc::channel();
-            if tx.send(RepReq::Metrics(resp)).is_ok() {
+            if tx.send(Req::Metrics(resp)).is_ok() {
                 if let Ok(s) = rx.recv() {
                     snap.absorb(&s);
                 }
@@ -1066,7 +845,7 @@ impl ReplicaSet {
     /// its readers, and exits. Every admitted op is applied by every
     /// live replica; every admitted query's ticket resolves.
     pub fn shutdown(mut self) {
-        self.admission_tx = None;
+        self.admit = None;
         if let Some(a) = self.admission.take() {
             let _ = a.join();
         }
@@ -1086,7 +865,7 @@ impl Drop for ReplicaSet {
     /// Dropping without [`ReplicaSet::shutdown`] still drains, but
     /// detached: admission and replica threads finish in the background.
     fn drop(&mut self) {
-        self.admission_tx = None;
+        self.admit = None;
         for slot in &mut self.replicas {
             slot.tx = None;
         }
@@ -1096,7 +875,18 @@ impl Drop for ReplicaSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::QueryResp;
+    use crate::{Answered, QueryResp};
+
+    fn tmpdir(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!(
+            "bimst-replica-{tag}-{}-{:x}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap()
+                .as_nanos()
+        ))
+    }
 
     fn ring(n: u32) -> Vec<(u32, u32)> {
         (0..n).map(|v| (v, (v + 1) % n)).collect()
@@ -1187,14 +977,7 @@ mod tests {
     /// whole set at the logged generation.
     #[test]
     fn durable_restart_and_recover() {
-        let dir = std::env::temp_dir().join(format!(
-            "bimst-replica-dur-{}-{:x}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .as_nanos()
-        ));
+        let dir = tmpdir("dur");
         let cfg = ReplicaSetConfig {
             replicas: 2,
             checkpoint_every: 0, // force restart to replay from gen 0
@@ -1257,5 +1040,48 @@ mod tests {
         let (fed, applied) = set.watermarks(0);
         assert!(fed >= applied);
         set.shutdown();
+    }
+
+    /// Under `Always` the admission queue must not merge: every admitted
+    /// write is its own WAL record, so the barrier generation and the
+    /// recovered generation both equal the op count.
+    #[test]
+    fn always_policy_is_per_op() {
+        let dir = tmpdir("always");
+        let cfg = ReplicaSetConfig {
+            sync: SyncPolicy::Always,
+            ..ReplicaSetConfig::default()
+        };
+        let set = ReplicaSet::eager_durable(&dir, 8, 2, cfg).unwrap();
+        for i in 0..6u32 {
+            set.insert(vec![(i % 7, i % 7 + 1)]).unwrap();
+        }
+        assert_eq!(set.barrier().unwrap().wait().unwrap(), 6);
+        set.shutdown();
+        let (_, _, rec) = Store::open(&dir).unwrap();
+        assert_eq!(rec.generation, 6);
+        assert_eq!(rec.tail.len(), 6, "one record per op under Always");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A durable set reports its WAL metrics: one record appended per
+    /// write group, so the count equals the barrier generation.
+    #[test]
+    fn durable_set_reports_wal_metrics() {
+        bimst_obs::set_enabled(true);
+        if !bimst_obs::enabled() {
+            return; // no-op obs build: nothing to observe
+        }
+        let dir = tmpdir("walobs");
+        let set = ReplicaSet::lazy_durable(&dir, 16, 4, ReplicaSetConfig::default()).unwrap();
+        for _ in 0..3 {
+            set.insert(ring(16)).unwrap();
+            set.expire(5).unwrap();
+        }
+        let g = set.barrier().unwrap().wait().unwrap();
+        let snap = set.metrics_snapshot();
+        assert_eq!(snap.counter("wal_records_appended"), Some(g));
+        set.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

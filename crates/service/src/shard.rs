@@ -1,6 +1,25 @@
-//! The writer side of the runtime: one thread owning the window structure,
-//! draining the admission queue in FIFO order with group commit for writes
-//! and coalescing + fan-out for reads.
+//! The one write pipeline both runtimes run. A [`crate::Service`] writer
+//! and every [`crate::ReplicaSet`] thread are assembled from the same
+//! three pieces:
+//!
+//! * [`Queue`], the group-commit step over one FIFO admission queue:
+//!   consecutive same-kind writes merge into one write group (inserts up
+//!   to the write budget; no merging at all under durable
+//!   [`SyncPolicy::Always`]), and a run of queued queries is coalesced
+//!   for one serve.
+//! * [`DurCtl`], the only WAL writer: one record per write group, logged
+//!   (and fsynced, per policy) **before** the group is applied or
+//!   published, plus the checkpoint cadence, counted in write groups.
+//! * [`Core`], the window owner: applies write groups (generation and
+//!   `service_*` accounting), serves coalesced query runs through its
+//!   reader pool, and answers metrics requests.
+//!
+//! A `Service` writer runs all three on one thread ([`writer_main`]). A
+//! `ReplicaSet` runs `Queue` + `DurCtl` on its admission thread, which
+//! publishes each group to the op bus instead of applying it, and
+//! `Queue` + `Core` on every replica writer, whose feeder hands it one
+//! bus record per message. Either way one WAL record is one write group
+//! is one generation.
 //!
 //! Sequential semantics: the state after processing the queue is identical
 //! to applying every admitted op one at a time in admission order, and
@@ -12,12 +31,14 @@
 //! regardless of how batches are merged or range-partitioned (the
 //! `bimst-query` determinism contract, pinned by `tests/prop_query.rs`).
 
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
+use bimst_graphgen::Op;
 use bimst_primitives::{FoldKind, FoldValue, VertexId, WKey};
 use bimst_query::TenantRoute;
-use bimst_wal::{Checkpoint, Store, SyncPolicy};
+use bimst_sliding::{SlidingWrite, SwConn, SwConnEager, WindowCheckpoint};
+use bimst_wal::{Checkpoint, Meta, Store, SyncPolicy};
 
 use crate::reader::{Partial, PartialResp, ReaderPool, ServeTask, Snapshot, Work};
 use crate::{Answered, QueryReq, QueryResp, ServeWindow, ServiceConfig};
@@ -27,11 +48,11 @@ use crate::{Answered, QueryReq, QueryResp, ServeWindow, ServiceConfig};
 type DedPlan = (u32, Arc<Vec<(VertexId, VertexId)>>, usize);
 
 /// One coalesced query: request, reply channel, admission timestamp
-/// (`None` when recording is off). Shared with the replica tier, whose
-/// per-replica writers coalesce and [`serve`] exactly like this one.
+/// (`None` when recording is off).
 pub(crate) type RunEntry = (QueryReq, Sender<Answered>, Option<std::time::Instant>);
 
 /// An admitted operation (see `ServiceHandle` for the client-side view).
+/// Replica feeders send one `Insert` / `Expire` per bus record.
 pub(crate) enum Req {
     /// Append edges on the new side of the window.
     Insert(Vec<(VertexId, VertexId)>),
@@ -54,33 +75,149 @@ pub(crate) enum Req {
     Metrics(Sender<bimst_obs::Snapshot>),
 }
 
-/// The writer's metric handles, registered once per service on its own
+/// What one [`Queue::next`] call yields.
+pub(crate) enum Step {
+    /// One write group: the merged `Op::Insert` or `Op::Expire`, and how
+    /// many queued writes it folds.
+    Write(Op, u64),
+    /// A coalesced query run, left in the caller's run buffer.
+    Serve,
+    /// A barrier to resolve at the current generation.
+    Barrier(Sender<u64>),
+    /// A metrics request.
+    Metrics(Sender<bimst_obs::Snapshot>),
+}
+
+/// The group-commit step over one admission queue.
+pub(crate) struct Queue {
+    rx: Receiver<Req>,
+    /// A request pulled while merging that starts the next step.
+    carry: Option<Req>,
+    /// Whether writes merge at all: under a durable `Always` policy the
+    /// record boundary must be the op boundary.
+    merge: bool,
+    /// Insert merging stops once the group holds this many edges (a
+    /// single op larger than the budget is still one group).
+    budget: usize,
+    /// Requests dequeued so far.
+    pub(crate) dequeued: u64,
+}
+
+impl Queue {
+    pub(crate) fn new(rx: Receiver<Req>, merge: bool, budget: usize) -> Queue {
+        Queue {
+            rx,
+            carry: None,
+            merge,
+            budget: budget.max(1),
+            dequeued: 0,
+        }
+    }
+
+    fn pull(&mut self, block: bool) -> Option<Req> {
+        let r = if block {
+            self.rx.recv().ok()
+        } else {
+            self.rx.try_recv().ok()
+        }?;
+        self.dequeued += 1;
+        Some(r)
+    }
+
+    /// The next step, or `None` once every sender is gone and the queue
+    /// is drained. A query starts a run: every query queued behind it is
+    /// appended to `run`, and barriers inside the run resolve at
+    /// `generation` on the spot (queries do not advance it, so their
+    /// promise already holds).
+    pub(crate) fn next(&mut self, generation: u64, run: &mut Vec<RunEntry>) -> Option<Step> {
+        let first = match self.carry.take() {
+            Some(r) => r,
+            None => self.pull(true)?,
+        };
+        Some(match first {
+            Req::Insert(mut edges) => {
+                // Positions concatenate, so one batch_insert of the merged
+                // run equals the per-op inserts — but pays the
+                // O(ℓ lg(1 + n/ℓ)) batch bound once.
+                let mut ops = 1;
+                while self.merge && edges.len() < self.budget {
+                    match self.pull(false) {
+                        Some(Req::Insert(more)) => {
+                            edges.extend_from_slice(&more);
+                            ops += 1;
+                        }
+                        other => {
+                            self.carry = other;
+                            break;
+                        }
+                    }
+                }
+                Step::Write(Op::Insert(edges), ops)
+            }
+            Req::Expire(mut delta) => {
+                // Deltas add.
+                let mut ops = 1;
+                while self.merge {
+                    match self.pull(false) {
+                        Some(Req::Expire(more)) => {
+                            delta = delta.saturating_add(more);
+                            ops += 1;
+                        }
+                        other => {
+                            self.carry = other;
+                            break;
+                        }
+                    }
+                }
+                Step::Write(Op::Expire(delta), ops)
+            }
+            Req::Query { req, resp, at } => {
+                run.push((req, resp, at));
+                loop {
+                    match self.pull(false) {
+                        Some(Req::Query { req, resp, at }) => run.push((req, resp, at)),
+                        Some(Req::Barrier(resp)) => {
+                            let _ = resp.send(generation);
+                        }
+                        other => {
+                            self.carry = other;
+                            break;
+                        }
+                    }
+                }
+                Step::Serve
+            }
+            Req::Barrier(resp) => Step::Barrier(resp),
+            Req::Metrics(resp) => Step::Metrics(resp),
+        })
+    }
+}
+
+/// The metric handles of one writer core, registered on its own
 /// [`bimst_obs::Recorder`] (per-instance, so parallel tests never mix
 /// services). All recording is observe-only: relaxed atomic adds and
 /// span timers that never branch the apply/serve paths.
 pub(crate) struct SvcObs {
-    /// The service's registry ([`ServiceHandle::metrics_snapshot`] serves
-    /// it, folded with the window's and the process-global recorders).
+    /// The core's registry ([`Core::metrics`] serves it, folded with the
+    /// window's).
     pub(crate) rec: bimst_obs::Recorder,
-    /// `service_queue_depth`: admission-queue depth sampled at each
-    /// dequeue (client-side submitted counter minus writer-side processed).
+    /// `service_queue_depth`: admission-queue depth sampled at each step
+    /// (client-side submitted counter minus writer-side dequeued).
     queue_depth: bimst_obs::Histogram,
-    /// `service_merge_width_ops`: ops merged into each group commit.
+    /// `service_merge_width_ops`: writes merged into each group commit.
     merge_width: bimst_obs::Histogram,
     /// `service_serve_ns`: publish→serve→retire latency of each coalesced
     /// query run (one span per `serve`).
     serve_ns: bimst_obs::Histogram,
-    /// `service_generation`: the writer's current generation. (These
-    /// four are shared with the replica tier's per-replica writers,
-    /// hence `pub(crate)`.)
-    pub(crate) generation: bimst_obs::Gauge,
+    /// `service_generation`: the writer's current generation.
+    generation: bimst_obs::Gauge,
     /// `service_write_groups`: applied write groups (== generation
     /// increments == WAL records appended for a durable service).
-    pub(crate) groups: bimst_obs::Counter,
+    groups: bimst_obs::Counter,
     /// `service_ops_insert` / `service_ops_expire`: admitted write ops by
     /// kind (a group of width k counts k).
-    pub(crate) ops_insert: bimst_obs::Counter,
-    pub(crate) ops_expire: bimst_obs::Counter,
+    ops_insert: bimst_obs::Counter,
+    ops_expire: bimst_obs::Counter,
     /// `service_queries_*`: admitted queries by kind (a batch of q pairs
     /// counts q).
     q_conn: bimst_obs::Counter,
@@ -101,7 +238,7 @@ pub(crate) struct SvcObs {
 }
 
 impl SvcObs {
-    pub(crate) fn new(rec: bimst_obs::Recorder) -> Self {
+    fn new(rec: bimst_obs::Recorder) -> Self {
         SvcObs {
             queue_depth: rec.histogram("service_queue_depth"),
             merge_width: rec.histogram("service_merge_width_ops"),
@@ -127,90 +264,203 @@ impl SvcObs {
     }
 }
 
-/// The writer thread's durability side-car: the WAL store plus the policy
-/// knobs, created by the durable `Service` constructors. The write path
-/// is **log before apply**: a group's record is appended (and fsynced,
-/// per policy) before `batch_insert`/`batch_expire` runs, so no applied —
-/// hence query-visible — state can out-run the log. The `snapshot` fn
-/// pointer (monomorphized per `W` by the constructor) is how checkpoints
-/// read the structure without `writer_main` needing a `WindowCheckpoint`
-/// bound for the plain in-memory case.
-pub(crate) struct DurCtl<W> {
+/// The WAL side-car of a durable runtime's write path: a `Service` writer
+/// or a durable `ReplicaSet`'s admission thread. The write path is **log
+/// before apply**: a group's record is appended (and fsynced, per policy)
+/// before the group is applied or published, so no query-visible state
+/// can out-run the log.
+pub(crate) struct DurCtl {
     store: Store,
     sync: SyncPolicy,
+    /// Checkpoint after this many write groups (`0` = never).
     checkpoint_every: u64,
-    /// Admitted write ops since the last checkpoint.
+    /// Write groups logged since the last checkpoint.
     since: u64,
-    /// `(tw, t, compact_edges)` of the structure, for checkpoints.
-    snapshot: SnapshotFn<W>,
 }
 
-/// `(tw, t, compact_edges)` of a window, read when a checkpoint is due.
-pub(crate) type SnapshotFn<W> = fn(&W) -> (u64, u64, Vec<(u64, VertexId, VertexId)>);
+/// A checkpoint of a window at a generation; monomorphized per window
+/// type by the durable constructors, so the writer needs no
+/// `WindowCheckpoint` bound for the in-memory case.
+pub(crate) type SnapshotFn<W> = fn(&W, u64) -> Checkpoint;
 
-impl<W> DurCtl<W> {
+impl DurCtl {
+    /// Wraps `store`, attaching its `wal_*` metrics to `rec`.
     pub(crate) fn new(
-        store: Store,
+        mut store: Store,
         sync: SyncPolicy,
         checkpoint_every: u64,
-        snapshot: SnapshotFn<W>,
+        rec: &bimst_obs::Recorder,
     ) -> Self {
+        store.attach_obs(rec);
         DurCtl {
             store,
             sync,
             checkpoint_every,
             since: 0,
-            snapshot,
         }
     }
 
-    /// Under `Always` the record boundary must be the op boundary, so the
-    /// writer skips group-commit merging entirely.
-    fn per_op(&self) -> bool {
-        self.sync == SyncPolicy::Always
+    /// Whether the queue feeding this log may merge writes.
+    pub(crate) fn merges(&self) -> bool {
+        self.sync != SyncPolicy::Always
     }
 
-    /// Logs one write group (the merged batch) ahead of its apply. WAL IO
-    /// failure is fail-stop: a writer that cannot log must not apply, or
-    /// acked-and-answered state would be silently undurable.
-    fn log_insert(&mut self, edges: &[(VertexId, VertexId)], ops: u64) {
+    /// Logs one write group. WAL IO failure is fail-stop: a writer that
+    /// cannot log must not apply, or acked-and-answered state would be
+    /// silently undurable.
+    pub(crate) fn log(&mut self, op: &Op) {
         self.store
-            .append_insert(edges)
+            .append_op(op)
             .expect("bimst-service: WAL append failed");
-        self.commit(ops);
-    }
-
-    fn log_expire(&mut self, delta: u64, ops: u64) {
-        self.store
-            .append_expire(delta)
-            .expect("bimst-service: WAL append failed");
-        self.commit(ops);
-    }
-
-    fn commit(&mut self, ops: u64) {
         if self.sync != SyncPolicy::None {
             self.store.sync().expect("bimst-service: WAL fsync failed");
         }
-        self.since += ops;
+        self.since += 1;
     }
 
-    /// After a group is applied: write a compacted checkpoint if the op
-    /// budget since the last one is spent.
-    fn maybe_checkpoint(&mut self, w: &W, generation: u64) {
+    /// After a group is applied: writes the checkpoint `ck` takes if
+    /// `checkpoint_every` groups were logged since the last one.
+    pub(crate) fn maybe_checkpoint(&mut self, ck: impl FnOnce() -> Checkpoint) {
         if self.checkpoint_every == 0 || self.since < self.checkpoint_every {
             return;
         }
-        let (tw, t, edges) = (self.snapshot)(w);
         self.store
-            .checkpoint(&Checkpoint {
-                generation,
-                tw,
-                t,
-                edges,
-            })
+            .checkpoint(&ck())
             .expect("bimst-service: WAL checkpoint failed");
         self.since = 0;
     }
+
+    /// Orderly shutdown: whatever the policy deferred is synced now, so a
+    /// clean stop loses nothing — `SyncPolicy::None`'s loss window is
+    /// crashes only. Best-effort: the thread is exiting either way, and
+    /// the tail is still torn-safe on disk.
+    pub(crate) fn close(mut self) {
+        let _ = self.store.sync();
+    }
+}
+
+/// The identity of a single-window store.
+pub(crate) fn meta(n: usize, seed: u64, eager: bool) -> Meta {
+    Meta {
+        n: n as u64,
+        seed,
+        eager,
+        tenants: false,
+    }
+}
+
+/// A checkpoint of `w` at `generation`.
+pub(crate) fn checkpoint_of<W: WindowCheckpoint>(w: &W, generation: u64) -> Checkpoint {
+    let (tw, t) = w.window();
+    Checkpoint {
+        generation,
+        tw,
+        t,
+        edges: w.compact_edges(),
+    }
+}
+
+/// Applies one logged write. Any other record kind is skipped; it still
+/// occupies a generation.
+fn apply_op<W: SlidingWrite>(w: &mut W, op: &Op) {
+    match op {
+        Op::Insert(edges) => {
+            w.batch_insert(edges);
+        }
+        Op::Expire(delta) => w.batch_expire(*delta),
+        _ => {}
+    }
+}
+
+/// What to do with the window [`open_window`] rebuilds: a trait rather
+/// than a closure because the window's type depends on the discipline.
+pub(crate) trait OpenWith {
+    type Out;
+    fn with<W: ServeWindow + WindowCheckpoint>(self, w: W) -> Self::Out;
+}
+
+/// Builds the window `meta` describes at a recovered position (the
+/// checkpoint, then the log tail replayed on top) and hands it to `f`.
+pub(crate) fn open_window<F: OpenWith>(
+    meta: &Meta,
+    ckpt: Option<&Checkpoint>,
+    tail: &[Op],
+    f: F,
+) -> F::Out {
+    fn rebuild<W: WindowCheckpoint>(mut w: W, ckpt: Option<&Checkpoint>, tail: &[Op]) -> W {
+        if let Some(ck) = ckpt {
+            w.restore(&ck.edges, ck.tw, ck.t);
+        }
+        for op in tail {
+            apply_op(&mut w, op);
+        }
+        w
+    }
+    let (n, seed) = (meta.n as usize, meta.seed);
+    if meta.eager {
+        f.with(rebuild(SwConnEager::new(n, seed), ckpt, tail))
+    } else {
+        f.with(rebuild(SwConn::new(n, seed), ckpt, tail))
+    }
+}
+
+/// The `Service` writer loop. Runs until the admission queue disconnects
+/// (every `ServiceHandle` dropped), which is what makes "admitted ⇒
+/// processed" exact: a submission that was acked is in the queue, and the
+/// queue is drained to the end before the readers retire and the
+/// structure drops.
+///
+/// With a `DurCtl` attached, every write group is one WAL record and one
+/// generation increment, so the generation recovered from the log is
+/// exactly the generation the live service would have reported.
+pub(crate) fn writer_main<W: ServeWindow>(
+    w: W,
+    cfg: ServiceConfig,
+    rx: Receiver<Req>,
+    generation: u64,
+    mut dur: Option<(DurCtl, SnapshotFn<W>)>,
+    rec: bimst_obs::Recorder,
+) {
+    let mut core = Core::new(w, generation, cfg.readers, rec);
+    let merge = dur.as_ref().is_none_or(|(d, _)| d.merges());
+    let mut q = Queue::new(rx, merge, cfg.write_budget);
+    // Handle-side admission counter, paired with the queue's dequeued
+    // count to sample the queue depth.
+    let submitted = core.obs.rec.counter("service_submitted_ops");
+    while let Some(step) = q.next(core.generation, &mut core.run) {
+        if bimst_obs::enabled() {
+            let depth = submitted.get().saturating_sub(q.dequeued);
+            core.obs.queue_depth.record(depth);
+        }
+        match step {
+            Step::Write(op, ops) => {
+                if let Some((d, _)) = dur.as_mut() {
+                    d.log(&op);
+                }
+                core.apply(&op, ops, 1);
+                if let Some((d, snapshot)) = dur.as_mut() {
+                    d.maybe_checkpoint(|| snapshot(&core.w, core.generation));
+                }
+            }
+            Step::Serve => core.serve(),
+            Step::Barrier(resp) => {
+                let _ = resp.send(core.generation);
+            }
+            Step::Metrics(resp) => {
+                // FIFO admission makes the snapshot cover everything this
+                // service admitted — and hence processed — before the
+                // request; the process-wide recorder adds engine rounds
+                // and query plans.
+                let mut snap = core.metrics();
+                snap.absorb(&bimst_obs::global().snapshot());
+                let _ = resp.send(snap);
+            }
+        }
+    }
+    if let Some((d, _)) = dur {
+        d.close();
+    }
+    core.shutdown();
 }
 
 /// Smallest per-reader slice of a merged plan: below this, splitting costs
@@ -284,470 +534,305 @@ impl ServeScratch {
     }
 }
 
-/// The writer loop. Runs until the admission queue disconnects (every
-/// `ServiceHandle` dropped), which is what makes "admitted ⇒ processed"
-/// exact: a submission that was acked is in the queue, and the queue is
-/// drained to the end before the readers retire and the structure drops.
-///
-/// With a `DurCtl` attached, every applied write group is logged (and
-/// fsynced, per policy) *before* the apply, and the final sync on loop
-/// exit makes an orderly shutdown fully durable under every policy. One
-/// WAL record always equals one applied group equals one generation
-/// increment, so the generation recovered from the log is exactly the
-/// generation the live service would have reported.
-pub(crate) fn writer_main<W: ServeWindow>(
-    mut w: W,
-    cfg: ServiceConfig,
-    rx: Receiver<Req>,
-    mut generation: u64,
-    mut dur: Option<DurCtl<W>>,
-    rec: bimst_obs::Recorder,
-) {
-    let obs = SvcObs::new(rec);
-    // Handle-side admission counter, paired with the writer-local
-    // `processed` count below to derive the queue depth at each dequeue.
-    let submitted = obs.rec.counter("service_submitted_ops");
-    let mut processed = 0u64;
-    // The recovered starting point is visible even before the first group.
-    obs.generation.set(generation);
-    let mut pool: ReaderPool<W> = ReaderPool::spawn(cfg.readers);
-    let (done_tx, done_rx) = channel::<Partial>();
-    // Under `Always`, records must be per-op, so group-commit merging is off.
-    let merge = !dur.as_ref().is_some_and(DurCtl::per_op);
-    // An op pulled while merging that belongs to the *next* step.
-    let mut carry: Option<Req> = None;
-    // Group-commit buffer, reused across groups.
-    let mut wbuf: Vec<(VertexId, VertexId)> = Vec::new();
-    // The current coalescing run of query requests, reused across runs.
-    let mut run: Vec<RunEntry> = Vec::new();
-    // Merged-plan/answer buffers, reused across generations.
-    let mut scratch = ServeScratch::default();
-
-    loop {
-        let first = match carry.take() {
-            Some(r) => r,
-            None => match rx.recv() {
-                Ok(r) => {
-                    processed += 1;
-                    if bimst_obs::enabled() {
-                        obs.queue_depth
-                            .record(submitted.get().saturating_sub(processed));
-                    }
-                    r
-                }
-                Err(_) => break, // all handles dropped and queue drained
-            },
-        };
-        match first {
-            Req::Insert(edges) => {
-                // Group commit: merge consecutive queued inserts up to the
-                // budget. Positions concatenate, so one batch_insert of the
-                // merged run equals the per-op inserts — but pays the
-                // O(ℓ lg(1 + n/ℓ)) batch bound once.
-                wbuf.clear();
-                wbuf.extend_from_slice(&edges);
-                let mut ops = 1u64;
-                while merge && wbuf.len() < cfg.write_budget.max(1) {
-                    match rx.try_recv() {
-                        Ok(Req::Insert(more)) => {
-                            processed += 1;
-                            wbuf.extend_from_slice(&more);
-                            ops += 1;
-                        }
-                        Ok(other) => {
-                            processed += 1;
-                            carry = Some(other);
-                            break;
-                        }
-                        Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
-                    }
-                }
-                if let Some(d) = dur.as_mut() {
-                    d.log_insert(&wbuf, ops);
-                }
-                w.batch_insert(&wbuf);
-                generation += 1;
-                obs.groups.inc();
-                obs.ops_insert.add(ops);
-                obs.merge_width.record(ops);
-                obs.generation.set(generation);
-                if let Some(d) = dur.as_mut() {
-                    d.maybe_checkpoint(&w, generation);
-                }
-            }
-            Req::Expire(delta) => {
-                // Merge consecutive expirations: deltas add. (Under a
-                // per-record sync policy `merge` is off and the group is
-                // this one op.)
-                let mut delta = delta;
-                let mut ops = 1u64;
-                if merge {
-                    loop {
-                        match rx.try_recv() {
-                            Ok(Req::Expire(more)) => {
-                                processed += 1;
-                                delta = delta.saturating_add(more);
-                                ops += 1;
-                            }
-                            Ok(other) => {
-                                processed += 1;
-                                carry = Some(other);
-                                break;
-                            }
-                            Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
-                        }
-                    }
-                }
-                if let Some(d) = dur.as_mut() {
-                    d.log_expire(delta, ops);
-                }
-                w.batch_expire(delta);
-                generation += 1;
-                obs.groups.inc();
-                obs.ops_expire.add(ops);
-                obs.merge_width.record(ops);
-                obs.generation.set(generation);
-                if let Some(d) = dur.as_mut() {
-                    d.maybe_checkpoint(&w, generation);
-                }
-            }
-            Req::Barrier(resp) => {
-                let _ = resp.send(generation);
-            }
-            Req::Metrics(resp) => {
-                // The snapshot folds the service's own registry with the
-                // window structure's (tenant routing) and the process-wide
-                // one (engine rounds, query plans). FIFO admission makes
-                // it cover everything this service admitted — and hence
-                // processed — before the request.
-                let mut snap = obs.rec.snapshot();
-                if let Some(r) = w.obs_recorder() {
-                    snap.absorb(&r.snapshot());
-                }
-                snap.absorb(&bimst_obs::global().snapshot());
-                let _ = resp.send(snap);
-            }
-            Req::Query { req, resp, at } => {
-                // Coalesce the queued run of queries admitted at this
-                // generation into shared-work plans. Barriers inside the
-                // run are answered inline (queries do not advance the
-                // generation, so their promise already holds).
-                run.clear();
-                run.push((req, resp, at));
-                if cfg.coalesce {
-                    loop {
-                        match rx.try_recv() {
-                            Ok(Req::Query { req, resp, at }) => {
-                                processed += 1;
-                                run.push((req, resp, at));
-                            }
-                            Ok(Req::Barrier(resp)) => {
-                                processed += 1;
-                                let _ = resp.send(generation);
-                            }
-                            Ok(other) => {
-                                processed += 1;
-                                carry = Some(other);
-                                break;
-                            }
-                            Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
-                        }
-                    }
-                }
-                serve(
-                    &w,
-                    generation,
-                    &mut pool,
-                    &done_tx,
-                    &done_rx,
-                    &mut run,
-                    &mut scratch,
-                    &obs,
-                );
-            }
-        }
-    }
-    // Orderly shutdown: whatever the policy deferred is synced now, so a
-    // clean drop of the service loses nothing — `SyncPolicy::None`'s loss
-    // window is crashes only. Best-effort: the process is exiting the
-    // writer either way, and the tail is still torn-safe on disk.
-    if let Some(d) = dur.as_mut() {
-        let _ = d.store.sync();
-    }
-    drop(done_tx);
-    pool.shutdown();
+/// The window owner of a writer thread, shared by the `Service` writer
+/// and every replica writer: applies write groups, serves coalesced query
+/// runs through its reader pool, and answers metrics requests.
+pub(crate) struct Core<W: ServeWindow> {
+    pub(crate) w: W,
+    /// Log records applied so far.
+    pub(crate) generation: u64,
+    pub(crate) obs: SvcObs,
+    /// The query run being coalesced, reused across runs.
+    pub(crate) run: Vec<RunEntry>,
+    pool: ReaderPool<W>,
+    done_tx: Sender<Partial>,
+    done_rx: Receiver<Partial>,
+    /// Merged-plan/answer buffers, reused across generations.
+    scratch: ServeScratch,
 }
 
-/// Serves one coalesced run of query batches at one generation: merge
-/// same-kind requests into one plan each (into the reused scratch),
-/// publish the snapshot, fan the plans out across the reader pool, join,
-/// split answers back per request, then reclaim the plan buffers for the
-/// next generation. Steady-state dispatches allocate only the per-client
-/// answer vectors (which the clients keep).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn serve<W: ServeWindow>(
-    w: &W,
-    generation: u64,
-    pool: &mut ReaderPool<W>,
-    done_tx: &Sender<Partial>,
-    done_rx: &Receiver<Partial>,
-    run: &mut Vec<RunEntry>,
-    ws: &mut ServeScratch,
-    obs: &SvcObs,
-) {
-    // One span covers the whole publish→serve→retire protocol.
-    let _span = obs.serve_ns.time();
-    // Merge per kind, in run order (so per-kind cursors can split answers
-    // back without bookkeeping). The buffers arrive cleared from the
-    // previous generation's reclaim.
-    debug_assert!(ws.conn.is_empty() && ws.pm.is_empty() && ws.cs.is_empty());
-    debug_assert!(ws.tconn.is_empty() && ws.tcut.is_empty());
-    debug_assert!(ws.pf.is_empty() && ws.pfk.is_empty());
-    let mut ded_plans: Vec<DedPlan> = Vec::new();
-    let mut ded_total = 0usize;
-    for (req, _, _) in run.iter() {
-        match req {
-            QueryReq::WindowConnected(qs) => {
-                obs.q_conn.add(qs.len() as u64);
-                ws.conn.extend_from_slice(qs);
-            }
-            QueryReq::PathMax(qs) => {
-                obs.q_pm.add(qs.len() as u64);
-                ws.pm.extend_from_slice(qs);
-            }
-            QueryReq::ComponentSize(vs) => {
-                obs.q_cs.add(vs.len() as u64);
-                ws.cs.extend_from_slice(vs);
-            }
-            // Folds of every kind merge into one plan: pairs concatenate
-            // in run order, the request's kind repeats per query (same
-            // trick as the tenant cutoffs). Readers re-split into maximal
-            // same-kind spans, so batches of one kind still share the
-            // monomorphized plan.
-            QueryReq::PathFold { kind, pairs } => {
-                obs.q_pf.add(pairs.len() as u64);
-                ws.pf.extend_from_slice(pairs);
-                ws.pfk.resize(ws.pf.len(), *kind);
-            }
-            QueryReq::TenantConnected { tenant, pairs } => match w.tenant_route(*tenant) {
-                // Shared-routed tenants merge into one plan: pairs
-                // concatenate, the tenant's cutoff repeats per query.
-                Some(TenantRoute::Shared { cutoff }) => {
-                    obs.q_tenant.add(pairs.len() as u64);
-                    obs.tenant_shared.add(pairs.len() as u64);
-                    ws.tconn.extend_from_slice(pairs);
-                    ws.tcut.resize(ws.tconn.len(), cutoff);
-                }
-                Some(TenantRoute::Dedicated(_)) => {
-                    obs.q_tenant.add(pairs.len() as u64);
-                    obs.tenant_dedicated.add(pairs.len() as u64);
-                    ded_plans.push((*tenant, Arc::new(pairs.clone()), ded_total));
-                    ded_total += pairs.len();
-                }
-                // Fail stop: a tenant query against a window that serves
-                // no tenants (or an unknown id) must not be silently
-                // answered from the wrong window. Unwinding here (before
-                // any fan-out) resolves every pending ticket as closed.
-                None => panic!(
-                    "bimst-service: no tenant route for id {tenant} \
-                     (tenant query on a non-tenant service?)"
-                ),
-            },
+impl<W: ServeWindow> Core<W> {
+    /// A core at `generation` with `readers` reader workers.
+    pub(crate) fn new(w: W, generation: u64, readers: usize, rec: bimst_obs::Recorder) -> Self {
+        let obs = SvcObs::new(rec);
+        // A recovered starting point is visible even before the first group.
+        obs.generation.set(generation);
+        let (done_tx, done_rx) = channel();
+        Core {
+            w,
+            generation,
+            obs,
+            run: Vec::new(),
+            pool: ReaderPool::spawn(readers),
+            done_tx,
+            done_rx,
+            scratch: ServeScratch::default(),
         }
     }
 
-    // Publish (protocol step 1): from here until the join completes, this
-    // thread must not mutate `w` — rustc enforces it locally via the `&W`
-    // borrow, the protocol extends it across the reader threads.
-    let snap = Snapshot::publish(w);
-    let conn = Arc::new(std::mem::take(&mut ws.conn));
-    let pm = Arc::new(std::mem::take(&mut ws.pm));
-    let cs = Arc::new(std::mem::take(&mut ws.cs));
-    // A dead reader (its thread gone before dispatch) is recorded here and
-    // folded into the poisoned-barrier fail-stop below — the same path a
-    // reader that panicked *during* a serve takes. See `fan_out`.
-    let mut dead_reader = false;
-    let mut expected = 0usize;
-    expected += fan_out(
-        pool,
-        snap,
-        Work::WindowConnected(conn.clone()),
-        conn.len(),
-        done_tx,
-        &mut dead_reader,
-    );
-    expected += fan_out(
-        pool,
-        snap,
-        Work::PathMax(pm.clone()),
-        pm.len(),
-        done_tx,
-        &mut dead_reader,
-    );
-    expected += fan_out(
-        pool,
-        snap,
-        Work::ComponentSize(cs.clone()),
-        cs.len(),
-        done_tx,
-        &mut dead_reader,
-    );
-    let tconn = Arc::new(std::mem::take(&mut ws.tconn));
-    let tcut = Arc::new(std::mem::take(&mut ws.tcut));
-    expected += fan_out(
-        pool,
-        snap,
-        Work::TenantShared {
+    /// Applies one write group that folds `ops` queued writes and covers
+    /// `records` log records (one for a `Service` group; a replica's
+    /// group folds one bus record per write).
+    pub(crate) fn apply(&mut self, op: &Op, ops: u64, records: u64) {
+        apply_op(&mut self.w, op);
+        self.generation += records;
+        self.obs.groups.add(records);
+        if matches!(op, Op::Insert(_)) {
+            self.obs.ops_insert.add(ops);
+        } else {
+            self.obs.ops_expire.add(ops);
+        }
+        self.obs.merge_width.record(ops);
+        self.obs.generation.set(self.generation);
+    }
+
+    /// The core's registry folded with the window structure's (tenant
+    /// routing).
+    pub(crate) fn metrics(&self) -> bimst_obs::Snapshot {
+        let mut snap = self.obs.rec.snapshot();
+        if let Some(r) = self.w.obs_recorder() {
+            snap.absorb(&r.snapshot());
+        }
+        snap
+    }
+
+    /// Retires the reader pool.
+    pub(crate) fn shutdown(self) {
+        drop(self.done_tx);
+        self.pool.shutdown();
+    }
+
+    /// Serves the coalesced run at the current generation: merge
+    /// same-kind requests into one plan each (into the reused scratch),
+    /// publish the snapshot, fan the plans out across the reader pool,
+    /// join, split answers back per request, then reclaim the plan
+    /// buffers for the next generation. Steady-state dispatches allocate
+    /// only the per-client answer vectors (which the clients keep).
+    pub(crate) fn serve(&mut self) {
+        let Core {
+            w,
+            generation,
+            obs,
+            run,
+            pool,
+            done_tx,
+            done_rx,
+            scratch: ws,
+        } = self;
+        let (w, generation): (&W, u64) = (w, *generation);
+        // One span covers the whole publish→serve→retire protocol.
+        let _span = obs.serve_ns.time();
+        // Merge per kind, in run order (so per-kind cursors can split answers
+        // back without bookkeeping). The buffers arrive cleared from the
+        // previous generation's reclaim.
+        debug_assert!(ws.conn.is_empty() && ws.pm.is_empty() && ws.cs.is_empty());
+        debug_assert!(ws.tconn.is_empty() && ws.tcut.is_empty());
+        debug_assert!(ws.pf.is_empty() && ws.pfk.is_empty());
+        let mut ded_plans: Vec<DedPlan> = Vec::new();
+        let mut ded_total = 0usize;
+        for (req, _, _) in run.iter() {
+            match req {
+                QueryReq::WindowConnected(qs) => {
+                    obs.q_conn.add(qs.len() as u64);
+                    ws.conn.extend_from_slice(qs);
+                }
+                QueryReq::PathMax(qs) => {
+                    obs.q_pm.add(qs.len() as u64);
+                    ws.pm.extend_from_slice(qs);
+                }
+                QueryReq::ComponentSize(vs) => {
+                    obs.q_cs.add(vs.len() as u64);
+                    ws.cs.extend_from_slice(vs);
+                }
+                // Folds of every kind merge into one plan: pairs concatenate
+                // in run order, the request's kind repeats per query (same
+                // trick as the tenant cutoffs). Readers re-split into maximal
+                // same-kind spans, so batches of one kind still share the
+                // monomorphized plan.
+                QueryReq::PathFold { kind, pairs } => {
+                    obs.q_pf.add(pairs.len() as u64);
+                    ws.pf.extend_from_slice(pairs);
+                    ws.pfk.resize(ws.pf.len(), *kind);
+                }
+                QueryReq::TenantConnected { tenant, pairs } => match w.tenant_route(*tenant) {
+                    // Shared-routed tenants merge into one plan: pairs
+                    // concatenate, the tenant's cutoff repeats per query.
+                    Some(TenantRoute::Shared { cutoff }) => {
+                        obs.q_tenant.add(pairs.len() as u64);
+                        obs.tenant_shared.add(pairs.len() as u64);
+                        ws.tconn.extend_from_slice(pairs);
+                        ws.tcut.resize(ws.tconn.len(), cutoff);
+                    }
+                    Some(TenantRoute::Dedicated(_)) => {
+                        obs.q_tenant.add(pairs.len() as u64);
+                        obs.tenant_dedicated.add(pairs.len() as u64);
+                        ded_plans.push((*tenant, Arc::new(pairs.clone()), ded_total));
+                        ded_total += pairs.len();
+                    }
+                    // Fail stop: a tenant query against a window that serves
+                    // no tenants (or an unknown id) must not be silently
+                    // answered from the wrong window. Unwinding here (before
+                    // any fan-out) resolves every pending ticket as closed.
+                    None => panic!(
+                        "bimst-service: no tenant route for id {tenant} \
+                         (tenant query on a non-tenant service?)"
+                    ),
+                },
+            }
+        }
+
+        // Publish (protocol step 1): from here until the join completes, this
+        // thread must not mutate `w` — rustc enforces it locally via the `&W`
+        // borrow, the protocol extends it across the reader threads.
+        let snap = Snapshot::publish(w);
+        let conn = Arc::new(std::mem::take(&mut ws.conn));
+        let pm = Arc::new(std::mem::take(&mut ws.pm));
+        let cs = Arc::new(std::mem::take(&mut ws.cs));
+        let tconn = Arc::new(std::mem::take(&mut ws.tconn));
+        let tcut = Arc::new(std::mem::take(&mut ws.tcut));
+        let pf = Arc::new(std::mem::take(&mut ws.pf));
+        let pfk = Arc::new(std::mem::take(&mut ws.pfk));
+        let tenant_shared = Work::TenantShared {
             pairs: tconn.clone(),
             cutoffs: tcut.clone(),
-        },
-        tconn.len(),
-        done_tx,
-        &mut dead_reader,
-    );
-    let pf = Arc::new(std::mem::take(&mut ws.pf));
-    let pfk = Arc::new(std::mem::take(&mut ws.pfk));
-    expected += fan_out(
-        pool,
-        snap,
-        Work::PathFold {
+        };
+        let fold = Work::PathFold {
             pairs: pf.clone(),
             kinds: pfk.clone(),
-        },
-        pf.len(),
-        done_tx,
-        &mut dead_reader,
-    );
-    for (tenant, pairs, base) in &ded_plans {
-        expected += fan_out(
-            pool,
-            snap,
-            Work::TenantDedicated {
+        };
+        let merged = [
+            (Work::WindowConnected(conn.clone()), conn.len()),
+            (Work::PathMax(pm.clone()), pm.len()),
+            (Work::ComponentSize(cs.clone()), cs.len()),
+            (tenant_shared, tconn.len()),
+            (fold, pf.len()),
+        ];
+        let dedicated = ded_plans.iter().map(|(tenant, pairs, base)| {
+            let work = Work::TenantDedicated {
                 tenant: *tenant,
                 pairs: pairs.clone(),
                 base: *base,
-            },
-            pairs.len(),
-            done_tx,
-            &mut dead_reader,
-        );
-    }
-
-    // Join barrier (protocol step 3): collect every partial before
-    // touching the structure again. Plans of different kinds are in flight
-    // simultaneously, so a run mixing kinds uses the whole pool.
-    ws.conn_out.clear();
-    ws.conn_out.resize(conn.len(), false);
-    ws.pm_out.clear();
-    ws.pm_out.resize(pm.len(), None);
-    ws.cs_out.clear();
-    ws.cs_out.resize(cs.len(), 0);
-    ws.tconn_out.clear();
-    ws.tconn_out.resize(tconn.len(), false);
-    ws.tded_out.clear();
-    ws.tded_out.resize(ded_total, false);
-    ws.pf_out.clear();
-    ws.pf_out.resize(pf.len(), None);
-    let mut poisoned = false;
-    for _ in 0..expected {
-        let p = done_rx.recv().expect("bimst-service reader pool alive");
-        match p.resp {
-            PartialResp::Bools(b) => ws.conn_out[p.start..p.start + b.len()].copy_from_slice(&b),
-            PartialResp::Keys(k) => ws.pm_out[p.start..p.start + k.len()].copy_from_slice(&k),
-            PartialResp::Sizes(s) => ws.cs_out[p.start..p.start + s.len()].copy_from_slice(&s),
-            PartialResp::TenantBools(b) => {
-                ws.tconn_out[p.start..p.start + b.len()].copy_from_slice(&b)
-            }
-            PartialResp::DedBools(b) => ws.tded_out[p.start..p.start + b.len()].copy_from_slice(&b),
-            PartialResp::Folds(f) => ws.pf_out[p.start..p.start + f.len()].copy_from_slice(&f),
-            PartialResp::Panicked => poisoned = true,
-        }
-    }
-    // Every partial is in, and readers drop their plan clones before
-    // sending (reader_main), so the Arcs are singly held again: take the
-    // buffers back for the next generation.
-    ServeScratch::reclaim(&mut ws.conn, conn);
-    ServeScratch::reclaim(&mut ws.pm, pm);
-    ServeScratch::reclaim(&mut ws.cs, cs);
-    ServeScratch::reclaim(&mut ws.tconn, tconn);
-    ServeScratch::reclaim(&mut ws.tcut, tcut);
-    ServeScratch::reclaim(&mut ws.pf, pf);
-    ServeScratch::reclaim(&mut ws.pfk, pfk);
-    // Fail stop, but only after the join barrier: every reader is parked
-    // again, so unwinding the writer (dropping the structure) is safe, and
-    // pending tickets resolve with `ServiceClosed` instead of hanging.
-    // A worker that was already dead at dispatch time (`dead_reader`)
-    // surfaces through this same path — previously it panicked the writer
-    // mid-fan-out with a bare channel error, before the barrier drained.
-    assert!(
-        !(poisoned || dead_reader),
-        "bimst-service: a reader worker {} serving a query batch \
-         (malformed batch, e.g. an out-of-range vertex id?)",
-        if poisoned { "panicked" } else { "died" }
-    );
-
-    // Split the merged answers back per request, in run order. A client
-    // that dropped its ticket makes the send fail; that is its business.
-    let (mut ci, mut pi, mut si) = (0usize, 0usize, 0usize);
-    let (mut ti, mut di, mut fi) = (0usize, 0usize, 0usize);
-    for (req, resp, at) in run.drain(..) {
-        let answers = match &req {
-            QueryReq::WindowConnected(qs) => {
-                let out = ws.conn_out[ci..ci + qs.len()].to_vec();
-                ci += qs.len();
-                QueryResp::WindowConnected(out)
-            }
-            QueryReq::PathMax(qs) => {
-                let out = ws.pm_out[pi..pi + qs.len()].to_vec();
-                pi += qs.len();
-                QueryResp::PathMax(out)
-            }
-            QueryReq::ComponentSize(vs) => {
-                let out = ws.cs_out[si..si + vs.len()].to_vec();
-                si += vs.len();
-                QueryResp::ComponentSize(out)
-            }
-            QueryReq::PathFold { pairs, .. } => {
-                let out = ws.pf_out[fi..fi + pairs.len()].to_vec();
-                fi += pairs.len();
-                QueryResp::PathFold(out)
-            }
-            QueryReq::TenantConnected { tenant, pairs } => {
-                // Re-resolving the route is deterministic: `w` has not
-                // changed since the merge pass (publish→retire), so each
-                // request consumes the same cursor it fed.
-                let out = match w.tenant_route(*tenant) {
-                    Some(TenantRoute::Dedicated(_)) => {
-                        let out = ws.tded_out[di..di + pairs.len()].to_vec();
-                        di += pairs.len();
-                        out
-                    }
-                    _ => {
-                        let out = ws.tconn_out[ti..ti + pairs.len()].to_vec();
-                        ti += pairs.len();
-                        out
-                    }
-                };
-                QueryResp::WindowConnected(out)
-            }
-        };
-        // Admission-to-answer latency, per kind. `at` is stamped at
-        // submission iff recording was on, so the off twin reads no clock.
-        if let Some(at) = at {
-            let ns = at.elapsed().as_nanos() as u64;
-            match &req {
-                QueryReq::WindowConnected(_) => obs.lat_conn.record(ns),
-                QueryReq::PathMax(_) => obs.lat_pm.record(ns),
-                QueryReq::ComponentSize(_) => obs.lat_cs.record(ns),
-                QueryReq::TenantConnected { .. } => obs.lat_tenant.record(ns),
-                QueryReq::PathFold { .. } => obs.lat_pf.record(ns),
-            }
-        }
-        let _ = resp.send(Answered {
-            generation,
-            resp: answers,
+            };
+            (work, pairs.len())
         });
+        // A dead reader (its thread gone before dispatch) is recorded here and
+        // folded into the poisoned-barrier fail-stop below — the same path a
+        // reader that panicked *during* a serve takes. See `fan_out`.
+        let mut dead_reader = false;
+        let mut expected = 0usize;
+        for (work, len) in merged.into_iter().chain(dedicated) {
+            expected += fan_out(pool, snap, work, len, done_tx, &mut dead_reader);
+        }
+
+        // Join barrier (protocol step 3): collect every partial before
+        // touching the structure again. Plans of different kinds are in flight
+        // simultaneously, so a run mixing kinds uses the whole pool.
+        ws.conn_out.clear();
+        ws.conn_out.resize(conn.len(), false);
+        ws.pm_out.clear();
+        ws.pm_out.resize(pm.len(), None);
+        ws.cs_out.clear();
+        ws.cs_out.resize(cs.len(), 0);
+        ws.tconn_out.clear();
+        ws.tconn_out.resize(tconn.len(), false);
+        ws.tded_out.clear();
+        ws.tded_out.resize(ded_total, false);
+        ws.pf_out.clear();
+        ws.pf_out.resize(pf.len(), None);
+        let mut poisoned = false;
+        for _ in 0..expected {
+            let p = done_rx.recv().expect("bimst-service reader pool alive");
+            match p.resp {
+                PartialResp::Bools(b) => {
+                    ws.conn_out[p.start..p.start + b.len()].copy_from_slice(&b)
+                }
+                PartialResp::Keys(k) => ws.pm_out[p.start..p.start + k.len()].copy_from_slice(&k),
+                PartialResp::Sizes(s) => ws.cs_out[p.start..p.start + s.len()].copy_from_slice(&s),
+                PartialResp::TenantBools(b) => {
+                    ws.tconn_out[p.start..p.start + b.len()].copy_from_slice(&b)
+                }
+                PartialResp::DedBools(b) => {
+                    ws.tded_out[p.start..p.start + b.len()].copy_from_slice(&b)
+                }
+                PartialResp::Folds(f) => ws.pf_out[p.start..p.start + f.len()].copy_from_slice(&f),
+                PartialResp::Panicked => poisoned = true,
+            }
+        }
+        // Every partial is in, and readers drop their plan clones before
+        // sending (reader_main), so the Arcs are singly held again: take the
+        // buffers back for the next generation.
+        ServeScratch::reclaim(&mut ws.conn, conn);
+        ServeScratch::reclaim(&mut ws.pm, pm);
+        ServeScratch::reclaim(&mut ws.cs, cs);
+        ServeScratch::reclaim(&mut ws.tconn, tconn);
+        ServeScratch::reclaim(&mut ws.tcut, tcut);
+        ServeScratch::reclaim(&mut ws.pf, pf);
+        ServeScratch::reclaim(&mut ws.pfk, pfk);
+        // Fail stop, but only after the join barrier: every reader is parked
+        // again, so unwinding the writer (dropping the structure) is safe, and
+        // pending tickets resolve with `ServiceClosed` instead of hanging.
+        // A worker that was already dead at dispatch time (`dead_reader`)
+        // surfaces through this same path — previously it panicked the writer
+        // mid-fan-out with a bare channel error, before the barrier drained.
+        assert!(
+            !(poisoned || dead_reader),
+            "bimst-service: a reader worker {} serving a query batch \
+             (malformed batch, e.g. an out-of-range vertex id?)",
+            if poisoned { "panicked" } else { "died" }
+        );
+
+        // Split the merged answers back per request, in run order. A client
+        // that dropped its ticket makes the send fail; that is its business.
+        let (mut ci, mut pi, mut si) = (0usize, 0usize, 0usize);
+        let (mut ti, mut di, mut fi) = (0usize, 0usize, 0usize);
+        for (req, resp, at) in run.drain(..) {
+            let answers = match &req {
+                QueryReq::WindowConnected(q) => {
+                    QueryResp::WindowConnected(split(&ws.conn_out, &mut ci, q.len()))
+                }
+                QueryReq::PathMax(q) => QueryResp::PathMax(split(&ws.pm_out, &mut pi, q.len())),
+                QueryReq::ComponentSize(q) => {
+                    QueryResp::ComponentSize(split(&ws.cs_out, &mut si, q.len()))
+                }
+                QueryReq::PathFold { pairs, .. } => {
+                    QueryResp::PathFold(split(&ws.pf_out, &mut fi, pairs.len()))
+                }
+                QueryReq::TenantConnected { tenant, pairs } => {
+                    // Re-resolving the route is deterministic: `w` has not
+                    // changed since the merge pass (publish→retire), so each
+                    // request consumes the same cursor it fed.
+                    QueryResp::WindowConnected(match w.tenant_route(*tenant) {
+                        Some(TenantRoute::Dedicated(_)) => {
+                            split(&ws.tded_out, &mut di, pairs.len())
+                        }
+                        _ => split(&ws.tconn_out, &mut ti, pairs.len()),
+                    })
+                }
+            };
+            // Admission-to-answer latency, per kind. `at` is stamped at
+            // submission iff recording was on, so the off twin reads no clock.
+            if let Some(at) = at {
+                let ns = at.elapsed().as_nanos() as u64;
+                match &req {
+                    QueryReq::WindowConnected(_) => obs.lat_conn.record(ns),
+                    QueryReq::PathMax(_) => obs.lat_pm.record(ns),
+                    QueryReq::ComponentSize(_) => obs.lat_cs.record(ns),
+                    QueryReq::TenantConnected { .. } => obs.lat_tenant.record(ns),
+                    QueryReq::PathFold { .. } => obs.lat_pf.record(ns),
+                }
+            }
+            let _ = resp.send(Answered {
+                generation,
+                resp: answers,
+            });
+        }
     }
+}
+
+/// The next `len` answers of a merged answer buffer, advancing `cursor`.
+fn split<T: Clone>(out: &[T], cursor: &mut usize, len: usize) -> Vec<T> {
+    *cursor += len;
+    out[*cursor - len..*cursor].to_vec()
 }
 
 /// Cuts one plan into contiguous ranges and hands them to the pool
@@ -794,6 +879,77 @@ mod tests {
     use super::*;
     use bimst_sliding::SwConnEager;
 
+    /// The group-commit step, driven with a deterministic backlog (the
+    /// runtime tests cannot force merging, which depends on queue
+    /// timing): same-kind writes merge up to the budget and carry the
+    /// first op of another kind, a query run answers its barriers at the
+    /// given generation, and a queue that may not merge yields one group
+    /// per write.
+    #[test]
+    fn queue_merges_same_kind_writes_and_coalesces_query_runs() {
+        let (tx, rx) = channel();
+        let (btx, brx) = channel();
+        let query = |tx: &Sender<Req>| {
+            let (resp, _) = channel();
+            let req = QueryReq::ComponentSize(vec![0]);
+            tx.send(Req::Query {
+                req,
+                resp,
+                at: None,
+            })
+            .unwrap();
+        };
+        tx.send(Req::Insert(vec![(0, 1)])).unwrap();
+        tx.send(Req::Insert(vec![(1, 2), (2, 3)])).unwrap();
+        tx.send(Req::Insert(vec![(3, 4)])).unwrap(); // over the budget of 3
+        tx.send(Req::Expire(1)).unwrap();
+        tx.send(Req::Expire(2)).unwrap();
+        query(&tx);
+        tx.send(Req::Barrier(btx)).unwrap();
+        query(&tx);
+        tx.send(Req::Insert(vec![(4, 5)])).unwrap();
+        drop(tx);
+
+        let mut q = Queue::new(rx, true, 3);
+        let mut run = Vec::new();
+        let mut steps = Vec::new();
+        while let Some(step) = q.next(9, &mut run) {
+            steps.push(match step {
+                Step::Write(op, ops) => format!("{op:?}x{ops}"),
+                Step::Serve => format!("serve{}", std::mem::take(&mut run).len()),
+                _ => "other".into(),
+            });
+        }
+        assert_eq!(
+            steps,
+            [
+                "Insert([(0, 1), (1, 2), (2, 3)])x2",
+                "Insert([(3, 4)])x1",
+                "Expire(3)x2",
+                "serve2",
+                "Insert([(4, 5)])x1",
+            ]
+        );
+        assert_eq!(brx.recv().unwrap(), 9, "barrier inside the run");
+        assert_eq!(q.dequeued, 9);
+
+        let (tx, rx) = channel();
+        for d in [1, 2] {
+            tx.send(Req::Expire(d)).unwrap();
+        }
+        drop(tx);
+        let mut q = Queue::new(rx, false, 3);
+        assert!(matches!(
+            q.next(0, &mut run),
+            Some(Step::Write(Op::Expire(1), 1))
+        ));
+        assert!(matches!(
+            q.next(0, &mut run),
+            Some(Step::Write(Op::Expire(2), 1))
+        ));
+        assert!(q.next(0, &mut run).is_none());
+    }
+
     /// The coalesced serve path, driven directly with a deterministic
     /// multi-request run (the service-level tests cannot force coalescing,
     /// which depends on queue timing): merged plans must split back into
@@ -804,10 +960,8 @@ mod tests {
         w.batch_insert(&[(0, 1), (1, 2), (4, 5)]);
         w.batch_expire(1);
 
-        let mut pool: ReaderPool<SwConnEager> = ReaderPool::spawn(2);
-        let (done_tx, done_rx) = channel();
+        let mut core = Core::new(w, 7, 2, bimst_obs::Recorder::new());
         let mut rxs = Vec::new();
-        let mut run = Vec::new();
         let reqs = [
             QueryReq::WindowConnected(vec![(0, 1), (1, 2)]),
             QueryReq::ComponentSize(vec![0, 4]),
@@ -827,16 +981,13 @@ mod tests {
         ];
         for req in &reqs {
             let (tx, rx) = channel();
-            run.push((req.clone(), tx, None));
+            core.run.push((req.clone(), tx, None));
             rxs.push(rx);
         }
-        let mut ws = ServeScratch::default();
-        let obs = SvcObs::new(bimst_obs::Recorder::new());
-        serve(
-            &w, 7, &mut pool, &done_tx, &done_rx, &mut run, &mut ws, &obs,
-        );
-        assert!(run.is_empty(), "serve consumes the run");
+        core.serve();
+        assert!(core.run.is_empty(), "serve consumes the run");
 
+        let w = &core.w;
         let answers: Vec<Answered> = rxs.into_iter().map(|rx| rx.recv().unwrap()).collect();
         assert!(answers.iter().all(|a| a.generation == 7));
         assert_eq!(
@@ -877,7 +1028,7 @@ mod tests {
                 .path_fold::<bimst_primitives::MinW>(1, 2)
                 .map(FoldValue::Key)])
         );
-        pool.shutdown();
+        core.shutdown();
     }
 
     /// Large merged plans are range-partitioned across readers; splicing
@@ -890,19 +1041,18 @@ mod tests {
         w.batch_expire(40);
 
         let pairs: Vec<(u32, u32)> = (0..500u32).map(|i| (i % 200, (i * 7 + 3) % 200)).collect();
-        let mut pool: ReaderPool<SwConnEager> = ReaderPool::spawn(3);
-        let (done_tx, done_rx) = channel();
+        let mut core = Core::new(w, 1, 3, bimst_obs::Recorder::new());
         let (tx, rx) = channel();
-        let mut run = vec![(QueryReq::WindowConnected(pairs.clone()), tx, None)];
-        let mut ws = ServeScratch::default();
-        let obs = SvcObs::new(bimst_obs::Recorder::new());
-        serve(
-            &w, 1, &mut pool, &done_tx, &done_rx, &mut run, &mut ws, &obs,
-        );
+        core.run
+            .push((QueryReq::WindowConnected(pairs.clone()), tx, None));
+        core.serve();
         let got = rx.recv().unwrap().resp.into_window_connected().unwrap();
-        let want: Vec<bool> = pairs.iter().map(|&(u, v)| w.is_connected(u, v)).collect();
+        let want: Vec<bool> = pairs
+            .iter()
+            .map(|&(u, v)| core.w.is_connected(u, v))
+            .collect();
         assert_eq!(got, want);
-        pool.shutdown();
+        core.shutdown();
     }
 
     /// A reader thread that died *outside* a serve (so its channel is
@@ -920,22 +1070,15 @@ mod tests {
         let ring: Vec<(u32, u32)> = (0..199).map(|v| (v, v + 1)).collect();
         w.batch_insert(&ring);
 
-        let mut pool: ReaderPool<SwConnEager> = ReaderPool::spawn(2);
-        pool.kill_worker(1);
+        let mut core = Core::new(w, 1, 2, bimst_obs::Recorder::new());
+        core.pool.kill_worker(1);
         // 200 pairs with 2 workers → chunk 100 ≥ MIN_SHARD → two tasks:
         // one lands on the live worker, one on the dead slot.
         let pairs: Vec<(u32, u32)> = (0..200u32).map(|i| (i, (i * 3 + 1) % 200)).collect();
-        let (done_tx, done_rx) = channel();
         let (tx, answer_rx) = channel();
-        let mut run = vec![(QueryReq::WindowConnected(pairs), tx, None)];
-        let mut ws = ServeScratch::default();
-        let obs = SvcObs::new(bimst_obs::Recorder::new());
-        let unwind = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            serve(
-                &w, 1, &mut pool, &done_tx, &done_rx, &mut run, &mut ws, &obs,
-            );
-        }))
-        .expect_err("a dead reader must fail stop the serve");
+        core.run.push((QueryReq::WindowConnected(pairs), tx, None));
+        let unwind = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| core.serve()))
+            .expect_err("a dead reader must fail stop the serve");
         let msg = unwind.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(
             msg.contains("a reader worker died serving a query batch"),
@@ -945,9 +1088,9 @@ mod tests {
         // split, so the run (and with it the answer sender) is what a
         // real writer thread would drop on unwind — exactly like a
         // poisoned serve, the client sees a closed channel, not a hang.
-        drop(run);
+        core.run.clear();
         assert!(answer_rx.recv().is_err());
-        pool.shutdown();
+        core.shutdown();
     }
 
     /// The serve path over a `TenantSet`, driven directly with a run that
@@ -974,10 +1117,8 @@ mod tests {
         w.batch_expire(2);
 
         let pairs: Vec<(u32, u32)> = vec![(0, 2), (0, 3), (4, 6), (1, 3), (5, 5)];
-        let mut pool: ReaderPool<TenantSet> = ReaderPool::spawn(2);
-        let (done_tx, done_rx) = channel();
+        let mut core = Core::new(w, 4, 2, bimst_obs::Recorder::new());
         let mut rxs = Vec::new();
-        let mut run = Vec::new();
         let mut reqs: Vec<QueryReq> = specs
             .iter()
             .map(|s| QueryReq::TenantConnected {
@@ -988,15 +1129,12 @@ mod tests {
         reqs.push(QueryReq::WindowConnected(pairs.clone()));
         for req in &reqs {
             let (tx, rx) = channel();
-            run.push((req.clone(), tx, None));
+            core.run.push((req.clone(), tx, None));
             rxs.push(rx);
         }
-        let mut ws = ServeScratch::default();
-        let obs = SvcObs::new(bimst_obs::Recorder::new());
-        serve(
-            &w, 4, &mut pool, &done_tx, &done_rx, &mut run, &mut ws, &obs,
-        );
+        core.serve();
 
+        let w = &core.w;
         let answers: Vec<Answered> = rxs.into_iter().map(|rx| rx.recv().unwrap()).collect();
         for (i, s) in specs.iter().enumerate() {
             let want: Vec<bool> = pairs
@@ -1015,7 +1153,7 @@ mod tests {
             .map(|&(u, v)| w.shared().is_connected(u, v))
             .collect();
         assert_eq!(answers[3].resp, QueryResp::WindowConnected(want));
-        pool.shutdown();
+        core.shutdown();
     }
 
     /// The serve path's merged-plan/answer buffers must reach a capacity
@@ -1031,16 +1169,12 @@ mod tests {
         w.batch_insert(&ring);
         w.batch_expire(20);
 
-        let mut pool: ReaderPool<SwConnEager> = ReaderPool::spawn(3);
-        let (done_tx, done_rx) = channel();
-        let mut ws = ServeScratch::default();
-        let obs = SvcObs::new(bimst_obs::Recorder::new());
+        let mut core = Core::new(w, 0, 3, bimst_obs::Recorder::new());
         let pairs: Vec<(u32, u32)> = (0..400u32).map(|i| (i % 300, (i * 11 + 5) % 300)).collect();
         let verts: Vec<u32> = (0..250u32).map(|i| (i * 7) % 300).collect();
 
-        let mut dispatch = |ws: &mut ServeScratch, gen: u64| {
+        let dispatch = |core: &mut Core<SwConnEager>| {
             let mut rxs = Vec::new();
-            let mut run = Vec::new();
             for req in [
                 QueryReq::WindowConnected(pairs.clone()),
                 QueryReq::PathMax(pairs[..128].to_vec()),
@@ -1048,26 +1182,26 @@ mod tests {
                 QueryReq::WindowConnected(pairs[..64].to_vec()),
             ] {
                 let (tx, rx) = channel();
-                run.push((req, tx, None));
+                core.run.push((req, tx, None));
                 rxs.push(rx);
             }
-            serve(&w, gen, &mut pool, &done_tx, &done_rx, &mut run, ws, &obs);
+            core.serve();
             for rx in rxs {
                 rx.recv().expect("answer delivered");
             }
         };
 
-        dispatch(&mut ws, 0); // warmup: buffers ratchet to this run shape
-        let high_water = ws.high_water();
+        dispatch(&mut core); // warmup: buffers ratchet to this run shape
+        let high_water = core.scratch.high_water();
         assert!(high_water > 0, "scratch should be warm after a dispatch");
         for gen in 1..60u64 {
-            dispatch(&mut ws, gen);
+            dispatch(&mut core);
             assert_eq!(
-                ws.high_water(),
+                core.scratch.high_water(),
                 high_water,
-                "serve scratch grew on steady-state generation {gen}"
+                "serve scratch grew on steady-state dispatch {gen}"
             );
         }
-        pool.shutdown();
+        core.shutdown();
     }
 }

@@ -88,7 +88,6 @@ fn main() {
         readers: 2,
         queue_cap: 64,
         write_budget: cfg.insert_batch,
-        coalesce: true,
         // Defaults: sync = GroupCommit (one fsync per merged write group),
         // periodic compacted checkpoints.
         ..ServiceConfig::default()

@@ -104,7 +104,6 @@ fn durable_cfg() -> impl Strategy<Value = (MixedConfig, ServiceConfig, u64)> {
                         readers,
                         queue_cap: 64,
                         write_budget: 16,
-                        coalesce: true,
                         sync,
                         // Off: checkpoints are a different axis; the WAL-record
                         // identity below is about the op log alone.

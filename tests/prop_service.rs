@@ -1,8 +1,8 @@
 //! Property tests for the serving runtime (`bimst-service`): sequential-
 //! replay equivalence, backpressure that never loses acked ops, and
 //! drain-ordered shutdown, under randomized op scripts, service shapes
-//! (reader counts, queue capacities, write budgets, coalescing on/off) and
-//! client interleavings.
+//! (reader counts, queue capacities, write budgets) and client
+//! interleavings.
 //!
 //! The correctness bar is the one ISSUE 4 sets: anything the service acks
 //! behaves exactly as if the op stream had been applied one at a time, in
@@ -12,8 +12,8 @@
 //! generation stamps pin that nothing admitted is lost, duplicated, or
 //! reordered. True loom-style schedule enumeration is not available
 //! offline; the spirit is covered by tiny bounded queues (capacity 1
-//! forces every producer/consumer interleaving the channel supports),
-//! coalescing toggles, and multi-client stress.
+//! forces every producer/consumer interleaving the channel supports) and
+//! multi-client stress.
 
 use bimst_repro::service::{Answered, QueryReq, Service, ServiceConfig, TrySubmitError};
 use bimst_repro::sliding::{SwConn, SwConnEager};
@@ -156,8 +156,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Served answers — across reader counts, queue capacities (including
-    /// the fully serialized capacity-1 queue), write budgets, and
-    /// coalescing on/off — are bit-identical to the sequential replay, and
+    /// the fully serialized capacity-1 queue) and write budgets — are
+    /// bit-identical to the sequential replay, and
     /// the generation stamps equal the admission-order write count (no op
     /// lost, duplicated, or reordered). Both expiry disciplines.
     #[test]
@@ -171,7 +171,6 @@ proptest! {
             readers: 1 + shape % 3,
             queue_cap: [1, 4, 64][shape % 3],
             write_budget: if shape % 2 == 0 { 1 } else { 1 << 12 },
-            coalesce: shape < 4,
             ..ServiceConfig::default()
         };
 
@@ -202,7 +201,6 @@ proptest! {
             // can catch up, so shutdown races a real backlog.
             queue_cap: 4096,
             write_budget: 8,
-            coalesce: true,
             ..ServiceConfig::default()
         };
         let svc = Service::eager(n, seed, cfg);
@@ -236,7 +234,6 @@ fn try_submit_under_full_queue_never_loses_acked_ops() {
         readers: 2,
         queue_cap: 1,
         write_budget: 1 << 12,
-        coalesce: true,
         ..ServiceConfig::default()
     };
     let svc = Service::eager(n, 3, cfg);
@@ -343,7 +340,6 @@ fn concurrent_clients_get_ordered_generations_and_full_drain() {
             readers: 3,
             queue_cap: 8,
             write_budget: 64,
-            coalesce: true,
             ..ServiceConfig::default()
         },
     );

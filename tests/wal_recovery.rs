@@ -160,7 +160,6 @@ fn shaped_cfg(shape: usize) -> ServiceConfig {
         readers: 1 + shape % 2,
         queue_cap: [1, 64][shape % 2],
         write_budget: [1, 64][shape % 2],
-        coalesce: true,
         sync: [
             SyncPolicy::Always,
             SyncPolicy::GroupCommit,
