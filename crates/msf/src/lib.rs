@@ -23,16 +23,20 @@
 //! verification step, via its [`verify::ForestPathMax`] instantiation) and
 //! doubles as the `O(lg n)` static path-fold oracle the query engine and
 //! test suites use for arbitrary [`bimst_primitives::monoid::PathMonoid`]
-//! statistics.
+//! statistics. [`offline::KruskalPathMax`] answers a whole batch of
+//! path-max queries in one Kruskal-order union pass, with no per-query
+//! tree walk — the query engine's plan for batches that cover the forest.
 
 pub mod boruvka;
 pub mod kkt;
 pub mod kruskal;
+pub mod offline;
 pub mod verify;
 
 pub use boruvka::{boruvka, boruvka_with, BoruvkaScratch};
 pub use kkt::kkt_msf;
 pub use kruskal::{kruskal, kruskal_with};
+pub use offline::KruskalPathMax;
 pub use verify::{ForestPathFold, ForestPathMax};
 
 use bimst_primitives::WKey;

@@ -26,6 +26,24 @@
 //!   preserves the path *decomposition*, so non-max monoids fold each
 //!   compressed segment once and combine segments with a generic
 //!   [`ForestPathFold`] oracle.
+//! * **A linear plan for batches that cover the forest.** The CPT bound
+//!   `O(m lg(1 + n/m))` for `m` marks is `Θ(n)` once a batch's endpoints
+//!   cover the forest, and then one pass over the whole forest is cheaper
+//!   than a CPT per chunk. Every max-summary batch (path-max, lazy window
+//!   connectivity, `MaxW` folds, tenant cutoffs) of `q ≥ 16` queries with
+//!   `n ≤ 8 · m · lg(1 + n/m)` for `m = 2q` is answered by one union pass
+//!   over the MSF's real edges in key order ([`KruskalPathMax`]): the
+//!   heaviest edge of a path is the union that first connects its
+//!   endpoints. After an `O(n)` radix sort the pass costs
+//!   `O(n α(n) + q lg q)`, so where the rule selects it the work stays
+//!   within a constant of the CPT bound. The constant 8 is the measured
+//!   single-thread crossover (2-core VM): the two plans cost the same at
+//!   `n / (m lg(1 + n/m))` ≈ 6–10 on random-weight forests
+//!   (`n` = 2¹⁰…2¹⁸) and ≈ 10–14 on lazy sliding windows with recency
+//!   weights (`n` = 2¹⁰…2¹⁶). At `n` = 2¹⁴ with 1024-pair batches the pass
+//!   is ~4× cheaper (4.2–4.7 ms → 1.0–1.2 ms); at `n` = 2¹⁶ with 16-pair
+//!   batches it would be 11–17× dearer, so those keep the CPT plan. The
+//!   pass is sequential: it wins on work, not span.
 //! * **Snapshot consistency without cloning.** [`ReadHandle`] is a shared
 //!   borrow of the structure: while any handle is live the borrow checker
 //!   rules out `batch_insert`, so every query in a batch — across all
@@ -64,7 +82,7 @@
 
 use bimst_core::cpt::{compressed_path_tree_with, CptScratch};
 use bimst_core::{BatchMsf, Cpt};
-use bimst_msf::{ForestPathFold, ForestPathMax};
+use bimst_msf::{ForestPathFold, ForestPathMax, KruskalPathMax};
 use bimst_primitives::monoid::{MaxW, Pair, PathMonoid};
 use bimst_primitives::{par, FxHashMap, VertexId, WKey, GRAIN};
 use bimst_rctree::{ClusterId, RcForest};
@@ -275,6 +293,14 @@ struct PathChunkScratch {
 /// once a chunk carries enough queries to split their setup cost.
 const SHARED_CPT_MIN: usize = 16;
 
+/// Work constant of the path-max plan choice: the linear Kruskal-order
+/// pass (`O(n)` over the whole forest) is taken when
+/// `n ≤ LINEAR_C · m · lg(1 + n/m)` for a batch of `m = 2q` endpoint marks,
+/// i.e. when the shared CPTs' `O(m lg(1 + n/m))` expansion would cost at
+/// least a `1/LINEAR_C` share of touching every vertex. Fixed from the
+/// measured crossover (see the crate docs).
+const LINEAR_C: f64 = 8.0;
+
 impl PathChunkScratch {
     /// Answers `queries` into `out` (same length) from one shared CPT.
     fn run(&mut self, f: &RcForest, queries: &[(VertexId, VertexId)], out: &mut [Option<WKey>]) {
@@ -441,8 +467,12 @@ struct QueryObs {
     direct: bimst_obs::Counter,
     /// `query_batch_size`: queries per batch, across all batch entry points.
     batch_size: bimst_obs::Histogram,
-    /// `query_pathmax_chunks`: CPT chunks built by the path-max plan.
+    /// `query_pathmax_chunks`: CPT chunks built by the path-max and fold
+    /// plans (the linear plan builds none).
     pathmax_chunks: bimst_obs::Counter,
+    /// `query_plan_linear`: max-summary batches answered by the linear
+    /// Kruskal-order plan.
+    plan_linear: bimst_obs::Counter,
 }
 
 /// The planner's metric handles, registered once on the global recorder.
@@ -455,6 +485,7 @@ fn qobs() -> &'static QueryObs {
             direct: rec.counter("query_plan_direct"),
             batch_size: rec.histogram("query_batch_size"),
             pathmax_chunks: rec.counter("query_pathmax_chunks"),
+            plan_linear: rec.counter("query_plan_linear"),
         }
     })
 }
@@ -462,12 +493,14 @@ fn qobs() -> &'static QueryObs {
 /// Reusable batch-query executor.
 ///
 /// Owns the intermediates the batch plans reuse — the sorted
-/// distinct-vertex list, the parallel root array, and one CPT workspace per
-/// path chunk. Steady-state connectivity-style batches allocate only their
-/// output vectors (mirroring the write path's scratch discipline);
-/// `batch_path_max` additionally builds a fresh per-chunk
+/// distinct-vertex list, the parallel root array, one CPT workspace per
+/// path chunk, and the linear path-max plan's buffers. Steady-state
+/// connectivity-style batches allocate only their output vectors
+/// (mirroring the write path's scratch discipline). The CPT path-max plan
+/// additionally builds a fresh per-chunk
 /// [`ForestPathMax`] oracle (binary-lifting tables sized by the chunk, not
-/// the structure — a rebuild-into-scratch oracle API is a known follow-up).
+/// the structure); the linear plan reuses its sort, union-find and list
+/// buffers and allocates nothing at steady state.
 /// The `*_into` variants write answers into a caller-provided buffer, so a
 /// serving loop that also reuses its output vectors allocates nothing per
 /// batch at steady state. One `QueryBatch` serves one thread of control;
@@ -484,6 +517,9 @@ pub struct QueryBatch {
     /// max-summary fold cores (`*_into` variants stay allocation-free at
     /// steady state).
     pm_buf: Vec<Option<WKey>>,
+    /// Sort, union-find and pending-list buffers of the linear path-max
+    /// plan.
+    linear: KruskalPathMax,
 }
 
 impl QueryBatch {
@@ -608,10 +644,11 @@ impl QueryBatch {
     /// Batched [`BatchMsf::path_max`]: `out[i]` answers `queries[i]`
     /// (`None` when disconnected or `u == v`).
     ///
-    /// Queries are cut into fixed chunks (`PATH_CHUNK` = 512); each chunk is
-    /// answered from one compressed path tree over its distinct endpoints
-    /// plus a static path-max oracle, and chunks run in parallel with
-    /// per-chunk reused scratch.
+    /// Batches that cover the forest take the linear Kruskal-order plan
+    /// (see the crate docs). Otherwise queries are cut into fixed chunks
+    /// (`PATH_CHUNK` = 512); each chunk is answered from one compressed
+    /// path tree over its distinct endpoints plus a static path-max
+    /// oracle, and chunks run in parallel with per-chunk reused scratch.
     pub fn batch_path_max(
         &mut self,
         h: ReadHandle<'_>,
@@ -633,10 +670,57 @@ impl QueryBatch {
         self.fold_core::<MaxW>(h, queries, Cutoffs::None, out);
     }
 
-    /// The shared-CPT path-max plan (chunked, parallel, scratch-reusing):
-    /// the raw heaviest-key computation every max-summary fold and every
-    /// windowed-connectivity core builds on.
+    /// The path-max plan every max-summary fold and every
+    /// windowed-connectivity core builds on: `out[i]` is the heaviest key
+    /// on `queries[i]`'s MSF path. Picks the linear Kruskal-order pass
+    /// when the batch covers the forest ([`QueryBatch::use_linear`]),
+    /// else the chunked shared-CPT plan; both answer identically.
     fn path_max_plan_into(
+        &mut self,
+        h: ReadHandle<'_>,
+        queries: &[(VertexId, VertexId)],
+        out: &mut Vec<Option<WKey>>,
+    ) {
+        let o = qobs();
+        o.batch_size.record(queries.len() as u64);
+        if Self::use_linear(h.msf.num_vertices(), queries.len()) {
+            o.plan_linear.inc();
+            self.linear_plan_into(h, queries, out);
+        } else {
+            self.cpt_plan_into(h, queries, out);
+        }
+    }
+
+    /// Whether the linear Kruskal-order pass beats the chunked CPT plan on
+    /// a batch of `nqueries` over `n` vertices: the CPT plan's
+    /// `O(m lg(1 + n/m))` for `m = 2·nqueries` marks reaches the pass's
+    /// `O(n)` once the marks cover the forest (see [`LINEAR_C`]). Batches
+    /// below [`SHARED_CPT_MIN`] keep the per-query walks.
+    fn use_linear(n: usize, nqueries: usize) -> bool {
+        if nqueries < SHARED_CPT_MIN {
+            return false;
+        }
+        let (n, m) = (n as f64, 2.0 * nqueries as f64);
+        n <= LINEAR_C * m * (1.0 + n / m).log2()
+    }
+
+    /// The linear plan: one sequential union pass over the MSF's real
+    /// edges in key order ([`KruskalPathMax`]), reusing its buffers.
+    fn linear_plan_into(
+        &mut self,
+        h: ReadHandle<'_>,
+        queries: &[(VertexId, VertexId)],
+        out: &mut Vec<Option<WKey>>,
+    ) {
+        out.resize(queries.len(), None); // `run` overwrites every slot
+        let edges = h.msf.iter_msf_edges().map(|(_, u, v, k)| (u, v, k));
+        self.linear.run(h.msf.num_vertices(), edges, queries, out);
+    }
+
+    /// The shared-CPT plan (chunked, parallel, scratch-reusing): each
+    /// [`PATH_CHUNK`] of queries is answered from one compressed path tree
+    /// over its distinct endpoints plus a static path-max oracle.
+    fn cpt_plan_into(
         &mut self,
         h: ReadHandle<'_>,
         queries: &[(VertexId, VertexId)],
@@ -646,9 +730,7 @@ impl QueryBatch {
         out.clear();
         out.resize(queries.len(), None);
         let nchunks = queries.len().div_ceil(PATH_CHUNK);
-        let o = qobs();
-        o.batch_size.record(queries.len() as u64);
-        o.pathmax_chunks.add(nchunks as u64);
+        qobs().pathmax_chunks.add(nchunks as u64);
         if self.path_ws.len() < nchunks {
             self.path_ws.resize_with(nchunks, Default::default);
         }
@@ -673,10 +755,10 @@ impl QueryBatch {
     /// public path-fold and path-max variant delegates here.
     ///
     /// Max-summary monoids ([`PathMonoid::MAX_SUMMARY`]) are answered by
-    /// the shared-CPT path-max plan plus [`PathMonoid::summarize`] — for
-    /// [`MaxW`] that monomorphizes to exactly the historical path-max
-    /// plan. Other monoids run the same chunking through
-    /// [`PathChunkScratch::run_fold`], which peels each CPT segment once
+    /// the path-max plan (linear or shared-CPT) plus
+    /// [`PathMonoid::summarize`] — for [`MaxW`] that monomorphizes to
+    /// exactly the path-max plan. Other monoids run the CPT chunking
+    /// through [`PathChunkScratch::run_fold`], which peels each CPT segment once
     /// and combines per query with a `Pair<MaxW, M>` oracle.
     fn fold_core<M: PathMonoid>(
         &mut self,
@@ -823,8 +905,8 @@ impl QueryBatch {
     /// `SwConnEager::is_connected`): `out[i]` answers `queries[i]` against
     /// the structure's current window.
     ///
-    /// Lazy windows route through the shared-CPT path-max plan and apply
-    /// the recent-edge test; eager windows route through the grouped root
+    /// Lazy windows route through the path-max plan and apply the
+    /// recent-edge test; eager windows route through the grouped root
     /// walks. Results are bit-identical to the per-query loop either way.
     pub fn batch_window_connected<W: WindowConnectivity>(
         &mut self,
@@ -854,9 +936,9 @@ impl QueryBatch {
         }
     }
 
-    /// The canonical windowed-connectivity core: the shared-CPT path-max
-    /// plan plus the recent-edge test at `cutoffs.get(i)`; `u == v`
-    /// answers `true` (a vertex is connected to itself in any window).
+    /// The canonical windowed-connectivity core: the path-max plan plus
+    /// the recent-edge test at `cutoffs.get(i)`; `u == v` answers `true`
+    /// (a vertex is connected to itself in any window).
     /// [`QueryBatch::batch_window_connected_into`] (lazy side) and
     /// [`QueryBatch::batch_connected_at_into`] are thin wrappers.
     fn window_filtered_core<W: WindowConnectivity>(
@@ -1085,6 +1167,142 @@ mod tests {
         let cap = (q.verts.capacity(), q.roots.capacity());
         q.batch_connected(h, &pairs);
         assert_eq!((q.verts.capacity(), q.roots.capacity()), cap);
+    }
+
+    /// Runs the linear and the chunked CPT path-max plans on one batch and
+    /// checks both against the per-query [`BatchMsf::path_max`].
+    fn assert_plans_agree(msf: &BatchMsf, pairs: &[(u32, u32)]) {
+        let h = ReadHandle::new(msf);
+        let mut q = QueryBatch::new();
+        let (mut linear, mut cpt) = (Vec::new(), Vec::new());
+        q.linear_plan_into(h, pairs, &mut linear);
+        q.cpt_plan_into(h, pairs, &mut cpt);
+        let want: Vec<Option<WKey>> = pairs.iter().map(|&(u, v)| msf.path_max(u, v)).collect();
+        assert_eq!(linear, want, "linear plan");
+        assert_eq!(cpt, want, "CPT plan");
+    }
+
+    /// Every ordered pair of `0..n`, plus `u == v`.
+    fn all_pairs(n: u32) -> Vec<(u32, u32)> {
+        (0..n).flat_map(|u| (0..n).map(move |v| (u, v))).collect()
+    }
+
+    #[test]
+    fn path_max_plans_agree_across_components_and_isolated_vertices() {
+        // Three trees and an isolated vertex (7).
+        assert_plans_agree(&sample_msf(), &all_pairs(8));
+        // A sparse random graph: many small trees, isolated vertices, and
+        // more queries than one CPT chunk holds.
+        use bimst_primitives::hash::hash2;
+        let n = 300u32;
+        let mut msf = BatchMsf::new(n as usize, 5);
+        msf.batch_insert(&bimst_graphgen::erdos_renyi(n, 200, 8));
+        assert!(msf.num_components() > 50);
+        let pairs: Vec<(u32, u32)> = (0..3 * PATH_CHUNK as u64)
+            .map(|i| {
+                (
+                    (hash2(1, i) % n as u64) as u32,
+                    (hash2(2, i) % n as u64) as u32,
+                )
+            })
+            .collect();
+        assert_plans_agree(&msf, &pairs);
+    }
+
+    #[test]
+    fn path_max_plans_agree_on_self_and_repeated_pairs() {
+        let msf = sample_msf();
+        let mut pairs = vec![(0u32, 3u32); 20];
+        pairs.extend([(3, 0), (2, 2), (7, 7), (7, 0), (5, 5), (6, 4), (4, 6)]);
+        pairs.extend(vec![(1, 1); 20]);
+        assert_plans_agree(&msf, &pairs);
+    }
+
+    #[test]
+    fn path_max_plans_agree_through_star_spines() {
+        // Two stars of degree 40 and 25 (their centres are ternarized into
+        // spines of phantom edges) joined leaf to leaf, so paths run
+        // through both spines.
+        let mut msf = BatchMsf::new(80, 3);
+        let mut edges: Vec<(u32, u32, f64, u64)> = (1..41u32)
+            .map(|v| (0, v, ((v * 37) % 41) as f64, v as u64))
+            .collect();
+        edges.extend((42..67u32).map(|v| (41, v, ((v * 11) % 25) as f64 - 10.0, v as u64)));
+        edges.push((40, 66, 100.0, 1000));
+        msf.batch_insert(&edges);
+        assert_plans_agree(&msf, &all_pairs(80));
+    }
+
+    #[test]
+    fn path_max_plans_agree_on_an_empty_forest() {
+        assert_plans_agree(&BatchMsf::new(12, 1), &all_pairs(12));
+    }
+
+    #[test]
+    fn linear_plan_covers_the_forest_and_nothing_smaller() {
+        // analytics: n = 2^14, 1024-pair batches.
+        assert!(QueryBatch::use_linear(1 << 14, 1024));
+        // ingest: n = 2^16, 16-pair batches; serve_small: single queries.
+        assert!(!QueryBatch::use_linear(1 << 16, 16));
+        assert!(!QueryBatch::use_linear(1 << 20, 1));
+        // The n = 1M mixed-workload rows, up to 4096-query batches.
+        assert!(!QueryBatch::use_linear(1_000_000, 4096));
+        // Below SHARED_CPT_MIN the per-query walks stay, however small n.
+        assert!(!QueryBatch::use_linear(8, SHARED_CPT_MIN - 1));
+        assert!(QueryBatch::use_linear(8, SHARED_CPT_MIN));
+    }
+
+    #[test]
+    fn linear_plan_scratch_is_flat_at_steady_state() {
+        use bimst_primitives::hash::hash2;
+        let n = 256u32;
+        let mut lazy = SwConn::new(n as usize, 4);
+        let edges: Vec<(u32, u32)> = (0..600u64)
+            .map(|i| {
+                (
+                    (hash2(3, i) % n as u64) as u32,
+                    (hash2(4, i) % n as u64) as u32,
+                )
+            })
+            .filter(|&(u, v)| u != v)
+            .collect();
+        lazy.batch_insert(&edges);
+        lazy.batch_expire(100);
+        let batch = |seed: u64| -> Vec<(u32, u32)> {
+            (0..512u64)
+                .map(|i| {
+                    (
+                        (hash2(seed, i) % n as u64) as u32,
+                        (hash2(seed + 1, i) % n as u64) as u32,
+                    )
+                })
+                .collect()
+        };
+        assert!(QueryBatch::use_linear(n as usize, 512));
+        let h = ReadHandle::new(lazy.msf());
+        let mut q = QueryBatch::new();
+        let (mut pm, mut conn, mut fold) = (Vec::new(), Vec::new(), Vec::new());
+        let mut serve = |q: &mut QueryBatch, seed: u64| {
+            let pairs = batch(seed);
+            q.batch_path_max_into(h, &pairs, &mut pm);
+            q.batch_window_connected_into(&lazy, &pairs, &mut conn);
+            q.batch_path_fold_into::<MaxW>(h, &pairs, &mut fold);
+        };
+        serve(&mut q, 10);
+        let cap = q.linear.high_water() + q.pm_buf.capacity() + q.path_ws.len();
+        for seed in 11..20 {
+            serve(&mut q, seed);
+            assert_eq!(
+                q.linear.high_water() + q.pm_buf.capacity() + q.path_ws.len(),
+                cap,
+                "linear-plan scratch grew on batch {seed}"
+            );
+        }
+        assert_eq!(
+            q.path_ws.len(),
+            0,
+            "no CPT chunk scratch on the linear plan"
+        );
     }
 
     #[test]

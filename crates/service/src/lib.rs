@@ -972,6 +972,21 @@ mod tests {
         svc.shutdown();
     }
 
+    /// The same fail-stop on the linear path-max plan, which a batch this
+    /// size over a forest this small takes (each reader's range holds
+    /// ≥ 64 pairs on 64 vertices): the bad id must panic the reader, never
+    /// be answered as a disconnected pair.
+    #[test]
+    fn malformed_linear_plan_batch_fails_stop() {
+        let svc = Service::eager(64, 2, cfg(2));
+        svc.insert((0..63).map(|v| (v, v + 1)).collect()).unwrap();
+        let mut pairs: Vec<(u32, u32)> = (0..256).map(|i| (i % 64, (i * 7) % 64)).collect();
+        pairs[200] = (3, 900);
+        let t = svc.query(QueryReq::PathMax(pairs)).unwrap();
+        assert!(t.wait().is_err(), "poisoned serve must resolve as closed");
+        svc.shutdown();
+    }
+
     #[test]
     fn empty_batches_are_fine() {
         let svc = Service::eager(4, 2, cfg(2));

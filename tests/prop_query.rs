@@ -9,12 +9,23 @@
 //! recomputes connectivity/path-maxima from the raw MSF edge list with a
 //! completely independent algorithm (binary lifting).
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use bimst_core::BatchMsf;
 use bimst_msf::ForestPathMax;
+use bimst_primitives::monoid::MaxW;
 use bimst_primitives::WKey;
 use bimst_query::{QueryBatch, ReadHandle};
 use bimst_sliding::{SwConn, SwConnEager};
 use proptest::prelude::*;
+
+/// Serializes this file's tests: `linear_plan_batches_match_loops_and_oracle`
+/// counts its plans on the process-wide `query_plan_linear` counter, which
+/// every batch in this binary may bump.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Component sizes from the raw MSF edge list via union-find — the naive
 /// counterpart of `batch_component_size`.
@@ -94,6 +105,7 @@ proptest! {
         ),
         seed in 0u64..200,
     ) {
+        let _serial = serial();
         let n = 26usize;
         let mut lazy = SwConn::new(n, seed);
         let mut eager = SwConnEager::new(n, seed.wrapping_add(1));
@@ -139,6 +151,7 @@ proptest! {
         splits in proptest::collection::vec(1usize..12, 1..6),
         seed in 0u64..200,
     ) {
+        let _serial = serial();
         let n = 20usize;
         let edges: Vec<(u32, u32, f64, u64)> = raw
             .iter()
@@ -158,13 +171,75 @@ proptest! {
             check_msf_queries(n, &msf, &mut q, seed ^ fed as u64);
         }
     }
+
+    /// Small forests under large batches: every max-summary surface —
+    /// `batch_path_max`, lazy `batch_window_connected`, `batch_connected_at`
+    /// and `batch_path_fold::<MaxW>` — takes the linear Kruskal-order plan
+    /// (one `query_plan_linear` count per call), and answers exactly like
+    /// the per-query loops and the binary-lifting oracle.
+    #[test]
+    fn linear_plan_batches_match_loops_and_oracle(
+        script in proptest::collection::vec(
+            (proptest::collection::vec((0u32..48, 0u32..48), 0..40), 0u64..12),
+            1..6,
+        ),
+        nq in 64usize..400,
+        seed in 0u64..200,
+    ) {
+        let _serial = serial();
+        use bimst_primitives::hash::hash2;
+        let n = 48usize;
+        let mut lazy = SwConn::new(n, seed);
+        let mut q = QueryBatch::new();
+        let linear = bimst_obs::global().counter("query_plan_linear");
+        for (step, (batch, expire)) in script.iter().enumerate() {
+            lazy.batch_insert(batch);
+            lazy.batch_expire(*expire);
+            let qseed = seed ^ (step as u64) << 8;
+            let pairs: Vec<(u32, u32)> = (0..nq as u64)
+                .map(|i| {
+                    (
+                        (hash2(qseed, 2 * i) % n as u64) as u32,
+                        (hash2(qseed, 2 * i + 1) % n as u64) as u32,
+                    )
+                })
+                .collect();
+            let (tw, t) = lazy.window();
+            let cutoffs: Vec<u64> = (0..nq as u64)
+                .map(|i| tw + hash2(qseed ^ 7, i) % (t - tw + 1))
+                .collect();
+            let msf = lazy.msf();
+            let h = ReadHandle::new(msf);
+            let before = linear.get();
+            let got_pm = q.batch_path_max(h, &pairs);
+            let got_conn = q.batch_window_connected(&lazy, &pairs);
+            let got_at = q.batch_connected_at(&lazy, &pairs, &cutoffs);
+            let got_fold = q.batch_path_fold::<MaxW>(h, &pairs);
+            if cfg!(feature = "obs") {
+                prop_assert_eq!(linear.get() - before, 4, "every batch on the linear plan");
+            }
+            let edges: Vec<(u32, u32, WKey)> =
+                msf.iter_msf_edges().map(|(_, u, v, k)| (u, v, k)).collect();
+            let pm = ForestPathMax::new(n, &edges);
+            for (i, &(u, v)) in pairs.iter().enumerate() {
+                prop_assert_eq!(got_pm[i], msf.path_max(u, v), "path_max ({},{})", u, v);
+                prop_assert_eq!(got_pm[i], pm.query(u, v), "oracle path_max ({},{})", u, v);
+                prop_assert_eq!(got_conn[i], lazy.is_connected(u, v), "window ({},{})", u, v);
+                let at = u == v || pm.query(u, v).is_some_and(|k| k.id >= cutoffs[i]);
+                prop_assert_eq!(got_at[i], at, "cutoff {} ({},{})", cutoffs[i], u, v);
+                prop_assert_eq!(got_fold[i], got_pm[i], "MaxW fold ({},{})", u, v);
+            }
+        }
+    }
 }
 
 /// Large single-shot cross-check: one big query batch spanning many
-/// components and both path-plan regimes (shared CPT chunks and the
-/// small-chunk fast path), against the loops.
+/// components and both path-plan regimes (the linear Kruskal-order plan,
+/// which a batch this size takes on this forest, and the small-batch
+/// per-query walks), against the loops.
 #[test]
 fn large_batch_matches_loop_on_er_graph() {
+    let _serial = serial();
     use bimst_graphgen::erdos_renyi;
     use bimst_primitives::hash::hash2;
     let n = 3000usize;
