@@ -15,15 +15,6 @@
 //!   captures a point-in-time [`Snapshot`] that exports as JSON
 //!   ([`Snapshot::to_json`]) and Prometheus text ([`Snapshot::to_prometheus`]).
 //!
-//! # Feature gating: `obs`
-//!
-//! The `obs` feature (default-on) selects the real implementation. With
-//! `--no-default-features` the identical public surface is re-exported from
-//! [`noop`] instead: every method is an empty `#[inline]` body, `enabled()`
-//! is `const false`, and instrumented call sites compile to nothing — no
-//! `cfg` gates needed in the crates that record. The `noop` module itself is
-//! *always* compiled (and unit-tested) so the off-build cannot rot silently.
-//!
 //! # Determinism contract
 //!
 //! Instrumentation is observe-only: handles never branch the code path that
@@ -43,9 +34,7 @@
 //!     let _span = h.time(); // records elapsed ns on drop
 //! }
 //! let snap = rec.snapshot();
-//! # #[cfg(feature = "obs")]
 //! assert_eq!(snap.counter("requests"), Some(3));
-//! # #[cfg(feature = "obs")]
 //! assert_eq!(snap.histogram("latency_ns").unwrap().count, 2);
 //! println!("{}", snap.to_json());
 //! println!("{}", snap.to_prometheus());
@@ -54,16 +43,9 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-#[cfg(feature = "obs")]
 mod real;
 
-pub mod noop;
-
-#[cfg(feature = "obs")]
 pub use real::{enabled, global, set_enabled, Counter, Gauge, Histogram, Recorder, SpanTimer};
-
-#[cfg(not(feature = "obs"))]
-pub use noop::{enabled, global, set_enabled, Counter, Gauge, Histogram, Recorder, SpanTimer};
 
 /// Number of histogram buckets: one for the value `0`, then one per
 /// power-of-two magnitude (`[2^(k-1), 2^k)` lands in bucket `k`), up to
@@ -197,10 +179,7 @@ impl HistSnap {
 /// A point-in-time capture of every metric in one (or, after
 /// [`absorb`](Snapshot::absorb), several) [`Recorder`]s.
 ///
-/// Plain data — always compiled, whatever the `obs` feature says — so APIs
-/// like `ServiceHandle::metrics_snapshot()` keep one signature in both
-/// builds (the no-op recorder just returns an empty snapshot). All
-/// accessors and exports iterate names in sorted order.
+/// Plain data; all accessors and exports iterate names in sorted order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Snapshot {
     counters: BTreeMap<String, u64>,
@@ -488,29 +467,5 @@ mod tests {
         assert!(s.gauges_with_prefix("nope_").is_empty());
         // The empty prefix is the whole gauge table.
         assert_eq!(s.gauges_with_prefix("").len(), 6);
-    }
-
-    /// The always-compiled no-op surface accepts the full API and records
-    /// nothing — this is what every instrumented call site expands to when
-    /// the workspace is built with the `obs` feature off.
-    #[test]
-    fn noop_surface_records_nothing() {
-        let rec = noop::Recorder::new();
-        let c = rec.counter("c");
-        c.inc();
-        c.add(10);
-        assert_eq!(c.get(), 0);
-        let g = rec.gauge("g");
-        g.set(5);
-        assert_eq!(g.get(), 0);
-        let h = rec.histogram("h");
-        h.record(123);
-        {
-            let _span = h.time();
-        }
-        assert!(rec.snapshot().is_empty());
-        assert!(noop::global().snapshot().is_empty());
-        noop::set_enabled(true);
-        assert!(!noop::enabled());
     }
 }

@@ -1,4 +1,4 @@
-//! The live implementation behind the `obs` feature: striped lock-free
+//! The recorder implementation: striped lock-free
 //! counters, relaxed-atomic histograms, a mutex-guarded *registration*
 //! path (never taken while recording), and the process-wide kill switch.
 

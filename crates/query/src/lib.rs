@@ -240,7 +240,7 @@ enum Cutoffs<'c> {
     Per(&'c [u64]),
 }
 
-impl Cutoffs<'_> {
+impl<'c> Cutoffs<'c> {
     /// The threshold applied to query `i`.
     #[inline]
     fn get(&self, i: usize) -> u64 {
@@ -248,6 +248,14 @@ impl Cutoffs<'_> {
             Cutoffs::None => 0,
             Cutoffs::Uniform(c) => *c,
             Cutoffs::Per(cs) => cs[i],
+        }
+    }
+
+    /// The thresholds of the queries in `r`.
+    fn slice(self, r: std::ops::Range<usize>) -> Cutoffs<'c> {
+        match self {
+            Cutoffs::Per(cs) => Cutoffs::Per(&cs[r]),
+            other => other,
         }
     }
 }
@@ -260,16 +268,6 @@ impl Cutoffs<'_> {
 /// cache-resident while leaving enough chunks to parallelize over on
 /// realistic batch sizes.
 const PATH_CHUNK: usize = 512;
-
-/// One chunk's unit of work in the chunked fold plan: its scratch, its
-/// window of the output buffer, its slice of the query batch, and its
-/// cutoffs slice — what `par_each` hands each worker.
-type FoldChunk<'a, 'c, V> = (
-    &'a mut PathChunkScratch,
-    &'a mut [Option<V>],
-    &'a [(VertexId, VertexId)],
-    Cutoffs<'c>,
-);
 
 /// Per-chunk scratch for the path-max plan: a CPT workspace plus the
 /// relabeling and edge buffers feeding the static oracle. Lives in
@@ -302,19 +300,24 @@ const SHARED_CPT_MIN: usize = 16;
 const LINEAR_C: f64 = 8.0;
 
 impl PathChunkScratch {
-    /// Answers `queries` into `out` (same length) from one shared CPT.
-    fn run(&mut self, f: &RcForest, queries: &[(VertexId, VertexId)], out: &mut [Option<WKey>]) {
+    /// The prologue `run` and `run_fold` share: builds one CPT over the
+    /// chunk's distinct `u ≠ v` endpoints and labels its vertices densely
+    /// (every mark is in the CPT, isolated ones as singletons, so lookups
+    /// are total). Returns `false`, every answer written, for a chunk
+    /// below [`SHARED_CPT_MIN`] (answered by `per_query`) or of `u == v`
+    /// pairs only.
+    fn shared_cpt<V: Clone>(
+        &mut self,
+        f: &RcForest,
+        queries: &[(VertexId, VertexId)],
+        out: &mut [Option<V>],
+        per_query: impl Fn(&mut Self, usize, VertexId, VertexId) -> Option<V>,
+    ) -> bool {
         if queries.len() < SHARED_CPT_MIN {
-            for (slot, &(u, v)) in out.iter_mut().zip(queries) {
-                *slot = if u == v {
-                    None
-                } else {
-                    compressed_path_tree_with(f, &[u, v], &mut self.cpt_ws, &mut self.cpt);
-                    debug_assert!(self.cpt.edges.len() <= 1);
-                    self.cpt.edges.first().map(|e| e.key)
-                };
+            for (i, (slot, &(u, v))) in out.iter_mut().zip(queries).enumerate() {
+                *slot = per_query(self, i, u, v);
             }
-            return;
+            return false;
         }
         self.marks.clear();
         for &(u, v) in queries {
@@ -325,17 +328,31 @@ impl PathChunkScratch {
         }
         if self.marks.is_empty() {
             out.fill(None);
-            return;
+            return false;
         }
         self.marks.sort_unstable();
         self.marks.dedup();
         compressed_path_tree_with(f, &self.marks, &mut self.cpt_ws, &mut self.cpt);
-        // Relabel the O(chunk) CPT vertices densely and build the static
-        // path-max oracle over the compressed edges. Every mark appears in
-        // the CPT (isolated marks as singleton trees), so lookups are total.
         self.label.clear();
         for (i, &v) in self.cpt.vertices.iter().enumerate() {
             self.label.insert(v, i as u32);
+        }
+        true
+    }
+
+    /// Answers `queries` into `out` (same length) from one shared CPT plus
+    /// a static path-max oracle over its compressed edges.
+    fn run(&mut self, f: &RcForest, queries: &[(VertexId, VertexId)], out: &mut [Option<WKey>]) {
+        let two_marks = |ws: &mut Self, _, u, v| {
+            if u == v {
+                return None;
+            }
+            compressed_path_tree_with(f, &[u, v], &mut ws.cpt_ws, &mut ws.cpt);
+            debug_assert!(ws.cpt.edges.len() <= 1);
+            ws.cpt.edges.first().map(|e| e.key)
+        };
+        if !self.shared_cpt(f, queries, out, two_marks) {
+            return;
         }
         self.edges.clear();
         self.edges.extend(
@@ -376,31 +393,12 @@ impl PathChunkScratch {
         cut: Cutoffs<'_>,
         out: &mut [Option<M::Value>],
     ) {
-        if queries.len() < SHARED_CPT_MIN {
-            for (i, (slot, &(u, v))) in out.iter_mut().zip(queries).enumerate() {
-                *slot = msf
-                    .path_fold::<Pair<MaxW, M>>(u, v)
-                    .and_then(|(mk, val)| (mk.id >= cut.get(i)).then_some(val));
-            }
+        let peel = |_: &mut Self, i, u, v| {
+            msf.path_fold::<Pair<MaxW, M>>(u, v)
+                .and_then(|(mk, val)| (mk.id >= cut.get(i)).then_some(val))
+        };
+        if !self.shared_cpt(msf.forest(), queries, out, peel) {
             return;
-        }
-        self.marks.clear();
-        for &(u, v) in queries {
-            if u != v {
-                self.marks.push(u);
-                self.marks.push(v);
-            }
-        }
-        if self.marks.is_empty() {
-            out.fill(None);
-            return;
-        }
-        self.marks.sort_unstable();
-        self.marks.dedup();
-        compressed_path_tree_with(msf.forest(), &self.marks, &mut self.cpt_ws, &mut self.cpt);
-        self.label.clear();
-        for (i, &v) in self.cpt.vertices.iter().enumerate() {
-            self.label.insert(v, i as u32);
         }
         // Fold every compressed edge's segment once. The value buffer is
         // `M`-typed and so cannot live in the (untyped) scratch; per-chunk
@@ -727,6 +725,21 @@ impl QueryBatch {
         out: &mut Vec<Option<WKey>>,
     ) {
         let f = h.msf.forest();
+        self.par_chunks(queries, Cutoffs::None, out, |ws, q, _, o| ws.run(f, q, o));
+    }
+
+    /// The chunk driver of the CPT plans: cuts `queries` into
+    /// [`PATH_CHUNK`]s and runs `chunk` on each in parallel, with the
+    /// chunk's reused scratch, queries, cutoffs and window of `out` (cleared
+    /// and resized to the batch first).
+    fn par_chunks<V: Send + Clone>(
+        &mut self,
+        queries: &[(VertexId, VertexId)],
+        cutoffs: Cutoffs<'_>,
+        out: &mut Vec<Option<V>>,
+        chunk: impl Fn(&mut PathChunkScratch, &[(VertexId, VertexId)], Cutoffs<'_>, &mut [Option<V>])
+            + Sync,
+    ) {
         out.clear();
         out.resize(queries.len(), None);
         let nchunks = queries.len().div_ceil(PATH_CHUNK);
@@ -734,19 +747,17 @@ impl QueryBatch {
         if self.path_ws.len() < nchunks {
             self.path_ws.resize_with(nchunks, Default::default);
         }
-        /// One chunk's work: its scratch, its output slice, its queries.
-        type ChunkItem<'c> = (
-            &'c mut PathChunkScratch,
-            &'c mut [Option<WKey>],
-            &'c [(VertexId, VertexId)],
-        );
-        let mut items: Vec<ChunkItem<'_>> = self.path_ws[..nchunks]
+        let mut items: Vec<_> = self.path_ws[..nchunks]
             .iter_mut()
             .zip(out.chunks_mut(PATH_CHUNK))
             .zip(queries.chunks(PATH_CHUNK))
-            .map(|((ws, o), q)| (ws, o, q))
+            .enumerate()
+            .map(|(i, ((ws, o), q))| {
+                let start = i * PATH_CHUNK;
+                (ws, o, q, cutoffs.slice(start..start + q.len()))
+            })
             .collect();
-        par_each(&mut items, &|(ws, o, q)| ws.run(f, q, o));
+        par_each(&mut items, &|(ws, o, q, c)| chunk(ws, q, *c, o));
     }
 
     /// The canonical fold core: `out[i]` is the fold of `M` over
@@ -779,28 +790,11 @@ impl QueryBatch {
             self.pm_buf = pm;
             return;
         }
-        out.clear();
-        out.resize(queries.len(), None);
-        let nchunks = queries.len().div_ceil(PATH_CHUNK);
-        let o = qobs();
-        o.batch_size.record(queries.len() as u64);
-        o.pathmax_chunks.add(nchunks as u64);
-        if self.path_ws.len() < nchunks {
-            self.path_ws.resize_with(nchunks, Default::default);
-        }
-        let cut_chunks: Vec<Cutoffs<'_>> = match cutoffs {
-            Cutoffs::Per(cs) => cs.chunks(PATH_CHUNK).map(Cutoffs::Per).collect(),
-            other => vec![other; nchunks],
-        };
+        qobs().batch_size.record(queries.len() as u64);
         let msf = h.msf;
-        let mut items: Vec<FoldChunk<'_, '_, M::Value>> = self.path_ws[..nchunks]
-            .iter_mut()
-            .zip(out.chunks_mut(PATH_CHUNK))
-            .zip(queries.chunks(PATH_CHUNK))
-            .zip(cut_chunks)
-            .map(|(((ws, o), q), c)| (ws, o, q, c))
-            .collect();
-        par_each(&mut items, &|(ws, o, q, c)| ws.run_fold::<M>(msf, q, *c, o));
+        self.par_chunks(queries, cutoffs, out, |ws, q, c, o| {
+            ws.run_fold::<M>(msf, q, c, o)
+        });
     }
 
     /// Batched [`BatchMsf::path_fold`]: `out[i]` is the fold of `M` over

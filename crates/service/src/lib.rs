@@ -3,11 +3,10 @@
 //! instance, a pool of reader workers each owning a
 //! [`bimst_query::QueryBatch`] shard, connected by channels.
 //!
-//! PR 3's query engine made a *single caller* fast: `ReadHandle` is a
-//! shared borrow, so the borrow checker guarantees no insert runs while a
-//! query batch is in flight — but only within one thread of control. A
-//! serving workload has many clients submitting writes and reads
-//! concurrently, which needs that same guarantee as a **runtime protocol**:
+//! `bimst_query::ReadHandle` is a shared borrow, so the borrow checker
+//! keeps inserts out while a query batch is in flight, but only within
+//! one thread of control. Many concurrent clients need the same guarantee
+//! as a **runtime protocol**:
 //!
 //! ```text
 //!                    bounded op queue (backpressure)
@@ -35,14 +34,15 @@
 //!   reader-side snapshot of the structure, fans the coalesced query
 //!   work out to the reader pool, and **does not touch the structure again
 //!   until every partial answer has been collected** (the join barrier is
-//!   the epoch retire). That is PR 3's compile-time borrow discipline —
-//!   many readers XOR one writer — restated as a runtime protocol across
-//!   the channel boundary.
-//! * **Query coalescing.** Queued query batches of the same kind are merged
-//!   into one shared-work plan before dispatch (one sorted distinct-endpoint
-//!   root pass, one set of shared CPT chunks), then answers are split back
-//!   per request. Answers are bit-identical to the per-query loop, so
-//!   coalescing and sharding are invisible to clients.
+//!   the epoch retire): many readers XOR one writer, restated across the
+//!   channel boundary.
+//! * **Query coalescing.** Each batch of a queued run joins a *plan*, one
+//!   per query kind (fold kinds share one; a tenant batch joins the
+//!   shared-cutoff plan or its dedicated tenant's own), at a recorded
+//!   `(plan, offset)`. A plan is one shared-work batch (one root pass, one
+//!   set of shared CPT chunks) range-split across the readers; answers
+//!   are split back at the recorded offsets, bit-identical to the
+//!   per-query loop, so coalescing and sharding are invisible to clients.
 //! * **Backpressure.** The admission queue is bounded
 //!   ([`ServiceConfig::queue_cap`]): [`ServiceHandle::insert`] blocks when
 //!   the service is behind, [`ServiceHandle::try_insert`] returns the op
@@ -211,6 +211,18 @@ impl QueryReq {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// No answers, of the kind this batch is answered with.
+    fn no_answers(&self) -> QueryResp {
+        match self {
+            QueryReq::WindowConnected(_) | QueryReq::TenantConnected { .. } => {
+                QueryResp::WindowConnected(Vec::new())
+            }
+            QueryReq::PathMax(_) => QueryResp::PathMax(Vec::new()),
+            QueryReq::ComponentSize(_) => QueryResp::ComponentSize(Vec::new()),
+            QueryReq::PathFold { .. } => QueryResp::PathFold(Vec::new()),
+        }
+    }
 }
 
 /// Answers to one [`QueryReq`], in query order.
@@ -272,6 +284,31 @@ impl QueryResp {
         match self {
             QueryResp::PathFold(a) => Some(a),
             _ => None,
+        }
+    }
+
+    /// Splices `more` in at offset `at`, dropping whatever followed:
+    /// partials arrive in range order, so `at == 0` restarts a reused
+    /// buffer.
+    fn put(&mut self, at: usize, more: QueryResp) {
+        match (self, more) {
+            (QueryResp::WindowConnected(a), QueryResp::WindowConnected(b)) => {
+                drop(a.splice(at.., b))
+            }
+            (QueryResp::PathMax(a), QueryResp::PathMax(b)) => drop(a.splice(at.., b)),
+            (QueryResp::ComponentSize(a), QueryResp::ComponentSize(b)) => drop(a.splice(at.., b)),
+            (QueryResp::PathFold(a), QueryResp::PathFold(b)) => drop(a.splice(at.., b)),
+            _ => unreachable!("answers of two kinds in one plan"),
+        }
+    }
+
+    /// A copy of the answers in `r`.
+    fn slice(&self, r: std::ops::Range<usize>) -> QueryResp {
+        match self {
+            QueryResp::WindowConnected(a) => QueryResp::WindowConnected(a[r].to_vec()),
+            QueryResp::PathMax(a) => QueryResp::PathMax(a[r].to_vec()),
+            QueryResp::ComponentSize(a) => QueryResp::ComponentSize(a[r].to_vec()),
+            QueryResp::PathFold(a) => QueryResp::PathFold(a[r].to_vec()),
         }
     }
 }
@@ -522,8 +559,7 @@ impl ServiceHandle {
     /// process). Blocks under backpressure like any other submission.
     ///
     /// Export with [`bimst_obs::Snapshot::to_json`] or
-    /// [`bimst_obs::Snapshot::to_prometheus`]. With the `obs` feature off
-    /// the snapshot is empty.
+    /// [`bimst_obs::Snapshot::to_prometheus`].
     pub fn metrics_snapshot(&self) -> Result<bimst_obs::Snapshot, ServiceClosed> {
         let (resp, rx) = mpsc::channel();
         self.submit(Req::Metrics(resp))?;
@@ -987,16 +1023,32 @@ mod tests {
         svc.shutdown();
     }
 
+    /// Every kind answers an empty batch with empty answers of its own
+    /// kind, including the first batch of a kind (whose plan no reader
+    /// has filled yet).
     #[test]
     fn empty_batches_are_fine() {
         let svc = Service::eager(4, 2, cfg(2));
         svc.insert(vec![]).unwrap();
-        let a = svc
-            .query(QueryReq::PathMax(vec![]))
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert!(a.resp.is_empty());
+        let fold = QueryReq::PathFold {
+            kind: FoldKind::Sum,
+            pairs: vec![],
+        };
+        for (req, want) in [
+            (QueryReq::PathMax(vec![]), QueryResp::PathMax(vec![])),
+            (
+                QueryReq::ComponentSize(vec![]),
+                QueryResp::ComponentSize(vec![]),
+            ),
+            (
+                QueryReq::WindowConnected(vec![]),
+                QueryResp::WindowConnected(vec![]),
+            ),
+            (fold, QueryResp::PathFold(vec![])),
+        ] {
+            let a = svc.query(req).unwrap().wait().unwrap();
+            assert_eq!(a.resp, want);
+        }
         svc.shutdown();
     }
 

@@ -31,10 +31,10 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use bimst_primitives::{FoldKind, FoldValue, Hops, MaxW, MinW, SumW, VertexId, WKey};
+use bimst_primitives::{FoldKind, FoldValue, Hops, MaxW, MinW, PathMonoid, SumW, VertexId};
 use bimst_query::{QueryBatch, ReadHandle, TenantRoute, WindowConnectivity};
 
-use crate::ServeWindow;
+use crate::{QueryResp, ServeWindow};
 
 /// A shared borrow of the shard structure, valid for exactly one serve
 /// generation (see the module docs for the protocol that makes this
@@ -72,56 +72,68 @@ impl<W> Copy for Snapshot<W> {}
 // `W: Sync` makes `&W` itself shareable across threads.
 unsafe impl<W: Sync> Send for Snapshot<W> {}
 
-/// One coalesced query plan's merged input, shared by every range task cut
-/// from it.
+/// The plan kinds of the serve path: one per request kind, except that
+/// tenant connectivity splits by route — every shared-routed tenant of a
+/// run joins one cutoff plan, each dedicated tenant is a plan of its own.
+/// The discriminant indexes the per-kind metric table
+/// (`shard::KIND_METRICS`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Kind {
+    WindowConnected,
+    PathMax,
+    ComponentSize,
+    /// All [`FoldKind`]s in one plan.
+    PathFold,
+    TenantShared,
+    TenantDedicated,
+}
+
+/// One coalesced plan, kept by the writer across generations so its
+/// buffers are reused: the merged input of every request that joined it,
+/// concatenated in run order (only the columns `kind` reads are filled),
+/// and the merged answers. Readers share it for one generation and read
+/// only the input.
 #[derive(Clone)]
-pub(crate) enum Work {
-    /// Window connectivity over endpoint pairs.
-    WindowConnected(Arc<Vec<(VertexId, VertexId)>>),
-    /// MSF path-max over endpoint pairs.
-    PathMax(Arc<Vec<(VertexId, VertexId)>>),
-    /// MSF component sizes over vertices.
-    ComponentSize(Arc<Vec<VertexId>>),
-    /// Monoid path folds over endpoint pairs, all kinds merged into one
-    /// plan in run order. The reader cuts its range into maximal
-    /// same-kind spans and serves each through the monomorphized
-    /// `batch_window_path_fold` — so a run of one kind (the common case)
-    /// is one generic plan, never a per-query dispatch.
-    PathFold {
-        /// Merged endpoint pairs, every fold request concatenated.
-        pairs: Arc<Vec<(VertexId, VertexId)>>,
-        /// Per-query fold kinds, parallel to `pairs`.
-        kinds: Arc<Vec<FoldKind>>,
-    },
-    /// Tenant connectivity routed to the *shared* structure: the merged
-    /// mixed-tenant pairs with one cutoff per query — one shared path-max
-    /// plan across every shared-routed tenant in the run.
-    TenantShared {
-        /// Merged endpoint pairs, all shared-routed tenants concatenated.
-        pairs: Arc<Vec<(VertexId, VertexId)>>,
-        /// Per-query tenant cutoffs, parallel to `pairs`.
-        cutoffs: Arc<Vec<u64>>,
-    },
-    /// Tenant connectivity routed to one tenant's dedicated
-    /// divergence-fallback structure.
-    TenantDedicated {
-        /// The tenant whose dedicated structure answers this plan.
-        tenant: u32,
-        /// The request's endpoint pairs.
-        pairs: Arc<Vec<(VertexId, VertexId)>>,
-        /// Offset of this plan's answers within the writer's concatenated
-        /// dedicated-answer buffer (several dedicated plans can be in
-        /// flight in one generation; `base` keeps their splices disjoint).
-        base: usize,
-    },
+pub(crate) struct Plan {
+    pub kind: Kind,
+    /// The tenant a `TenantDedicated` plan serves (`0` otherwise).
+    pub tenant: u32,
+    /// Endpoint pairs (every kind but `ComponentSize`).
+    pub pairs: Vec<(VertexId, VertexId)>,
+    /// Vertices (`ComponentSize`).
+    pub verts: Vec<VertexId>,
+    /// Per-query tenant cutoffs, parallel to `pairs` (`TenantShared`).
+    pub cutoffs: Vec<u64>,
+    /// Per-query fold kinds, parallel to `pairs` (`PathFold`). Readers
+    /// serve maximal same-kind spans through one monomorphized plan each.
+    pub folds: Vec<FoldKind>,
+    /// The merged answers, spliced by the writer from the readers'
+    /// partials after the join.
+    pub out: QueryResp,
+}
+
+impl Plan {
+    /// Number of queries in the plan.
+    pub(crate) fn len(&self) -> usize {
+        self.pairs.len() + self.verts.len()
+    }
+
+    /// Empties every input column, keeping capacities.
+    pub(crate) fn clear(&mut self) {
+        self.pairs.clear();
+        self.verts.clear();
+        self.cutoffs.clear();
+        self.folds.clear();
+    }
 }
 
 /// A range of one plan, assigned to one reader.
 pub(crate) struct ServeTask<W> {
     /// The generation's published structure.
     pub snap: Snapshot<W>,
-    /// The plan's merged input.
-    pub work: Work,
+    /// Index of the plan in the writer's plan list.
+    pub idx: usize,
+    pub plan: Arc<Plan>,
     /// The slice of the merged input this task answers.
     pub range: Range<usize>,
     /// Where the partial answers go (the writer's join barrier counts
@@ -131,31 +143,13 @@ pub(crate) struct ServeTask<W> {
 
 /// Partial answers for one [`ServeTask`]'s range.
 pub(crate) struct Partial {
-    /// Splice offset within the plan's answer buffer (the task range's
-    /// start; dedicated-tenant plans add their plan `base`).
+    /// The task's plan index.
+    pub idx: usize,
+    /// Splice offset within the plan's answers (the task range's start).
     pub start: usize,
-    /// The answers, kind-tagged like [`Work`].
-    pub resp: PartialResp,
-}
-
-/// See [`Partial`].
-pub(crate) enum PartialResp {
-    /// Window-connectivity answers.
-    Bools(Vec<bool>),
-    /// Path-max answers.
-    Keys(Vec<Option<WKey>>),
-    /// Component sizes.
-    Sizes(Vec<usize>),
-    /// Shared-routed tenant connectivity answers.
-    TenantBools(Vec<bool>),
-    /// Dedicated-routed tenant connectivity answers.
-    DedBools(Vec<bool>),
-    /// Path-fold answers, value arm per the query's [`FoldKind`].
-    Folds(Vec<Option<FoldValue>>),
-    /// The reader panicked executing this range (e.g. an out-of-range
-    /// vertex id). Sent so the writer fails stop instead of waiting
-    /// forever at the join barrier for an answer that cannot come.
-    Panicked,
+    /// The answers, or `None` if the reader panicked on the range (e.g.
+    /// an out-of-range vertex id), so the writer fails stop.
+    pub resp: Option<QueryResp>,
 }
 
 enum Task<W> {
@@ -201,12 +195,9 @@ impl<W: ServeWindow> ReaderPool<W> {
     }
 
     /// Hands a task to the next worker (round-robin). Returns whether the
-    /// worker accepted it: `false` means that reader thread is gone (its
-    /// channel disconnected), so no [`Partial`] will ever arrive for the
-    /// task. The caller must fold that into the poisoned-barrier
-    /// fail-stop path — count only accepted tasks toward the join
-    /// barrier, drain them, and *then* fail stop — never panic mid-fan-out
-    /// while other readers may still hold the published snapshot.
+    /// worker accepted it: `false` means that reader thread is gone, so no
+    /// [`Partial`] will ever arrive for the task (see `Core::serve` for
+    /// the fail-stop that follows).
     #[must_use]
     pub(crate) fn dispatch(&mut self, task: ServeTask<W>) -> bool {
         let i = self.next;
@@ -242,7 +233,8 @@ fn reader_main<W: ServeWindow>(rx: Receiver<Task<W>>) {
     while let Ok(task) = rx.recv() {
         let ServeTask {
             snap,
-            work,
+            idx,
+            plan,
             range,
             done,
         } = match task {
@@ -259,81 +251,55 @@ fn reader_main<W: ServeWindow>(rx: Receiver<Task<W>>) {
         // leave the snapshot borrowed — the catch boundary is inside the
         // publish→retire window — but the executor's scratch may be
         // mid-update, so it is discarded below.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &work {
-            Work::WindowConnected(pairs) => {
-                let mut out = Vec::new();
-                q.batch_window_connected_into(w, &pairs[range.clone()], &mut out);
-                PartialResp::Bools(out)
-            }
-            Work::PathMax(pairs) => {
-                let mut out = Vec::new();
-                q.batch_path_max_into(
-                    ReadHandle::new(WindowConnectivity::msf(w)),
-                    &pairs[range.clone()],
-                    &mut out,
-                );
-                PartialResp::Keys(out)
-            }
-            Work::ComponentSize(vs) => {
-                let mut out = Vec::new();
-                q.batch_component_size_into(
-                    ReadHandle::new(WindowConnectivity::msf(w)),
-                    &vs[range.clone()],
-                    &mut out,
-                );
-                PartialResp::Sizes(out)
-            }
-            Work::PathFold { pairs, kinds } => {
-                let mut out = Vec::with_capacity(range.len());
-                let mut lo = range.start;
-                while lo < range.end {
-                    let kind = kinds[lo];
-                    let mut hi = lo + 1;
-                    while hi < range.end && kinds[hi] == kind {
-                        hi += 1;
-                    }
-                    fold_span(&mut q, w, kind, &pairs[lo..hi], &mut out);
-                    lo = hi;
-                }
-                PartialResp::Folds(out)
-            }
-            Work::TenantShared { pairs, cutoffs } => {
-                let mut out = Vec::new();
-                q.batch_connected_at_into(
-                    w,
-                    &pairs[range.clone()],
-                    &cutoffs[range.clone()],
-                    &mut out,
-                );
-                PartialResp::TenantBools(out)
-            }
-            Work::TenantDedicated { tenant, pairs, .. } => {
-                // The writer resolved the route at merge time and has not
-                // touched the structure since (publish→retire), so the
-                // dedicated structure must still be there.
-                let Some(TenantRoute::Dedicated(d)) = w.tenant_route(*tenant) else {
-                    panic!("bimst-service: tenant {tenant} route changed mid-generation");
-                };
-                let mut out = Vec::new();
-                q.batch_window_connected_into(d, &pairs[range.clone()], &mut out);
-                PartialResp::DedBools(out)
-            }
+        let start = range.start;
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            answer(&mut q, w, &plan, range)
         }));
-        let resp = result.unwrap_or_else(|_| {
-            q = QueryBatch::new(); // scratch may be torn mid-update
-            PartialResp::Panicked
-        });
-        let start = match &work {
-            Work::TenantDedicated { base, .. } => base + range.start,
-            _ => range.start,
-        };
+        let resp = result.map_err(|_| q = QueryBatch::new()).ok();
         // Release the plan's `Arc` *before* signalling completion: once
         // the writer has collected every `Partial`, no reader holds a
-        // reference, so the writer can deterministically reclaim the
-        // merged-plan buffer (`Arc::try_unwrap`) for the next generation
-        // instead of reallocating per dispatch.
-        drop(work);
-        let _ = done.send(Partial { start, resp });
+        // reference, so the writer can deterministically take the
+        // merged-plan buffers back for the next generation instead of
+        // reallocating per dispatch.
+        drop(plan);
+        let _ = done.send(Partial { idx, start, resp });
+    }
+}
+
+/// Answers `range` of one plan through the matching `QueryBatch` core.
+fn answer<W: ServeWindow>(q: &mut QueryBatch, w: &W, plan: &Plan, r: Range<usize>) -> QueryResp {
+    let msf = || ReadHandle::new(WindowConnectivity::msf(w));
+    let pairs = || &plan.pairs[r.clone()];
+    match plan.kind {
+        Kind::WindowConnected => QueryResp::WindowConnected(q.batch_window_connected(w, pairs())),
+        Kind::PathMax => QueryResp::PathMax(q.batch_path_max(msf(), pairs())),
+        Kind::ComponentSize => {
+            QueryResp::ComponentSize(q.batch_component_size(msf(), &plan.verts[r.clone()]))
+        }
+        Kind::PathFold => {
+            let mut out = Vec::with_capacity(r.len());
+            let mut lo = r.start;
+            for span in plan.folds[r.clone()].chunk_by(|a, b| a == b) {
+                fold_span(q, w, span[0], &plan.pairs[lo..lo + span.len()], &mut out);
+                lo += span.len();
+            }
+            QueryResp::PathFold(out)
+        }
+        Kind::TenantShared => {
+            QueryResp::WindowConnected(q.batch_connected_at(w, pairs(), &plan.cutoffs[r.clone()]))
+        }
+        Kind::TenantDedicated => {
+            // The writer resolved the route at merge time and has not
+            // touched the structure since (publish→retire), so the
+            // dedicated structure must still be there.
+            let Some(TenantRoute::Dedicated(d)) = w.tenant_route(plan.tenant) else {
+                panic!(
+                    "bimst-service: tenant {} route changed mid-generation",
+                    plan.tenant
+                );
+            };
+            QueryResp::WindowConnected(q.batch_window_connected(d, pairs()))
+        }
     }
 }
 
@@ -348,26 +314,20 @@ fn fold_span<W: ServeWindow>(
     pairs: &[(VertexId, VertexId)],
     out: &mut Vec<Option<FoldValue>>,
 ) {
+    fn run<M: PathMonoid, W: ServeWindow>(
+        q: &mut QueryBatch,
+        w: &W,
+        pairs: &[(VertexId, VertexId)],
+        out: &mut Vec<Option<FoldValue>>,
+        tag: fn(M::Value) -> FoldValue,
+    ) {
+        let folds = q.batch_window_path_fold::<M, W>(w, pairs);
+        out.extend(folds.into_iter().map(|v| v.map(tag)));
+    }
     match kind {
-        FoldKind::Max => out.extend(
-            q.batch_window_path_fold::<MaxW, W>(w, pairs)
-                .into_iter()
-                .map(|k| k.map(FoldValue::Key)),
-        ),
-        FoldKind::Min => out.extend(
-            q.batch_window_path_fold::<MinW, W>(w, pairs)
-                .into_iter()
-                .map(|k| k.map(FoldValue::Key)),
-        ),
-        FoldKind::Sum => out.extend(
-            q.batch_window_path_fold::<SumW, W>(w, pairs)
-                .into_iter()
-                .map(|s| s.map(FoldValue::Sum)),
-        ),
-        FoldKind::Hops => out.extend(
-            q.batch_window_path_fold::<Hops, W>(w, pairs)
-                .into_iter()
-                .map(|h| h.map(FoldValue::Hops)),
-        ),
+        FoldKind::Max => run::<MaxW, W>(q, w, pairs, out, FoldValue::Key),
+        FoldKind::Min => run::<MinW, W>(q, w, pairs, out, FoldValue::Key),
+        FoldKind::Sum => run::<SumW, W>(q, w, pairs, out, FoldValue::Sum),
+        FoldKind::Hops => run::<Hops, W>(q, w, pairs, out, FoldValue::Hops),
     }
 }

@@ -35,17 +35,13 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
 use bimst_graphgen::Op;
-use bimst_primitives::{FoldKind, FoldValue, VertexId, WKey};
+use bimst_primitives::VertexId;
 use bimst_query::TenantRoute;
 use bimst_sliding::{SlidingWrite, SwConn, SwConnEager, WindowCheckpoint};
 use bimst_wal::{Checkpoint, Meta, Store, SyncPolicy};
 
-use crate::reader::{Partial, PartialResp, ReaderPool, ServeTask, Snapshot, Work};
-use crate::{Answered, QueryReq, QueryResp, ServeWindow, ServiceConfig};
-
-/// One dedicated-routed tenant plan: `(tenant, pairs, base)` where `base`
-/// is the plan's offset in the concatenated dedicated answer buffer.
-type DedPlan = (u32, Arc<Vec<(VertexId, VertexId)>>, usize);
+use crate::reader::{Kind, Partial, Plan, ReaderPool, ServeTask, Snapshot};
+use crate::{Answered, QueryReq, ServeWindow, ServiceConfig};
 
 /// One coalesced query: request, reply channel, admission timestamp
 /// (`None` when recording is off).
@@ -218,23 +214,30 @@ pub(crate) struct SvcObs {
     /// kind (a group of width k counts k).
     ops_insert: bimst_obs::Counter,
     ops_expire: bimst_obs::Counter,
-    /// `service_queries_*`: admitted queries by kind (a batch of q pairs
-    /// counts q).
-    q_conn: bimst_obs::Counter,
-    q_pm: bimst_obs::Counter,
-    q_cs: bimst_obs::Counter,
-    q_tenant: bimst_obs::Counter,
-    q_pf: bimst_obs::Counter,
-    /// `service_answer_ns_*`: admission-to-answer latency by kind.
-    lat_conn: bimst_obs::Histogram,
-    lat_pm: bimst_obs::Histogram,
-    lat_cs: bimst_obs::Histogram,
-    lat_tenant: bimst_obs::Histogram,
-    lat_pf: bimst_obs::Histogram,
-    /// `service_tenant_shared_queries` / `service_tenant_dedicated_queries`:
-    /// tenant queries by resolved route.
-    tenant_shared: bimst_obs::Counter,
-    tenant_dedicated: bimst_obs::Counter,
+    /// Per plan kind, indexed by [`Kind`] (see [`KIND_METRICS`]).
+    by_kind: [KindObs; 6],
+}
+
+/// Per plan kind: the name suffix of its `service_queries_<kind>` counter
+/// and `service_answer_ns_<kind>` histogram, and the tenant route counter
+/// it also feeds. Both tenant routes count as one request kind.
+const KIND_METRICS: [(&str, Option<&str>); 6] = [
+    ("window_connected", None),
+    ("path_max", None),
+    ("component_size", None),
+    ("path_fold", None),
+    ("tenant_connected", Some("service_tenant_shared_queries")),
+    ("tenant_connected", Some("service_tenant_dedicated_queries")),
+];
+
+/// One plan kind's metrics.
+struct KindObs {
+    /// Admitted queries (a batch of q pairs counts q).
+    queries: bimst_obs::Counter,
+    /// Admission-to-answer latency of each batch.
+    answer_ns: bimst_obs::Histogram,
+    /// Queries by resolved tenant route (tenant plans only).
+    route: Option<bimst_obs::Counter>,
 }
 
 impl SvcObs {
@@ -247,18 +250,11 @@ impl SvcObs {
             groups: rec.counter("service_write_groups"),
             ops_insert: rec.counter("service_ops_insert"),
             ops_expire: rec.counter("service_ops_expire"),
-            q_conn: rec.counter("service_queries_window_connected"),
-            q_pm: rec.counter("service_queries_path_max"),
-            q_cs: rec.counter("service_queries_component_size"),
-            q_tenant: rec.counter("service_queries_tenant_connected"),
-            q_pf: rec.counter("service_queries_path_fold"),
-            lat_conn: rec.histogram("service_answer_ns_window_connected"),
-            lat_pm: rec.histogram("service_answer_ns_path_max"),
-            lat_cs: rec.histogram("service_answer_ns_component_size"),
-            lat_tenant: rec.histogram("service_answer_ns_tenant_connected"),
-            lat_pf: rec.histogram("service_answer_ns_path_fold"),
-            tenant_shared: rec.counter("service_tenant_shared_queries"),
-            tenant_dedicated: rec.counter("service_tenant_dedicated_queries"),
+            by_kind: KIND_METRICS.map(|(kind, route)| KindObs {
+                queries: rec.counter(&format!("service_queries_{kind}")),
+                answer_ns: rec.histogram(&format!("service_answer_ns_{kind}")),
+                route: route.map(|r| rec.counter(r)),
+            }),
             rec,
         }
     }
@@ -469,68 +465,88 @@ pub(crate) fn writer_main<W: ServeWindow>(
 /// answers are partition-independent anyway.
 const MIN_SHARD: usize = 64;
 
-/// Reusable buffers of the serve path: the per-kind merged plans and the
-/// merged answer arrays. Before this existed, every dispatch allocated all
-/// six afresh (the ROADMAP's "serve path still allocates per dispatch"
-/// lever); now the plan buffers round-trip through the readers' `Arc`s —
-/// readers drop their clones *before* signalling the join barrier (see
-/// `reader_main`), so after the join `Arc::try_unwrap` deterministically
-/// hands the writer its buffer back, capacity intact. Same ratchet
-/// discipline as the engine scratch: capacities grow to the largest run
+/// Reusable buffers of the serve path: capacities grow to the largest run
 /// ever coalesced, then steady-state serving allocates nothing here.
 #[derive(Default)]
 pub(crate) struct ServeScratch {
-    conn: Vec<(VertexId, VertexId)>,
-    pm: Vec<(VertexId, VertexId)>,
-    cs: Vec<VertexId>,
-    /// Shared-routed tenant pairs, all tenants merged into one plan.
-    tconn: Vec<(VertexId, VertexId)>,
-    /// Per-query tenant cutoffs, parallel to `tconn`.
-    tcut: Vec<u64>,
-    /// Path-fold pairs, all kinds merged into one plan in run order.
-    pf: Vec<(VertexId, VertexId)>,
-    /// Per-query fold kinds, parallel to `pf` (readers dispatch maximal
-    /// same-kind spans to the monomorphized fold).
-    pfk: Vec<FoldKind>,
-    conn_out: Vec<bool>,
-    pm_out: Vec<Option<WKey>>,
-    cs_out: Vec<usize>,
-    tconn_out: Vec<bool>,
-    pf_out: Vec<Option<FoldValue>>,
-    /// Concatenated answers of every dedicated-routed tenant plan in the
-    /// run (each plan splices at its own base offset).
-    tded_out: Vec<bool>,
+    /// Every plan served so far, one per `(kind, tenant)` key. A plan no
+    /// request of the current run joins stays empty and is not dispatched.
+    plans: Vec<Arc<Plan>>,
+    /// Per run entry, parallel to [`Core::run`]: its plan and its offset
+    /// in that plan, recorded at merge so split-back needs no cursors and
+    /// no second route lookup.
+    slots: Vec<(usize, usize)>,
+    /// The current generation's partial answers.
+    parts: Vec<Partial>,
 }
 
 impl ServeScratch {
-    /// Combined buffer capacity in elements — the steady-state metric the
-    /// allocation-stability test pins (`serve_scratch_steady_state`).
-    #[cfg(test)]
-    pub(crate) fn high_water(&self) -> usize {
-        self.conn.capacity()
-            + self.pm.capacity()
-            + self.cs.capacity()
-            + self.tconn.capacity()
-            + self.tcut.capacity()
-            + self.pf.capacity()
-            + self.pfk.capacity()
-            + self.conn_out.capacity()
-            + self.pm_out.capacity()
-            + self.cs_out.capacity()
-            + self.tconn_out.capacity()
-            + self.tded_out.capacity()
-            + self.pf_out.capacity()
+    /// Joins the run's next request, `req`, to the `(kind, tenant)` plan,
+    /// created on first use: records where the request's queries start in
+    /// the plan and returns the plan's input to append them to.
+    fn join(&mut self, req: &QueryReq, kind: Kind, tenant: u32) -> &mut Plan {
+        let key = |p: &Arc<Plan>| (p.kind, p.tenant) == (kind, tenant);
+        let p = self.plans.iter().position(key).unwrap_or_else(|| {
+            self.plans.push(Arc::new(Plan {
+                kind,
+                tenant,
+                pairs: Vec::new(),
+                verts: Vec::new(),
+                cutoffs: Vec::new(),
+                folds: Vec::new(),
+                out: req.no_answers(),
+            }));
+            self.plans.len() - 1
+        });
+        let plan = Arc::make_mut(&mut self.plans[p]);
+        self.slots.push((p, plan.len()));
+        plan
     }
+}
 
-    /// Reclaims a merged-plan buffer from its post-join `Arc` (see the
-    /// struct docs). The fallback allocation only triggers if a reader
-    /// somehow still holds a clone — correct either way, but the
-    /// steady-state test would catch it as capacity churn.
-    fn reclaim<T>(slot: &mut Vec<T>, arc: Arc<Vec<T>>) {
-        if let Ok(mut v) = Arc::try_unwrap(arc) {
-            v.clear();
-            *slot = v;
+/// Merges `req` into its plan: the one place the serve path names request
+/// kinds. A tenant's route is resolved here, once: shared-routed tenants
+/// merge into one plan with the tenant's cutoff repeated per query, each
+/// dedicated tenant is its own plan. Folds of every kind merge into one
+/// plan the same way, tagged with their kind.
+///
+/// # Panics
+///
+/// On a tenant id the window does not route: it must not be answered from
+/// the wrong window. [`Core::serve`] merges every request before it
+/// publishes, so unwinding here resolves every pending ticket as closed.
+fn merge<W: ServeWindow>(req: &QueryReq, w: &W, ws: &mut ServeScratch) {
+    match req {
+        QueryReq::WindowConnected(q) => ws
+            .join(req, Kind::WindowConnected, 0)
+            .pairs
+            .extend_from_slice(q),
+        QueryReq::PathMax(q) => ws.join(req, Kind::PathMax, 0).pairs.extend_from_slice(q),
+        QueryReq::ComponentSize(vs) => ws
+            .join(req, Kind::ComponentSize, 0)
+            .verts
+            .extend_from_slice(vs),
+        QueryReq::PathFold { kind, pairs } => {
+            let plan = ws.join(req, Kind::PathFold, 0);
+            plan.pairs.extend_from_slice(pairs);
+            plan.folds.resize(plan.pairs.len(), *kind);
         }
+        QueryReq::TenantConnected { tenant, pairs } => match w.tenant_route(*tenant) {
+            Some(TenantRoute::Shared { cutoff }) => {
+                let plan = ws.join(req, Kind::TenantShared, 0);
+                plan.pairs.extend_from_slice(pairs);
+                plan.cutoffs.resize(plan.pairs.len(), cutoff);
+            }
+            Some(TenantRoute::Dedicated(_)) => {
+                ws.join(req, Kind::TenantDedicated, *tenant)
+                    .pairs
+                    .extend_from_slice(pairs);
+            }
+            None => panic!(
+                "bimst-service: no tenant route for id {tenant} \
+                 (tenant query on a non-tenant service?)"
+            ),
+        },
     }
 }
 
@@ -602,12 +618,11 @@ impl<W: ServeWindow> Core<W> {
         self.pool.shutdown();
     }
 
-    /// Serves the coalesced run at the current generation: merge
-    /// same-kind requests into one plan each (into the reused scratch),
-    /// publish the snapshot, fan the plans out across the reader pool,
-    /// join, split answers back per request, then reclaim the plan
-    /// buffers for the next generation. Steady-state dispatches allocate
-    /// only the per-client answer vectors (which the clients keep).
+    /// Serves the coalesced run at the current generation: merge each
+    /// request into its plan, publish the snapshot, fan the plans out
+    /// across the reader pool, join, and split answers back per request.
+    /// At steady state only the readers' partials and the clients' answer
+    /// vectors are allocated.
     pub(crate) fn serve(&mut self) {
         let Core {
             w,
@@ -622,158 +637,59 @@ impl<W: ServeWindow> Core<W> {
         let (w, generation): (&W, u64) = (w, *generation);
         // One span covers the whole publish→serve→retire protocol.
         let _span = obs.serve_ns.time();
-        // Merge per kind, in run order (so per-kind cursors can split answers
-        // back without bookkeeping). The buffers arrive cleared from the
-        // previous generation's reclaim.
-        debug_assert!(ws.conn.is_empty() && ws.pm.is_empty() && ws.cs.is_empty());
-        debug_assert!(ws.tconn.is_empty() && ws.tcut.is_empty());
-        debug_assert!(ws.pf.is_empty() && ws.pfk.is_empty());
-        let mut ded_plans: Vec<DedPlan> = Vec::new();
-        let mut ded_total = 0usize;
+        // Merge in run order into the plans the previous serve cleared.
         for (req, _, _) in run.iter() {
-            match req {
-                QueryReq::WindowConnected(qs) => {
-                    obs.q_conn.add(qs.len() as u64);
-                    ws.conn.extend_from_slice(qs);
-                }
-                QueryReq::PathMax(qs) => {
-                    obs.q_pm.add(qs.len() as u64);
-                    ws.pm.extend_from_slice(qs);
-                }
-                QueryReq::ComponentSize(vs) => {
-                    obs.q_cs.add(vs.len() as u64);
-                    ws.cs.extend_from_slice(vs);
-                }
-                // Folds of every kind merge into one plan: pairs concatenate
-                // in run order, the request's kind repeats per query (same
-                // trick as the tenant cutoffs). Readers re-split into maximal
-                // same-kind spans, so batches of one kind still share the
-                // monomorphized plan.
-                QueryReq::PathFold { kind, pairs } => {
-                    obs.q_pf.add(pairs.len() as u64);
-                    ws.pf.extend_from_slice(pairs);
-                    ws.pfk.resize(ws.pf.len(), *kind);
-                }
-                QueryReq::TenantConnected { tenant, pairs } => match w.tenant_route(*tenant) {
-                    // Shared-routed tenants merge into one plan: pairs
-                    // concatenate, the tenant's cutoff repeats per query.
-                    Some(TenantRoute::Shared { cutoff }) => {
-                        obs.q_tenant.add(pairs.len() as u64);
-                        obs.tenant_shared.add(pairs.len() as u64);
-                        ws.tconn.extend_from_slice(pairs);
-                        ws.tcut.resize(ws.tconn.len(), cutoff);
-                    }
-                    Some(TenantRoute::Dedicated(_)) => {
-                        obs.q_tenant.add(pairs.len() as u64);
-                        obs.tenant_dedicated.add(pairs.len() as u64);
-                        ded_plans.push((*tenant, Arc::new(pairs.clone()), ded_total));
-                        ded_total += pairs.len();
-                    }
-                    // Fail stop: a tenant query against a window that serves
-                    // no tenants (or an unknown id) must not be silently
-                    // answered from the wrong window. Unwinding here (before
-                    // any fan-out) resolves every pending ticket as closed.
-                    None => panic!(
-                        "bimst-service: no tenant route for id {tenant} \
-                         (tenant query on a non-tenant service?)"
-                    ),
-                },
-            }
+            merge(req, w, ws);
         }
 
         // Publish (protocol step 1): from here until the join completes, this
         // thread must not mutate `w` — rustc enforces it locally via the `&W`
         // borrow, the protocol extends it across the reader threads.
         let snap = Snapshot::publish(w);
-        let conn = Arc::new(std::mem::take(&mut ws.conn));
-        let pm = Arc::new(std::mem::take(&mut ws.pm));
-        let cs = Arc::new(std::mem::take(&mut ws.cs));
-        let tconn = Arc::new(std::mem::take(&mut ws.tconn));
-        let tcut = Arc::new(std::mem::take(&mut ws.tcut));
-        let pf = Arc::new(std::mem::take(&mut ws.pf));
-        let pfk = Arc::new(std::mem::take(&mut ws.pfk));
-        let tenant_shared = Work::TenantShared {
-            pairs: tconn.clone(),
-            cutoffs: tcut.clone(),
-        };
-        let fold = Work::PathFold {
-            pairs: pf.clone(),
-            kinds: pfk.clone(),
-        };
-        let merged = [
-            (Work::WindowConnected(conn.clone()), conn.len()),
-            (Work::PathMax(pm.clone()), pm.len()),
-            (Work::ComponentSize(cs.clone()), cs.len()),
-            (tenant_shared, tconn.len()),
-            (fold, pf.len()),
-        ];
-        let dedicated = ded_plans.iter().map(|(tenant, pairs, base)| {
-            let work = Work::TenantDedicated {
-                tenant: *tenant,
-                pairs: pairs.clone(),
-                base: *base,
-            };
-            (work, pairs.len())
-        });
-        // A dead reader (its thread gone before dispatch) is recorded here and
-        // folded into the poisoned-barrier fail-stop below — the same path a
-        // reader that panicked *during* a serve takes. See `fan_out`.
-        let mut dead_reader = false;
-        let mut expected = 0usize;
-        for (work, len) in merged.into_iter().chain(dedicated) {
-            expected += fan_out(pool, snap, work, len, done_tx, &mut dead_reader);
+        // Fan out each plan in contiguous ranges, round-robin. A range a dead
+        // worker refuses sends no partial, so it is not joined on; it fails
+        // stop below like a reader that panicked mid-serve. Dispatch goes on
+        // past it: unwinding before the join barrier would drop the
+        // structure while live readers still borrow it.
+        let (mut expected, mut dead_reader) = (0usize, false);
+        for (idx, plan) in ws.plans.iter().enumerate() {
+            let len = plan.len();
+            let chunk = len.div_ceil(pool.len()).max(MIN_SHARD);
+            for lo in (0..len).step_by(chunk) {
+                let task = ServeTask {
+                    snap,
+                    idx,
+                    plan: plan.clone(),
+                    range: lo..(lo + chunk).min(len),
+                    done: done_tx.clone(),
+                };
+                if pool.dispatch(task) {
+                    expected += 1;
+                } else {
+                    dead_reader = true;
+                }
+            }
         }
 
         // Join barrier (protocol step 3): collect every partial before
         // touching the structure again. Plans of different kinds are in flight
         // simultaneously, so a run mixing kinds uses the whole pool.
-        ws.conn_out.clear();
-        ws.conn_out.resize(conn.len(), false);
-        ws.pm_out.clear();
-        ws.pm_out.resize(pm.len(), None);
-        ws.cs_out.clear();
-        ws.cs_out.resize(cs.len(), 0);
-        ws.tconn_out.clear();
-        ws.tconn_out.resize(tconn.len(), false);
-        ws.tded_out.clear();
-        ws.tded_out.resize(ded_total, false);
-        ws.pf_out.clear();
-        ws.pf_out.resize(pf.len(), None);
-        let mut poisoned = false;
         for _ in 0..expected {
-            let p = done_rx.recv().expect("bimst-service reader pool alive");
-            match p.resp {
-                PartialResp::Bools(b) => {
-                    ws.conn_out[p.start..p.start + b.len()].copy_from_slice(&b)
-                }
-                PartialResp::Keys(k) => ws.pm_out[p.start..p.start + k.len()].copy_from_slice(&k),
-                PartialResp::Sizes(s) => ws.cs_out[p.start..p.start + s.len()].copy_from_slice(&s),
-                PartialResp::TenantBools(b) => {
-                    ws.tconn_out[p.start..p.start + b.len()].copy_from_slice(&b)
-                }
-                PartialResp::DedBools(b) => {
-                    ws.tded_out[p.start..p.start + b.len()].copy_from_slice(&b)
-                }
-                PartialResp::Folds(f) => ws.pf_out[p.start..p.start + f.len()].copy_from_slice(&f),
-                PartialResp::Panicked => poisoned = true,
-            }
+            let part = done_rx.recv().expect("bimst-service reader pool alive");
+            ws.parts.push(part);
         }
         // Every partial is in, and readers drop their plan clones before
         // sending (reader_main), so the Arcs are singly held again: take the
         // buffers back for the next generation.
-        ServeScratch::reclaim(&mut ws.conn, conn);
-        ServeScratch::reclaim(&mut ws.pm, pm);
-        ServeScratch::reclaim(&mut ws.cs, cs);
-        ServeScratch::reclaim(&mut ws.tconn, tconn);
-        ServeScratch::reclaim(&mut ws.tcut, tcut);
-        ServeScratch::reclaim(&mut ws.pf, pf);
-        ServeScratch::reclaim(&mut ws.pfk, pfk);
+        for plan in &mut ws.plans {
+            Arc::make_mut(plan).clear();
+        }
         // Fail stop, but only after the join barrier: every reader is parked
         // again, so unwinding the writer (dropping the structure) is safe, and
         // pending tickets resolve with `ServiceClosed` instead of hanging.
         // A worker that was already dead at dispatch time (`dead_reader`)
-        // surfaces through this same path — previously it panicked the writer
-        // mid-fan-out with a bare channel error, before the barrier drained.
+        // surfaces through this same path.
+        let poisoned = ws.parts.iter().any(|p| p.resp.is_none());
         assert!(
             !(poisoned || dead_reader),
             "bimst-service: a reader worker {} serving a query batch \
@@ -781,45 +697,29 @@ impl<W: ServeWindow> Core<W> {
             if poisoned { "panicked" } else { "died" }
         );
 
+        // Splice each plan's partials in range order.
+        ws.parts.sort_unstable_by_key(|p| (p.idx, p.start));
+        for part in ws.parts.drain(..) {
+            let resp = part.resp.expect("poisoned partials fail stop above");
+            Arc::make_mut(&mut ws.plans[part.idx])
+                .out
+                .put(part.start, resp);
+        }
+
         // Split the merged answers back per request, in run order. A client
         // that dropped its ticket makes the send fail; that is its business.
-        let (mut ci, mut pi, mut si) = (0usize, 0usize, 0usize);
-        let (mut ti, mut di, mut fi) = (0usize, 0usize, 0usize);
-        for (req, resp, at) in run.drain(..) {
-            let answers = match &req {
-                QueryReq::WindowConnected(q) => {
-                    QueryResp::WindowConnected(split(&ws.conn_out, &mut ci, q.len()))
-                }
-                QueryReq::PathMax(q) => QueryResp::PathMax(split(&ws.pm_out, &mut pi, q.len())),
-                QueryReq::ComponentSize(q) => {
-                    QueryResp::ComponentSize(split(&ws.cs_out, &mut si, q.len()))
-                }
-                QueryReq::PathFold { pairs, .. } => {
-                    QueryResp::PathFold(split(&ws.pf_out, &mut fi, pairs.len()))
-                }
-                QueryReq::TenantConnected { tenant, pairs } => {
-                    // Re-resolving the route is deterministic: `w` has not
-                    // changed since the merge pass (publish→retire), so each
-                    // request consumes the same cursor it fed.
-                    QueryResp::WindowConnected(match w.tenant_route(*tenant) {
-                        Some(TenantRoute::Dedicated(_)) => {
-                            split(&ws.tded_out, &mut di, pairs.len())
-                        }
-                        _ => split(&ws.tconn_out, &mut ti, pairs.len()),
-                    })
-                }
-            };
-            // Admission-to-answer latency, per kind. `at` is stamped at
-            // submission iff recording was on, so the off twin reads no clock.
+        for ((req, resp, at), (p, off)) in run.drain(..).zip(ws.slots.drain(..)) {
+            let plan = &ws.plans[p];
+            let answers = plan.out.slice(off..off + req.len());
+            let m = &obs.by_kind[plan.kind as usize];
+            m.queries.add(req.len() as u64);
+            if let Some(route) = &m.route {
+                route.add(req.len() as u64);
+            }
+            // Admission-to-answer latency. `at` is stamped at submission iff
+            // recording was on, so the off twin reads no clock.
             if let Some(at) = at {
-                let ns = at.elapsed().as_nanos() as u64;
-                match &req {
-                    QueryReq::WindowConnected(_) => obs.lat_conn.record(ns),
-                    QueryReq::PathMax(_) => obs.lat_pm.record(ns),
-                    QueryReq::ComponentSize(_) => obs.lat_cs.record(ns),
-                    QueryReq::TenantConnected { .. } => obs.lat_tenant.record(ns),
-                    QueryReq::PathFold { .. } => obs.lat_pf.record(ns),
-                }
+                m.answer_ns.record(at.elapsed().as_nanos() as u64);
             }
             let _ = resp.send(Answered {
                 generation,
@@ -829,54 +729,12 @@ impl<W: ServeWindow> Core<W> {
     }
 }
 
-/// The next `len` answers of a merged answer buffer, advancing `cursor`.
-fn split<T: Clone>(out: &[T], cursor: &mut usize, len: usize) -> Vec<T> {
-    *cursor += len;
-    out[*cursor - len..*cursor].to_vec()
-}
-
-/// Cuts one plan into contiguous ranges and hands them to the pool
-/// round-robin. Returns the number of tasks *accepted* — a range refused
-/// by a dead worker sets `dead` instead of counting, because no
-/// [`Partial`] will ever arrive for it; the caller joins only on accepted
-/// tasks and then fails stop. Dispatching must keep going past a dead
-/// worker (rather than panicking on the spot) because the snapshot is
-/// already published: unwinding before the join barrier would drop the
-/// structure while live readers still borrow it.
-fn fan_out<W: ServeWindow>(
-    pool: &mut ReaderPool<W>,
-    snap: Snapshot<W>,
-    work: Work,
-    len: usize,
-    done: &Sender<Partial>,
-    dead: &mut bool,
-) -> usize {
-    if len == 0 {
-        return 0;
-    }
-    let chunk = len.div_ceil(pool.len()).max(MIN_SHARD);
-    let mut parts = 0;
-    let mut lo = 0;
-    while lo < len {
-        let hi = (lo + chunk).min(len);
-        if pool.dispatch(ServeTask {
-            snap,
-            work: work.clone(),
-            range: lo..hi,
-            done: done.clone(),
-        }) {
-            parts += 1;
-        } else {
-            *dead = true;
-        }
-        lo = hi;
-    }
-    parts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::QueryResp;
+    use bimst_primitives::{FoldKind, FoldValue};
+    use bimst_query::WindowConnectivity;
     use bimst_sliding::SwConnEager;
 
     /// The group-commit step, driven with a deterministic backlog (the
@@ -1094,16 +952,21 @@ mod tests {
     }
 
     /// The serve path over a `TenantSet`, driven directly with a run that
-    /// mixes shared-routed and dedicated-routed tenant batches with plain
-    /// window queries: every split answer must match the sequentially
-    /// queried structure.
+    /// mixes shared-routed and dedicated-routed tenant batches (several
+    /// dedicated tenants, so their plans splice side by side), plain
+    /// window queries and folds of two kinds: every split answer must
+    /// match the sequentially queried structure.
     #[test]
     fn serve_splits_mixed_tenant_runs() {
+        use bimst_primitives::{Hops, MaxW, MinW, Pair, WKey};
         use bimst_sliding::{TenantConfig, TenantSet, TenantSpec};
         let specs = [
             TenantSpec { id: 3, window: 32 },
+            TenantSpec { id: 5, window: 16 },
+            // Windows below 32/4 get dedicated structures.
             TenantSpec { id: 7, window: 6 },
-            TenantSpec { id: 9, window: 2 }, // dedicated under fraction 1/4
+            TenantSpec { id: 9, window: 2 },
+            TenantSpec { id: 11, window: 3 },
         ];
         let mut w = TenantSet::new(
             12,
@@ -1115,6 +978,9 @@ mod tests {
         );
         w.batch_insert(&[(0, 1), (1, 2), (4, 5), (5, 6), (2, 3)]);
         w.batch_expire(2);
+        for t in [7, 9, 11] {
+            assert!(matches!(w.tenant_route(t), Some(TenantRoute::Dedicated(_))));
+        }
 
         let pairs: Vec<(u32, u32)> = vec![(0, 2), (0, 3), (4, 6), (1, 3), (5, 5)];
         let mut core = Core::new(w, 4, 2, bimst_obs::Recorder::new());
@@ -1127,6 +993,20 @@ mod tests {
             })
             .collect();
         reqs.push(QueryReq::WindowConnected(pairs.clone()));
+        reqs.push(QueryReq::PathFold {
+            kind: FoldKind::Hops,
+            pairs: pairs.clone(),
+        });
+        // A dedicated tenant again after the folds: its plan offset is
+        // not the start of its plan.
+        reqs.push(QueryReq::TenantConnected {
+            tenant: 9,
+            pairs: pairs[1..].to_vec(),
+        });
+        reqs.push(QueryReq::PathFold {
+            kind: FoldKind::Min,
+            pairs: pairs[..3].to_vec(),
+        });
         for req in &reqs {
             let (tx, rx) = channel();
             core.run.push((req.clone(), tx, None));
@@ -1136,53 +1016,89 @@ mod tests {
 
         let w = &core.w;
         let answers: Vec<Answered> = rxs.into_iter().map(|rx| rx.recv().unwrap()).collect();
+        let conn = |tenant: u32, qs: &[(u32, u32)]| -> Vec<bool> {
+            qs.iter()
+                .map(|&(u, v)| w.is_connected(tenant, u, v))
+                .collect()
+        };
         for (i, s) in specs.iter().enumerate() {
-            let want: Vec<bool> = pairs
-                .iter()
-                .map(|&(u, v)| w.is_connected(s.id, u, v))
-                .collect();
-            assert_eq!(
-                answers[i].resp,
-                QueryResp::WindowConnected(want),
-                "tenant {}",
-                s.id
-            );
+            let want = QueryResp::WindowConnected(conn(s.id, &pairs));
+            assert_eq!(answers[i].resp, want, "tenant {}", s.id);
         }
+        let shared = w.shared();
         let want: Vec<bool> = pairs
             .iter()
-            .map(|&(u, v)| w.shared().is_connected(u, v))
+            .map(|&(u, v)| shared.is_connected(u, v))
             .collect();
-        assert_eq!(answers[3].resp, QueryResp::WindowConnected(want));
+        assert_eq!(answers[5].resp, QueryResp::WindowConnected(want));
+        // Folds answer at the shared structure's window: on a lazy window
+        // the path's heaviest (oldest) edge must be unexpired.
+        let start = shared.window_start();
+        let fold = |kind: FoldKind, qs: &[(u32, u32)]| -> Vec<Option<FoldValue>> {
+            let msf = shared.msf();
+            let live = |mk: &WKey| mk.id >= start;
+            qs.iter()
+                .map(|&(u, v)| match kind {
+                    FoldKind::Hops => msf
+                        .path_fold::<Pair<MaxW, Hops>>(u, v)
+                        .filter(|(mk, _)| live(mk))
+                        .map(|(_, h)| FoldValue::Hops(h)),
+                    _ => msf
+                        .path_fold::<Pair<MaxW, MinW>>(u, v)
+                        .filter(|(mk, _)| live(mk))
+                        .map(|(_, k)| FoldValue::Key(k)),
+                })
+                .collect()
+        };
+        assert_eq!(
+            answers[6].resp,
+            QueryResp::PathFold(fold(FoldKind::Hops, &pairs))
+        );
+        assert_eq!(
+            answers[7].resp,
+            QueryResp::WindowConnected(conn(9, &pairs[1..]))
+        );
+        assert_eq!(
+            answers[8].resp,
+            QueryResp::PathFold(fold(FoldKind::Min, &pairs[..3]))
+        );
+        // Route counters: tenants 3 and 5 are shared-routed, 7, 9 (twice)
+        // and 11 dedicated; both routes count as tenant-kind queries.
+        let snap = core.metrics();
+        let count = |name| snap.counter(name);
+        assert_eq!(count("service_tenant_shared_queries"), Some(10));
+        assert_eq!(count("service_tenant_dedicated_queries"), Some(19));
+        assert_eq!(count("service_queries_tenant_connected"), Some(29));
         core.shutdown();
     }
 
-    /// The serve path's merged-plan/answer buffers must reach a capacity
-    /// plateau and stay there: after a warmup dispatch at each run shape,
-    /// repeated same-shape generations reclaim every buffer through the
-    /// post-join `Arc` round-trip instead of reallocating (the ROADMAP's
-    /// "serve path still allocates per dispatch" lever, closed). Styled
-    /// after `scratch_steady_state.rs` on the write path.
-    #[test]
-    fn serve_scratch_steady_state() {
-        let mut w = SwConnEager::new(300, 9);
-        let ring: Vec<(u32, u32)> = (0..299).map(|v| (v, v + 1)).collect();
-        w.batch_insert(&ring);
-        w.batch_expire(20);
+    /// Combined buffer capacity of the serve scratch, in elements: the
+    /// steady-state metric `serve_scratch_steady_state` pins.
+    fn high_water(ws: &ServeScratch) -> usize {
+        let plans = ws.plans.iter().map(|w| {
+            let out = match &w.out {
+                QueryResp::WindowConnected(a) => a.capacity(),
+                QueryResp::PathMax(a) => a.capacity(),
+                QueryResp::ComponentSize(a) => a.capacity(),
+                QueryResp::PathFold(a) => a.capacity(),
+            };
+            w.pairs.capacity()
+                + w.verts.capacity()
+                + w.cutoffs.capacity()
+                + w.folds.capacity()
+                + out
+        });
+        plans.sum::<usize>() + ws.plans.capacity() + ws.slots.capacity() + ws.parts.capacity()
+    }
 
-        let mut core = Core::new(w, 0, 3, bimst_obs::Recorder::new());
-        let pairs: Vec<(u32, u32)> = (0..400u32).map(|i| (i % 300, (i * 11 + 5) % 300)).collect();
-        let verts: Vec<u32> = (0..250u32).map(|i| (i * 7) % 300).collect();
-
-        let dispatch = |core: &mut Core<SwConnEager>| {
+    /// Runs `reqs` through `core` for 60 generations: after the warmup
+    /// generation, no plan or answer buffer may grow.
+    fn assert_steady<W: ServeWindow>(core: &mut Core<W>, reqs: &[QueryReq]) {
+        let dispatch = |core: &mut Core<W>| {
             let mut rxs = Vec::new();
-            for req in [
-                QueryReq::WindowConnected(pairs.clone()),
-                QueryReq::PathMax(pairs[..128].to_vec()),
-                QueryReq::ComponentSize(verts.clone()),
-                QueryReq::WindowConnected(pairs[..64].to_vec()),
-            ] {
+            for req in reqs {
                 let (tx, rx) = channel();
-                core.run.push((req, tx, None));
+                core.run.push((req.clone(), tx, None));
                 rxs.push(rx);
             }
             core.serve();
@@ -1190,18 +1106,82 @@ mod tests {
                 rx.recv().expect("answer delivered");
             }
         };
-
-        dispatch(&mut core); // warmup: buffers ratchet to this run shape
-        let high_water = core.scratch.high_water();
-        assert!(high_water > 0, "scratch should be warm after a dispatch");
+        dispatch(core); // warmup: buffers ratchet to this run shape
+        let warm = high_water(&core.scratch);
+        assert!(warm > 0, "scratch should be warm after a dispatch");
         for gen in 1..60u64 {
-            dispatch(&mut core);
+            dispatch(core);
             assert_eq!(
-                core.scratch.high_water(),
-                high_water,
+                high_water(&core.scratch),
+                warm,
                 "serve scratch grew on steady-state dispatch {gen}"
             );
         }
+    }
+
+    /// The serve path's merged-plan/answer buffers must reach a capacity
+    /// plateau and stay there: after a warmup dispatch at each run shape,
+    /// repeated same-shape generations reclaim every buffer through the
+    /// post-join `Arc` round-trip instead of reallocating. Covers every
+    /// plan kind: folds of two kinds share one plan, and a `TenantSet`
+    /// core adds the shared-cutoff plan and a dedicated tenant's own plan.
+    /// Styled after `scratch_steady_state.rs` on the write path.
+    #[test]
+    fn serve_scratch_steady_state() {
+        use bimst_sliding::{TenantConfig, TenantSet, TenantSpec};
+        let mut w = SwConnEager::new(300, 9);
+        let ring: Vec<(u32, u32)> = (0..299).map(|v| (v, v + 1)).collect();
+        w.batch_insert(&ring);
+        w.batch_expire(20);
+
+        let pairs: Vec<(u32, u32)> = (0..400u32).map(|i| (i % 300, (i * 11 + 5) % 300)).collect();
+        let verts: Vec<u32> = (0..250u32).map(|i| (i * 7) % 300).collect();
+        let mut core = Core::new(w, 0, 3, bimst_obs::Recorder::new());
+        assert_steady(
+            &mut core,
+            &[
+                QueryReq::WindowConnected(pairs.clone()),
+                QueryReq::PathMax(pairs[..128].to_vec()),
+                QueryReq::ComponentSize(verts.clone()),
+                QueryReq::PathFold {
+                    kind: FoldKind::Sum,
+                    pairs: pairs[..200].to_vec(),
+                },
+                QueryReq::WindowConnected(pairs[..64].to_vec()),
+                QueryReq::PathFold {
+                    kind: FoldKind::Hops,
+                    pairs: pairs[100..].to_vec(),
+                },
+            ],
+        );
+        core.shutdown();
+
+        let specs = [
+            TenantSpec { id: 1, window: 200 },
+            TenantSpec { id: 2, window: 10 }, // dedicated under fraction 1/4
+        ];
+        let tcfg = TenantConfig {
+            dedicated_fraction: 1.0 / 4.0,
+        };
+        let mut w = TenantSet::new(300, 9, &specs, tcfg);
+        w.batch_insert(&ring);
+        w.batch_expire(20);
+        assert!(matches!(w.tenant_route(2), Some(TenantRoute::Dedicated(_))));
+        let mut core = Core::new(w, 0, 3, bimst_obs::Recorder::new());
+        let tenant = |tenant, pairs: &[(u32, u32)]| QueryReq::TenantConnected {
+            tenant,
+            pairs: pairs.to_vec(),
+        };
+        assert_steady(
+            &mut core,
+            &[
+                tenant(1, &pairs),
+                tenant(2, &pairs[..300]),
+                QueryReq::WindowConnected(pairs[..100].to_vec()),
+                tenant(2, &pairs[..50]),
+                tenant(1, &pairs[..70]),
+            ],
+        );
         core.shutdown();
     }
 }

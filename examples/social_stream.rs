@@ -38,11 +38,10 @@ use bimst_sliding::{TenantConfig, TenantSpec};
 /// `required` metric present, and every Prometheus line must be a
 /// comment or a `bimst_`-prefixed sample. The CI smoke run leans on
 /// these asserts: a rename or a malformed export fails the example, not
-/// just a dashboard somewhere. With the `obs` feature compiled off the
-/// snapshot is empty and the digest says so.
+/// just a dashboard somewhere.
 fn report_metrics(phase: &str, snap: &bimst_obs::Snapshot, required: &[&str]) {
     if !bimst_obs::enabled() {
-        println!("\n[{phase}] metrics: obs compiled out");
+        println!("\n[{phase}] metrics: recording disabled");
         return;
     }
     let json = snap.to_json();

@@ -110,7 +110,5 @@ pub use bimst_graphgen as graphgen;
 
 /// Metrics and tracing: recorders, counters, histograms, span timers,
 /// JSON / Prometheus snapshot export (re-export of `bimst-obs`). Every
-/// layer above records into this subsystem when the default `obs`
-/// feature is on; with `--no-default-features` the same API compiles to
-/// nothing.
+/// layer above records into this subsystem.
 pub use bimst_obs as obs;

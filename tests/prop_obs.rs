@@ -11,8 +11,10 @@
 //!   commits) == `service_generation` (the writer's generation gauge) ==
 //!   `wal_records_appended` (one WAL record per applied group — ISSUE 7's
 //!   invariant, now pinned through the metrics path too).
-//! * **Per-kind admission totals**: `service_queries_*` == the number of
-//!   individual queries submitted per kind, and
+//! * **Per-kind admission totals**: `service_queries_<kind>` == the number
+//!   of individual queries submitted per kind, the `count` of the
+//!   `service_answer_ns_<kind>` latency histogram == the number of batches
+//!   submitted per kind (one admission-to-answer sample per batch), and
 //!   `service_ops_insert + service_ops_expire` == the number of write ops
 //!   submitted (group commit merges *groups*, never drops ops).
 //! * **Tenant routing totals**: `service_tenant_shared_queries +
@@ -43,31 +45,65 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Per request kind: its admission counter and its admission-to-answer
+/// latency histogram, by exported name.
+const KIND_METRICS: [(&str, &str); 5] = [
+    (
+        "service_queries_window_connected",
+        "service_answer_ns_window_connected",
+    ),
+    ("service_queries_path_max", "service_answer_ns_path_max"),
+    (
+        "service_queries_component_size",
+        "service_answer_ns_component_size",
+    ),
+    (
+        "service_queries_tenant_connected",
+        "service_answer_ns_tenant_connected",
+    ),
+    ("service_queries_path_fold", "service_answer_ns_path_fold"),
+];
+
 /// Oracle counts tracked on the submitting side, incremented only for
 /// ops the service actually acked.
 #[derive(Default)]
 struct Oracle {
     write_ops: u64,
-    conn: u64,
-    pm: u64,
-    cs: u64,
-    tenant: u64,
-    pf: u64,
+    /// Queries submitted per kind, indexed like [`KIND_METRICS`].
+    queries: [u64; 5],
+    /// Batches submitted per kind, indexed like [`KIND_METRICS`].
+    batches: [u64; 5],
 }
 
 impl Oracle {
     /// Submits one op, updates the counts, returns any query ticket.
     fn submit(&mut self, svc: &bimst_repro::service::ServiceHandle, op: Op) -> Option<QueryTicket> {
-        match &op {
-            Op::Insert(_) | Op::Expire(_) => self.write_ops += 1,
-            Op::ConnectedQueries(qs) => self.conn += qs.len() as u64,
-            Op::PathMaxQueries(qs) => self.pm += qs.len() as u64,
-            Op::ComponentSizeQueries(vs) => self.cs += vs.len() as u64,
-            Op::TenantConnectedQueries(_, qs) => self.tenant += qs.len() as u64,
-            Op::PathFoldQueries(_, qs) => self.pf += qs.len() as u64,
+        let (kind, n) = match &op {
+            Op::Insert(_) | Op::Expire(_) => {
+                self.write_ops += 1;
+                return svc.submit_op(op).expect("service alive");
+            }
+            Op::ConnectedQueries(qs) => (0, qs.len()),
+            Op::PathMaxQueries(qs) => (1, qs.len()),
+            Op::ComponentSizeQueries(vs) => (2, vs.len()),
+            Op::TenantConnectedQueries(_, qs) => (3, qs.len()),
+            Op::PathFoldQueries(_, qs) => (4, qs.len()),
             op => panic!("oracle has no count for op variant {op:?}"),
-        }
+        };
+        self.queries[kind] += n as u64;
+        self.batches[kind] += 1;
         svc.submit_op(op).expect("service alive")
+    }
+
+    /// Every kind's admission counter equals the queries submitted, and
+    /// its latency histogram holds one sample per batch submitted.
+    fn check_kinds(&self, snap: &bimst_repro::obs::Snapshot) -> Result<(), TestCaseError> {
+        for (k, (queries, answer_ns)) in KIND_METRICS.iter().enumerate() {
+            prop_assert_eq!(snap.counter(queries), Some(self.queries[k]), "{}", queries);
+            let samples = snap.histogram(answer_ns).map(|h| h.count);
+            prop_assert_eq!(samples, Some(self.batches[k]), "{}", answer_ns);
+        }
+        Ok(())
     }
 }
 
@@ -151,17 +187,9 @@ proptest! {
             oracle.write_ops
         );
         prop_assert!(groups <= oracle.write_ops, "more groups than write ops");
-        // Per-kind query counters == per-kind submitted totals.
-        prop_assert_eq!(
-            snap.counter("service_queries_window_connected"),
-            Some(oracle.conn)
-        );
-        prop_assert_eq!(snap.counter("service_queries_path_max"), Some(oracle.pm));
-        prop_assert_eq!(
-            snap.counter("service_queries_component_size"),
-            Some(oracle.cs)
-        );
-        prop_assert_eq!(snap.counter("service_queries_path_fold"), Some(oracle.pf));
+        // Per-kind query counters and latency samples == per-kind
+        // submitted totals.
+        oracle.check_kinds(&snap)?;
         svc.shutdown();
         std::fs::remove_dir_all(&dir).expect("clean WAL store");
     }
@@ -207,14 +235,11 @@ proptest! {
             t.wait().expect("service answers");
         }
 
-        prop_assert_eq!(
-            snap.counter("service_queries_tenant_connected"),
-            Some(oracle.tenant)
-        );
+        oracle.check_kinds(&snap)?;
         prop_assert_eq!(
             snap.counter("service_tenant_shared_queries").unwrap_or(0)
                 + snap.counter("service_tenant_dedicated_queries").unwrap_or(0),
-            oracle.tenant
+            oracle.queries[3]
         );
         // The TenantSet's own recorder folds into the snapshot: the
         // cutoff-lag histogram saw one sample per tenant per write.

@@ -215,9 +215,7 @@ proptest! {
             let got_conn = q.batch_window_connected(&lazy, &pairs);
             let got_at = q.batch_connected_at(&lazy, &pairs, &cutoffs);
             let got_fold = q.batch_path_fold::<MaxW>(h, &pairs);
-            if cfg!(feature = "obs") {
-                prop_assert_eq!(linear.get() - before, 4, "every batch on the linear plan");
-            }
+            prop_assert_eq!(linear.get() - before, 4, "every batch on the linear plan");
             let edges: Vec<(u32, u32, WKey)> =
                 msf.iter_msf_edges().map(|(_, u, v, k)| (u, v, k)).collect();
             let pm = ForestPathMax::new(n, &edges);
