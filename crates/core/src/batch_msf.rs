@@ -202,8 +202,9 @@ impl BatchMsf {
     ///   with its stored endpoints ([`edge_info`](Self::edge_info)), a
     ///   second `path_max` orients it, and the two subsegments recurse on
     ///   an explicit stack. `O(|path| lg n)` expected — per-query cost;
-    ///   `bimst-query` batches large fold workloads through a static
-    ///   `ForestPathFold` oracle instead.
+    ///   `bimst-query` answers large fold batches with one offline
+    ///   path-fold sweep over the forest (`bimst_msf::OfflinePathFold`),
+    ///   or peels each shared compressed-path-tree segment once.
     pub fn path_fold<M: PathMonoid>(&self, u: VertexId, v: VertexId) -> Option<M::Value> {
         if M::MAX_SUMMARY {
             return path_max(&self.forest, u, v).map(M::summarize);

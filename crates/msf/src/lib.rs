@@ -21,11 +21,14 @@
 //!
 //! [`verify::ForestPathFold`] supports F-light/F-heavy filtering (the KKT
 //! verification step, via its [`verify::ForestPathMax`] instantiation) and
-//! doubles as the `O(lg n)` static path-fold oracle the query engine and
-//! test suites use for arbitrary [`bimst_primitives::monoid::PathMonoid`]
-//! statistics. [`offline::KruskalPathMax`] answers a whole batch of
-//! path-max queries in one Kruskal-order union pass, with no per-query
-//! tree walk — the query engine's plan for batches that cover the forest.
+//! doubles as the `O(lg n)` static path-fold oracle the query engine (over
+//! compressed path trees) and test suites use for arbitrary
+//! [`bimst_primitives::monoid::PathMonoid`] statistics. The [`offline`]
+//! passes answer a whole batch with no per-query tree walk — the query
+//! engine's plans for batches that cover the forest:
+//! [`offline::KruskalPathMax`] for path-max in one Kruskal-order union
+//! pass, [`offline::OfflinePathFold`] for any other fold in one offline
+//! path-evaluation sweep.
 
 pub mod boruvka;
 pub mod kkt;
@@ -36,7 +39,7 @@ pub mod verify;
 pub use boruvka::{boruvka, boruvka_with, BoruvkaScratch};
 pub use kkt::kkt_msf;
 pub use kruskal::{kruskal, kruskal_with};
-pub use offline::KruskalPathMax;
+pub use offline::{KruskalPathMax, OfflinePathFold};
 pub use verify::{ForestPathFold, ForestPathMax};
 
 use bimst_primitives::WKey;

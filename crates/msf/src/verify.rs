@@ -5,10 +5,11 @@
 //! With `M = MaxW` ([`ForestPathMax`]) this is the verification step of the
 //! KKT sampling algorithm: an edge heavier than the path maximum between
 //! its endpoints in the sample MSF (an *F-heavy* edge) cannot be in the
-//! full MSF and is filtered out. The generic [`ForestPathFold`] is the
-//! batch backend for the non-max fold kinds (`MinW`/`SumW`/`Hops`) in
-//! `bimst-query`: one build over the MSF edge list, `O(lg n)` per query,
-//! fully monomorphized per monoid.
+//! full MSF and is filtered out. The generic [`ForestPathFold`] combines
+//! the segment folds of a compressed path tree in `bimst-query`'s CPT fold
+//! plan (via [`ForestPathFold::from_values`]) and is the test suites'
+//! independent fold oracle; batches that cover the whole forest take
+//! [`crate::OfflinePathFold`] instead, which needs no `O(n lg n)` tables.
 
 use bimst_primitives::monoid::{MaxW, PathMonoid};
 

@@ -19,9 +19,10 @@
 //! today's `path_max` code, bit for bit. Folds that genuinely need every
 //! path edge ([`MinW`], [`SumW`], [`Hops`]) are answered from the stored
 //! forest instead: per query by peeling the path around its heaviest edge
-//! (repeated 2-mark CPTs), or per batch by a static
-//! `ForestPathFold<M>` binary-lifting oracle over the MSF edge list (see
-//! `bimst-msf` and `bimst-query` for the plan selection).
+//! (repeated 2-mark CPTs); per batch either by one offline path-fold pass
+//! over the whole MSF edge list (`OfflinePathFold` in `bimst-msf`, for
+//! batches that cover the forest) or by folding each segment of a shared
+//! compressed path tree once (see `bimst-query` for the plan selection).
 //!
 //! Instances compose: [`Pair<A, B>`] folds two monoids in one walk and is
 //! `MAX_SUMMARY` exactly when both components are. The query layer uses
@@ -40,10 +41,12 @@ use crate::VertexId;
 /// * `IDENTITY` is a two-sided identity of `combine`;
 /// * `lift` depends only on its arguments (pure).
 ///
-/// All provided instances are also commutative, which the shared-work batch
-/// plans exploit; a non-commutative instance would still be folded in path
-/// order by the per-query peel, but the binary-lifting oracle ascends both
-/// endpoints' sides independently, so stick to commutative instances.
+/// The batch plans also need `combine` to be **commutative**: they fold
+/// each endpoint's half-path up to the LCA independently and combine the
+/// two halves there, so the second half enters in reverse path order. All
+/// provided instances are commutative (pinned by a test below); a
+/// non-commutative instance would still be folded in path order by the
+/// per-query peel, but not by the batch plans.
 pub trait PathMonoid {
     /// The fold's carrier type.
     type Value: Copy + Send + Sync + PartialEq + std::fmt::Debug;
@@ -130,9 +133,12 @@ impl PathMonoid for MinW {
 
 /// Weight sum — additive routing cost along the path.
 ///
-/// `f64` addition is only associative up to rounding; all committed oracles
-/// drive it with integer-valued weights (recency weights are `-τ`), where
-/// every association order yields the identical bit pattern.
+/// `f64` addition is only associative up to rounding, and each plan
+/// associates it differently: the per-query peel edge by edge in path
+/// order, the shared-CPT batch plan segment by segment, and the offline
+/// batch plan in path-compression order. All committed oracles drive it
+/// with integer-valued weights (recency weights are `-τ`), where every
+/// association order yields the identical bit pattern.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SumW;
 
@@ -296,6 +302,39 @@ mod tests {
         // instantiation to stay bit-identical.
         assert_eq!(MaxW::IDENTITY, WKey::phantom());
         assert!(MaxW::IDENTITY.is_phantom());
+    }
+
+    /// `combine(a, b) == combine(b, a)` over every pair of `vals`.
+    fn assert_commutes<M: PathMonoid>(vals: &[M::Value]) {
+        for &a in vals {
+            for &b in vals {
+                assert_eq!(M::combine(a, b), M::combine(b, a), "{a:?} · {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn instances_are_commutative() {
+        // Ties on weight with distinct ids, signed zeros, infinities and
+        // both identities.
+        let keys = [
+            WKey::new(1.0, 3),
+            WKey::new(1.0, 4),
+            WKey::new(-2.5, 0),
+            WKey::new(0.0, 1),
+            WKey::new(-0.0, 2),
+            WKey::new(f64::INFINITY, 9),
+            MaxW::IDENTITY,
+            MinW::IDENTITY,
+        ];
+        assert_commutes::<MaxW>(&keys);
+        assert_commutes::<MinW>(&keys);
+        assert_commutes::<SumW>(&[0.0, -0.0, 1.0, -7.0, 2.5, 1e300, f64::INFINITY]);
+        assert_commutes::<Hops>(&[0, 1, 2, 41, u64::MAX / 2]);
+        let pairs: Vec<(WKey, u64)> = keys.into_iter().zip([0, 1, 2, 3, 5, 8, 13, 21]).collect();
+        assert_commutes::<Pair<MaxW, Hops>>(&pairs);
+        let mixed: Vec<(WKey, WKey)> = keys.into_iter().zip(keys.into_iter().rev()).collect();
+        assert_commutes::<Pair<MinW, MaxW>>(&mixed);
     }
 
     #[test]

@@ -21,29 +21,41 @@
 //!   (Theorem 3.1), so a single `O(ℓ lg(1 + n/ℓ))` expansion plus a static
 //!   [`ForestPathMax`] oracle replaces `ℓ` independent 2-mark CPT walks.
 //!   This is the paper's own structure doing double duty as a query
-//!   accelerator. The same chunking serves arbitrary
-//!   [`PathMonoid`] folds ([`QueryBatch::batch_path_fold`]): the CPT also
-//!   preserves the path *decomposition*, so non-max monoids fold each
-//!   compressed segment once and combine segments with a generic
-//!   [`ForestPathFold`] oracle.
+//!   accelerator. The same chunking serves [`PathMonoid`] folds
+//!   ([`QueryBatch::batch_path_fold`]) on batches the linear rule below
+//!   rejects: the CPT also preserves the path *decomposition*, so non-max
+//!   monoids fold each compressed segment once and combine segments with
+//!   a generic [`ForestPathFold`] oracle.
 //! * **A linear plan for batches that cover the forest.** The CPT bound
 //!   `O(m lg(1 + n/m))` for `m` marks is `Θ(n)` once a batch's endpoints
 //!   cover the forest, and then one pass over the whole forest is cheaper
-//!   than a CPT per chunk. Every max-summary batch (path-max, lazy window
-//!   connectivity, `MaxW` folds, tenant cutoffs) of `q ≥ 16` queries with
-//!   `n ≤ 8 · m · lg(1 + n/m)` for `m = 2q` is answered by one union pass
-//!   over the MSF's real edges in key order ([`KruskalPathMax`]): the
-//!   heaviest edge of a path is the union that first connects its
-//!   endpoints. After an `O(n)` radix sort the pass costs
-//!   `O(n α(n) + q lg q)`, so where the rule selects it the work stays
-//!   within a constant of the CPT bound. The constant 8 is the measured
-//!   single-thread crossover (2-core VM): the two plans cost the same at
+//!   than a CPT per chunk. Every batch of `q ≥ 16` queries with
+//!   `n ≤ 8 · m · lg(1 + n/m)` for `m = 2q` takes a linear pass over the
+//!   MSF's real edges, whatever its monoid:
+//!   - max-summary batches (path-max, lazy window connectivity, `MaxW`
+//!     folds, tenant cutoffs) take one union pass in key order
+//!     ([`KruskalPathMax`]): the heaviest edge of a path is the union that
+//!     first connects its endpoints. After an `O(n)` radix sort it costs
+//!     `O(n α(n) + q lg q)`;
+//!   - every other fold takes one offline path-fold sweep
+//!     ([`OfflinePathFold`], Tarjan's offline path evaluation): each query
+//!     is resolved at its LCA from two union-find evaluations whose links
+//!     carry `Pair<MaxW, M>` folds. It costs about 1.5–2× the union pass.
+//!
+//!   Where the rule selects them, the work stays within a constant of the
+//!   CPT bound. The constant 8 is the measured single-thread crossover of
+//!   the max plans (2-core VM): the two cost the same at
 //!   `n / (m lg(1 + n/m))` ≈ 6–10 on random-weight forests
 //!   (`n` = 2¹⁰…2¹⁸) and ≈ 10–14 on lazy sliding windows with recency
-//!   weights (`n` = 2¹⁰…2¹⁶). At `n` = 2¹⁴ with 1024-pair batches the pass
-//!   is ~4× cheaper (4.2–4.7 ms → 1.0–1.2 ms); at `n` = 2¹⁶ with 16-pair
-//!   batches it would be 11–17× dearer, so those keep the CPT plan. The
-//!   pass is sequential: it wins on work, not span.
+//!   weights (`n` = 2¹⁰…2¹⁶). At `n` = 2¹⁴ with 1024-pair batches the
+//!   union pass is ~4× cheaper (4.2–4.7 ms → 1.0–1.2 ms); at `n` = 2¹⁶
+//!   with 16-pair batches it would be 11–17× dearer, so those keep the CPT
+//!   plan. The same rule is safe for folds: the CPT fold plan costs ~50×
+//!   the CPT max plan (it peels every segment), the fold sweep 1.5–2× the
+//!   union pass, so wherever the rule picks the linear plan it is the
+//!   cheaper fold plan too (~50× at `n` = 2¹⁴ with 1024-pair lazy-window
+//!   batches: 90–120 ms → 1.5–2.5 ms). Both passes are sequential: they
+//!   win on work, not span.
 //! * **Snapshot consistency without cloning.** [`ReadHandle`] is a shared
 //!   borrow of the structure: while any handle is live the borrow checker
 //!   rules out `batch_insert`, so every query in a batch — across all
@@ -82,7 +94,7 @@
 
 use bimst_core::cpt::{compressed_path_tree_with, CptScratch};
 use bimst_core::{BatchMsf, Cpt};
-use bimst_msf::{ForestPathFold, ForestPathMax, KruskalPathMax};
+use bimst_msf::{ForestPathFold, ForestPathMax, KruskalPathMax, OfflinePathFold};
 use bimst_primitives::monoid::{MaxW, Pair, PathMonoid};
 use bimst_primitives::{par, FxHashMap, VertexId, WKey, GRAIN};
 use bimst_rctree::{ClusterId, RcForest};
@@ -468,8 +480,9 @@ struct QueryObs {
     /// `query_pathmax_chunks`: CPT chunks built by the path-max and fold
     /// plans (the linear plan builds none).
     pathmax_chunks: bimst_obs::Counter,
-    /// `query_plan_linear`: max-summary batches answered by the linear
-    /// Kruskal-order plan.
+    /// `query_plan_linear`: batches answered by a linear plan — the
+    /// Kruskal-order pass for max-summary batches, the offline path-fold
+    /// pass for every other fold.
     plan_linear: bimst_obs::Counter,
 }
 
@@ -492,13 +505,15 @@ fn qobs() -> &'static QueryObs {
 ///
 /// Owns the intermediates the batch plans reuse — the sorted
 /// distinct-vertex list, the parallel root array, one CPT workspace per
-/// path chunk, and the linear path-max plan's buffers. Steady-state
+/// path chunk, and the two linear passes' buffers. Steady-state
 /// connectivity-style batches allocate only their output vectors
 /// (mirroring the write path's scratch discipline). The CPT path-max plan
 /// additionally builds a fresh per-chunk
 /// [`ForestPathMax`] oracle (binary-lifting tables sized by the chunk, not
-/// the structure); the linear plan reuses its sort, union-find and list
-/// buffers and allocates nothing at steady state.
+/// the structure); the linear path-max plan reuses its sort, union-find
+/// and list buffers and allocates nothing at steady state; the linear fold
+/// plan reuses its untyped buffers and allocates only its `M`-typed
+/// per-vertex fold buffer.
 /// The `*_into` variants write answers into a caller-provided buffer, so a
 /// serving loop that also reuses its output vectors allocates nothing per
 /// batch at steady state. One `QueryBatch` serves one thread of control;
@@ -518,6 +533,9 @@ pub struct QueryBatch {
     /// Sort, union-find and pending-list buffers of the linear path-max
     /// plan.
     linear: KruskalPathMax,
+    /// Adjacency, sweep, union-find and list buffers of the linear fold
+    /// plan.
+    fold: OfflinePathFold,
 }
 
 impl QueryBatch {
@@ -689,11 +707,12 @@ impl QueryBatch {
         }
     }
 
-    /// Whether the linear Kruskal-order pass beats the chunked CPT plan on
-    /// a batch of `nqueries` over `n` vertices: the CPT plan's
+    /// Whether a linear pass (Kruskal-order for max-summary batches, the
+    /// offline path-fold sweep for other folds) beats the chunked CPT plan
+    /// on a batch of `nqueries` over `n` vertices: the CPT plan's
     /// `O(m lg(1 + n/m))` for `m = 2·nqueries` marks reaches the pass's
     /// `O(n)` once the marks cover the forest (see [`LINEAR_C`]). Batches
-    /// below [`SHARED_CPT_MIN`] keep the per-query walks.
+    /// below [`SHARED_CPT_MIN`] keep the per-query walks and peels.
     fn use_linear(n: usize, nqueries: usize) -> bool {
         if nqueries < SHARED_CPT_MIN {
             return false;
@@ -768,9 +787,11 @@ impl QueryBatch {
     /// Max-summary monoids ([`PathMonoid::MAX_SUMMARY`]) are answered by
     /// the path-max plan (linear or shared-CPT) plus
     /// [`PathMonoid::summarize`] — for [`MaxW`] that monomorphizes to
-    /// exactly the path-max plan. Other monoids run the CPT chunking
-    /// through [`PathChunkScratch::run_fold`], which peels each CPT segment once
-    /// and combines per query with a `Pair<MaxW, M>` oracle.
+    /// exactly the path-max plan. Other monoids take the same plan rule
+    /// ([`QueryBatch::use_linear`]): batches that cover the forest take the
+    /// offline path-fold pass ([`QueryBatch::linear_fold_into`]), the rest
+    /// the CPT chunking ([`QueryBatch::cpt_fold_into`]). Both fold
+    /// `Pair<MaxW, M>`, whose max half is the recency witness.
     fn fold_core<M: PathMonoid>(
         &mut self,
         h: ReadHandle<'_>,
@@ -790,7 +811,47 @@ impl QueryBatch {
             self.pm_buf = pm;
             return;
         }
-        qobs().batch_size.record(queries.len() as u64);
+        let o = qobs();
+        o.batch_size.record(queries.len() as u64);
+        if Self::use_linear(h.msf.num_vertices(), queries.len()) {
+            o.plan_linear.inc();
+            self.linear_fold_into::<M>(h, queries, cutoffs, out);
+        } else {
+            self.cpt_fold_into::<M>(h, queries, cutoffs, out);
+        }
+    }
+
+    /// The linear fold plan: one offline path-fold pass over the MSF's
+    /// real edges ([`OfflinePathFold`]), folding `Pair<MaxW, M>` and
+    /// keeping each answer whose heaviest edge passes its cutoff.
+    fn linear_fold_into<M: PathMonoid>(
+        &mut self,
+        h: ReadHandle<'_>,
+        queries: &[(VertexId, VertexId)],
+        cutoffs: Cutoffs<'_>,
+        out: &mut Vec<Option<M::Value>>,
+    ) {
+        out.clear();
+        out.resize(queries.len(), None);
+        let edges = h.msf.iter_msf_edges().map(|(_, u, v, k)| (u, v, k));
+        self.fold
+            .run::<Pair<MaxW, M>>(h.msf.num_vertices(), edges, queries, |i, (mk, val)| {
+                if mk.id >= cutoffs.get(i) {
+                    out[i] = Some(val);
+                }
+            });
+    }
+
+    /// The shared-CPT fold plan: each [`PATH_CHUNK`] of queries is folded
+    /// by [`PathChunkScratch::run_fold`] (chunks below [`SHARED_CPT_MIN`]
+    /// peel each query).
+    fn cpt_fold_into<M: PathMonoid>(
+        &mut self,
+        h: ReadHandle<'_>,
+        queries: &[(VertexId, VertexId)],
+        cutoffs: Cutoffs<'_>,
+        out: &mut Vec<Option<M::Value>>,
+    ) {
         let msf = h.msf;
         self.par_chunks(queries, cutoffs, out, |ws, q, c, o| {
             ws.run_fold::<M>(msf, q, c, o)
@@ -802,11 +863,12 @@ impl QueryBatch {
     ///
     /// `batch_path_fold::<MaxW>` is bit-identical to
     /// [`QueryBatch::batch_path_max`]; see the private `fold_core` for
-    /// how non-max monoids share the chunked CPT plan. Caveat for
-    /// [`bimst_primitives::monoid::SumW`]: the batch plan associates `f64`
-    /// addition segment-wise, the per-query peel edge-wise, so the two can
-    /// differ by rounding unless weights are integer-valued (as all
-    /// committed oracles arrange).
+    /// how non-max monoids pick the linear or the chunked CPT plan. Caveat
+    /// for [`bimst_primitives::monoid::SumW`]: the per-query peel
+    /// associates `f64` addition edge by edge in path order, the CPT plan
+    /// segment by segment, and the linear plan in path-compression order,
+    /// so answers can differ by rounding unless weights are integer-valued
+    /// (as all committed oracles arrange).
     pub fn batch_path_fold<M: PathMonoid>(
         &mut self,
         h: ReadHandle<'_>,
@@ -1164,8 +1226,13 @@ mod tests {
     }
 
     /// Runs the linear and the chunked CPT path-max plans on one batch and
-    /// checks both against the per-query [`BatchMsf::path_max`].
+    /// checks both against the per-query [`BatchMsf::path_max`]; then does
+    /// the same for the two fold plans of `MinW`, `SumW` and `Hops`, each
+    /// under a uniform and a per-query cutoff, against the per-query
+    /// [`BatchMsf::path_fold`]. `SumW` compares exactly only on
+    /// integer-valued weights, which every fixture uses.
     fn assert_plans_agree(msf: &BatchMsf, pairs: &[(u32, u32)]) {
+        use bimst_primitives::monoid::{Hops, MinW, SumW};
         let h = ReadHandle::new(msf);
         let mut q = QueryBatch::new();
         let (mut linear, mut cpt) = (Vec::new(), Vec::new());
@@ -1174,6 +1241,40 @@ mod tests {
         let want: Vec<Option<WKey>> = pairs.iter().map(|&(u, v)| msf.path_max(u, v)).collect();
         assert_eq!(linear, want, "linear plan");
         assert_eq!(cpt, want, "CPT plan");
+        assert_fold_plans_agree::<MinW>(&mut q, msf, pairs);
+        assert_fold_plans_agree::<SumW>(&mut q, msf, pairs);
+        assert_fold_plans_agree::<Hops>(&mut q, msf, pairs);
+    }
+
+    /// The fold half of [`assert_plans_agree`] for one monoid. Cutoffs
+    /// span the forest's edge ids, so some answers pass and some do not.
+    fn assert_fold_plans_agree<M: PathMonoid>(
+        q: &mut QueryBatch,
+        msf: &BatchMsf,
+        pairs: &[(u32, u32)],
+    ) {
+        use bimst_primitives::hash::hash2;
+        let h = ReadHandle::new(msf);
+        let top = msf.iter_msf_edges().map(|(.., k)| k.id).max().unwrap_or(0);
+        let per: Vec<u64> = (0..pairs.len() as u64)
+            .map(|i| hash2(7, i) % (top + 2))
+            .collect();
+        let peeled: Vec<_> = pairs
+            .iter()
+            .map(|&(u, v)| msf.path_fold::<Pair<MaxW, M>>(u, v))
+            .collect();
+        for cut in [Cutoffs::Uniform(top / 2), Cutoffs::Per(&per)] {
+            let want: Vec<Option<M::Value>> = peeled
+                .iter()
+                .enumerate()
+                .map(|(i, p)| p.and_then(|(mk, val)| (mk.id >= cut.get(i)).then_some(val)))
+                .collect();
+            let (mut linear, mut cpt) = (Vec::new(), Vec::new());
+            q.linear_fold_into::<M>(h, pairs, cut, &mut linear);
+            q.cpt_fold_into::<M>(h, pairs, cut, &mut cpt);
+            assert_eq!(linear, want, "linear fold plan");
+            assert_eq!(cpt, want, "CPT fold plan");
+        }
     }
 
     /// Every ordered pair of `0..n`, plus `u == v`.
@@ -1188,9 +1289,15 @@ mod tests {
         // A sparse random graph: many small trees, isolated vertices, and
         // more queries than one CPT chunk holds.
         use bimst_primitives::hash::hash2;
+        // Weights are rounded to integers for the exact `SumW` check
+        // (repeats let ids break ties).
         let n = 300u32;
         let mut msf = BatchMsf::new(n as usize, 5);
-        msf.batch_insert(&bimst_graphgen::erdos_renyi(n, 200, 8));
+        let edges: Vec<(u32, u32, f64, u64)> = bimst_graphgen::erdos_renyi(n, 200, 8)
+            .into_iter()
+            .map(|(u, v, w, id)| (u, v, (w * 64.0).floor(), id))
+            .collect();
+        msf.batch_insert(&edges);
         assert!(msf.num_components() > 50);
         let pairs: Vec<(u32, u32)> = (0..3 * PATH_CHUNK as u64)
             .map(|i| {
@@ -1241,6 +1348,10 @@ mod tests {
         assert!(!QueryBatch::use_linear(1 << 20, 1));
         // The n = 1M mixed-workload rows, up to 4096-query batches.
         assert!(!QueryBatch::use_linear(1_000_000, 4096));
+        // The CI mixed-workload smoke at n = 50 000: qbatch 4096 takes the
+        // linear plans, qbatch 64 the shared CPTs.
+        assert!(QueryBatch::use_linear(50_000, 4096));
+        assert!(!QueryBatch::use_linear(50_000, 64));
         // Below SHARED_CPT_MIN the per-query walks stay, however small n.
         assert!(!QueryBatch::use_linear(8, SHARED_CPT_MIN - 1));
         assert!(QueryBatch::use_linear(8, SHARED_CPT_MIN));
@@ -1249,6 +1360,7 @@ mod tests {
     #[test]
     fn linear_plan_scratch_is_flat_at_steady_state() {
         use bimst_primitives::hash::hash2;
+        use bimst_primitives::monoid::{Hops, MinW, SumW};
         let n = 256u32;
         let mut lazy = SwConn::new(n as usize, 4);
         let edges: Vec<(u32, u32)> = (0..600u64)
@@ -1276,18 +1388,29 @@ mod tests {
         let h = ReadHandle::new(lazy.msf());
         let mut q = QueryBatch::new();
         let (mut pm, mut conn, mut fold) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut min, mut sum, mut hops) = (Vec::new(), Vec::new(), Vec::new());
+        // Interleaved max-summary and non-max folds: the path-max pass and
+        // the fold pass each keep their untyped buffers across kinds (the
+        // fold pass's `M`-typed value buffer is its one per-batch
+        // allocation, not scratch).
         let mut serve = |q: &mut QueryBatch, seed: u64| {
             let pairs = batch(seed);
             q.batch_path_max_into(h, &pairs, &mut pm);
+            q.batch_path_fold_into::<MinW>(h, &pairs, &mut min);
             q.batch_window_connected_into(&lazy, &pairs, &mut conn);
+            q.batch_window_path_fold_into::<SumW, _>(&lazy, &pairs, &mut sum);
             q.batch_path_fold_into::<MaxW>(h, &pairs, &mut fold);
+            q.batch_path_fold_into::<Hops>(h, &pairs, &mut hops);
+        };
+        let high_water = |q: &QueryBatch| {
+            q.linear.high_water() + q.fold.high_water() + q.pm_buf.capacity() + q.path_ws.len()
         };
         serve(&mut q, 10);
-        let cap = q.linear.high_water() + q.pm_buf.capacity() + q.path_ws.len();
+        let cap = high_water(&q);
         for seed in 11..20 {
             serve(&mut q, seed);
             assert_eq!(
-                q.linear.high_water() + q.pm_buf.capacity() + q.path_ws.len(),
+                high_water(&q),
                 cap,
                 "linear-plan scratch grew on batch {seed}"
             );
@@ -1305,7 +1428,7 @@ mod tests {
         let msf = sample_msf();
         let h = ReadHandle::new(&msf);
         let mut q = QueryBatch::new();
-        // 64 queries: one chunk over the shared-CPT fold plan.
+        // 64 queries over 8 vertices: the linear fold plan.
         let pairs: Vec<(u32, u32)> = (0..8u32)
             .flat_map(|u| (0..8u32).map(move |v| (u, v)))
             .collect();

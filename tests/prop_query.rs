@@ -13,15 +13,16 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use bimst_core::BatchMsf;
 use bimst_msf::ForestPathMax;
-use bimst_primitives::monoid::MaxW;
+use bimst_primitives::monoid::{Hops, MaxW, MinW, Pair};
 use bimst_primitives::WKey;
 use bimst_query::{QueryBatch, ReadHandle};
 use bimst_sliding::{SwConn, SwConnEager};
 use proptest::prelude::*;
 
 /// Serializes this file's tests: `linear_plan_batches_match_loops_and_oracle`
-/// counts its plans on the process-wide `query_plan_linear` counter, which
-/// every batch in this binary may bump.
+/// and `linear_fold_batches_match_loops` count their plans on the
+/// process-wide `query_plan_linear` and `query_pathmax_chunks` counters,
+/// which every batch in this binary may bump.
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(PoisonError::into_inner)
@@ -226,6 +227,63 @@ proptest! {
                 let at = u == v || pm.query(u, v).is_some_and(|k| k.id >= cutoffs[i]);
                 prop_assert_eq!(got_at[i], at, "cutoff {} ({},{})", cutoffs[i], u, v);
                 prop_assert_eq!(got_fold[i], got_pm[i], "MaxW fold ({},{})", u, v);
+            }
+        }
+    }
+
+    /// Small forests under large non-max fold batches: plain `Hops` and
+    /// `MinW` folds and a cutoff `MinW` fold each take the linear fold plan
+    /// (one `query_plan_linear` count per call, no CPT chunk), and answer
+    /// exactly like the per-query loop.
+    #[test]
+    fn linear_fold_batches_match_loops(
+        script in proptest::collection::vec(
+            (proptest::collection::vec((0u32..48, 0u32..48), 0..40), 0u64..12),
+            1..6,
+        ),
+        nq in 64usize..400,
+        seed in 0u64..200,
+    ) {
+        let _serial = serial();
+        use bimst_primitives::hash::hash2;
+        let n = 48usize;
+        let mut lazy = SwConn::new(n, seed);
+        let mut q = QueryBatch::new();
+        let linear = bimst_obs::global().counter("query_plan_linear");
+        let chunks = bimst_obs::global().counter("query_pathmax_chunks");
+        for (step, (batch, expire)) in script.iter().enumerate() {
+            lazy.batch_insert(batch);
+            lazy.batch_expire(*expire);
+            let qseed = seed ^ (step as u64) << 8;
+            let pairs: Vec<(u32, u32)> = (0..nq as u64)
+                .map(|i| {
+                    (
+                        (hash2(qseed, 2 * i) % n as u64) as u32,
+                        (hash2(qseed, 2 * i + 1) % n as u64) as u32,
+                    )
+                })
+                .collect();
+            let (tw, t) = lazy.window();
+            let cutoffs: Vec<u64> = (0..nq as u64)
+                .map(|i| tw + hash2(qseed ^ 7, i) % (t - tw + 1))
+                .collect();
+            let msf = lazy.msf();
+            let h = ReadHandle::new(msf);
+            let before = (linear.get(), chunks.get());
+            let got_hops = q.batch_path_fold::<Hops>(h, &pairs);
+            prop_assert_eq!(linear.get() - before.0, 1, "Hops batch on the linear plan");
+            let got_min = q.batch_path_fold::<MinW>(h, &pairs);
+            prop_assert_eq!(linear.get() - before.0, 2, "MinW batch on the linear plan");
+            let got_at = q.batch_path_fold_at::<MinW, _>(&lazy, &pairs, &cutoffs);
+            prop_assert_eq!(linear.get() - before.0, 3, "cutoff batch on the linear plan");
+            prop_assert_eq!(chunks.get(), before.1, "no CPT chunk on the linear plan");
+            for (i, &(u, v)) in pairs.iter().enumerate() {
+                prop_assert_eq!(got_hops[i], msf.path_fold::<Hops>(u, v), "Hops ({},{})", u, v);
+                prop_assert_eq!(got_min[i], msf.path_fold::<MinW>(u, v), "MinW ({},{})", u, v);
+                let at = msf
+                    .path_fold::<Pair<MaxW, MinW>>(u, v)
+                    .and_then(|(mk, k)| (mk.id >= cutoffs[i]).then_some(k));
+                prop_assert_eq!(got_at[i], at, "cutoff {} ({},{})", cutoffs[i], u, v);
             }
         }
     }
