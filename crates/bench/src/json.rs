@@ -1,14 +1,13 @@
-//! A minimal JSON parser for the bench-artifact drift gate.
+//! A minimal JSON parser for validating exported metrics snapshots.
 //!
-//! The committed `BENCH_*.json` perf-protocol files are the repository's
-//! review contract (ROADMAP: regressions in `batch_median`/`batch_p99` are
-//! review blockers), so CI must be able to *parse* them and check their
-//! schema — a file whose required columns silently rot is worse than a
-//! missing file. The build environment is offline (no serde), hence this
-//! ~150-line recursive-descent parser: full JSON value grammar, string
-//! escapes, numbers via `f64::from_str`, byte-offset error messages. It is
-//! a validator's parser — strict (no trailing garbage, no NaN/Inf), not
-//! fast — used by `tests/bench_schema.rs`.
+//! Its caller is `examples/social_stream.rs`, which round-trips every
+//! `bimst_obs::Snapshot::to_json` export through [`parse`] and checks that
+//! the required metric names are present — a malformed export or a renamed
+//! metric fails the example instead of a dashboard somewhere. The build
+//! environment is offline (no serde), hence this ~150-line
+//! recursive-descent parser: full JSON value grammar, string escapes,
+//! numbers via `f64::from_str`, byte-offset error messages. It is a
+//! validator's parser — strict (no trailing garbage, no NaN/Inf), not fast.
 
 /// A parsed JSON value. Object keys keep file order (duplicates allowed,
 /// first wins on lookup).

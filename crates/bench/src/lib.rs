@@ -1,92 +1,15 @@
 //! Shared harness for the experiment binaries and criterion benches.
 //!
-//! `DESIGN.md` §5 maps every table and figure of the paper to a binary in
-//! `src/bin/` (paper-style tables) and a criterion bench in `benches/`
-//! (statistically careful microbenchmarks); `EXPERIMENTS.md` records the
-//! outcomes. This module holds the small amount of code they share:
-//! wall-clock measurement with warmup, and fixed-width table printing.
+//! The README's "Reproducing the paper" table maps every table and
+//! experiment of the paper to a binary in `src/bin/` (paper-style tables)
+//! or a criterion bench in `benches/` (statistically careful
+//! microbenchmarks). This module holds the small amount of code they
+//! share: wall-clock measurement with warmup, and fixed-width table
+//! printing.
 
 use std::time::Instant;
 
 pub mod json;
-
-/// Per-batch latency samples for one `(kind, engine)` cell of a JSON bench
-/// (`bench_mixed`, `bench_serve`): collects seconds-per-batch, emits one
-/// measurement row with the throughput mean plus the tail-gating
-/// `batch_median` / `batch_p99` / `batch_max` columns (the protocol of
-/// `BENCH_batch_insert.json`; see ROADMAP — tails gate, means advise).
-#[derive(Default)]
-pub struct Samples {
-    batch_ns: Vec<f64>,
-    items: usize,
-    total_secs: f64,
-}
-
-impl Samples {
-    /// Records one batch of `batch_len` items that took `secs`.
-    pub fn record(&mut self, secs: f64, batch_len: usize) {
-        self.total_secs += secs;
-        self.items += batch_len;
-        self.batch_ns.push(secs * 1e9 / batch_len.max(1) as f64);
-    }
-
-    /// Emits the cell's JSON row with query-named columns
-    /// (`queries` / `ns_per_query`); see [`Samples::row_as`].
-    pub fn row(&mut self, kind: &str, engine: &str, qbatch: usize) -> String {
-        self.row_as(kind, engine, qbatch, "queries", "ns_per_query")
-    }
-
-    /// Emits the cell's JSON row, naming the item-count and mean columns
-    /// for the cell's actual unit (`edges` / `ns_per_edge` for write
-    /// cells, `ops` / `ns_per_op` for whole-round cells) so rows cannot
-    /// contradict their file's declared units. Percentiles use a ceiling
-    /// index, like `bench_json`: with few batches a floor index reads
-    /// ~p98 and lets genuine spikes slip past the tail gate.
-    pub fn row_as(
-        &mut self,
-        kind: &str,
-        engine: &str,
-        qbatch: usize,
-        items_key: &str,
-        mean_key: &str,
-    ) -> String {
-        self.row_with(kind, engine, qbatch, items_key, mean_key, "")
-    }
-
-    /// [`Samples::row_as`] with extra JSON fields spliced in after
-    /// `qbatch` — `extra` is either empty or a fragment like
-    /// `"\"sync\": \"group_commit\", \"pair\": \"group_commit\""` (the WAL
-    /// sync-policy rows of `BENCH_serve.json`, which the schema gate keys
-    /// on).
-    pub fn row_with(
-        &mut self,
-        kind: &str,
-        engine: &str,
-        qbatch: usize,
-        items_key: &str,
-        mean_key: &str,
-        extra: &str,
-    ) -> String {
-        if self.batch_ns.is_empty() {
-            self.batch_ns.push(0.0); // all-zero row rather than a panic
-        }
-        self.batch_ns.sort_by(f64::total_cmp);
-        let pct = |q: f64| self.batch_ns[((self.batch_ns.len() - 1) as f64 * q).ceil() as usize];
-        let extra = if extra.is_empty() {
-            String::new()
-        } else {
-            format!("{extra}, ")
-        };
-        format!(
-            "{{\"kind\": \"{kind}\", \"engine\": \"{engine}\", \"qbatch\": {qbatch}, {extra}\"{items_key}\": {}, \"{mean_key}\": {:.1}, \"batch_median\": {:.1}, \"batch_p99\": {:.1}, \"batch_max\": {:.1}}}",
-            self.items,
-            self.total_secs * 1e9 / self.items.max(1) as f64,
-            pct(0.5),
-            pct(0.99),
-            self.batch_ns[self.batch_ns.len() - 1],
-        )
-    }
-}
 
 /// Median wall-clock seconds of `reps` runs of `f` (with one warmup run).
 /// `f` receives the repetition index so it can vary seeds.
@@ -101,13 +24,6 @@ pub fn median_secs<F: FnMut(usize)>(reps: usize, mut f: F) -> f64 {
         .collect();
     times.sort_by(f64::total_cmp);
     times[times.len() / 2]
-}
-
-/// Wall-clock seconds of a single run.
-pub fn time_secs<F: FnOnce()>(f: F) -> f64 {
-    let t0 = Instant::now();
-    f();
-    t0.elapsed().as_secs_f64()
 }
 
 /// Prints a fixed-width table row.

@@ -19,7 +19,7 @@
 //! *base nodes* (heads and phantoms); the final step contracts the phantom
 //! (`−∞`-keyed) edges, collapsing every spine back to its owning vertex.
 //! Phantom Steiner nodes have degree ≥ 3 in the raw tree, so the collapsed
-//! owner keeps degree ≥ 3 and no re-pruning is needed (see `DESIGN.md`).
+//! owner keeps degree ≥ 3 and no re-pruning is needed.
 
 use bimst_primitives::monoid::{MaxW, PathMonoid};
 use bimst_primitives::soa::EpochSlotMap;

@@ -1,6 +1,6 @@
 //! Random link/cut/path-max scripts against a naive forest — the link-cut
-//! tree is the benchmark baseline, so its correctness underwrites every
-//! baseline comparison in `EXPERIMENTS.md`.
+//! tree is the baseline of experiment E2 (`crossover`), so its correctness
+//! underwrites every baseline comparison there.
 
 use bimst_linkcut::LinkCutForest;
 use bimst_primitives::WKey;

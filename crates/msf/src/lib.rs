@@ -6,7 +6,7 @@
 //! \[12\] (the parallel counterpart of Karger–Klein–Tarjan \[37\]); this crate
 //! provides that ([`kkt_msf`]) along with two classical baselines used both
 //! as the default inner solver and in the ablation benchmark (experiment E5
-//! in `DESIGN.md`):
+//! in the README's "Reproducing the paper" table):
 //!
 //! * [`kruskal()`](kruskal::kruskal) — parallel sort + sequential union-find scan,
 //!   `O(m lg m)` work. The default for the inner MSF: on `O(ℓ)` edges the

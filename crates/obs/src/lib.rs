@@ -20,8 +20,8 @@
 //! Instrumentation is observe-only: handles never branch the code path that
 //! records into them, and recording uses relaxed atomics only. A process-
 //! wide runtime kill switch ([`set_enabled`]) turns every record into an
-//! early return — the bench harness uses it to produce interleaved
-//! obs-on/obs-off twin rows from a single binary. [`Snapshot`] accessors and
+//! early return, so otherwise identical runs with it on and off price
+//! recording from a single binary. [`Snapshot`] accessors and
 //! exports iterate names in sorted order, so identical recorded histories
 //! render identical output.
 //!
@@ -74,9 +74,8 @@ pub fn bucket_upper(k: usize) -> u64 {
 /// Point-in-time statistics for one histogram, derived from a [`Snapshot`].
 ///
 /// Quantiles are bucket upper bounds at the ceiling cumulative index
-/// (`⌈q·count⌉`-th recorded value), capped at the exact observed `max` — the
-/// same discipline the bench harness uses for `batch_p99`, so a `p99` here
-/// and a `batch_p99` there are comparable.
+/// (`⌈q·count⌉`-th recorded value), capped at the exact observed `max`: with
+/// few samples a floor index would read a `p99` below the worst sample.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HistStats {
     /// Number of recorded values.

@@ -11,8 +11,8 @@ use crate::{bucket_of, HistSnap, Snapshot, HIST_BUCKETS};
 
 /// Process-wide runtime kill switch. Default **on**; `set_enabled(false)`
 /// turns every record into an early return (handles stay valid, snapshots
-/// keep whatever was recorded before). The bench harness flips this to
-/// produce interleaved obs-on/obs-off twin rows from one binary.
+/// keep whatever was recorded before). Flipping it between otherwise
+/// identical runs prices recording from one binary.
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Turn recording on or off process-wide (observe-only paths unaffected:

@@ -1018,12 +1018,12 @@ impl QueryBatch {
         self.pm_buf = pm;
     }
 
-    /// Debug-asserts every caller-supplied cutoff is at or above the
-    /// window start (satisfied by construction for [`TenantSet`] cutoffs):
-    /// a stale cutoff below `TW` would silently answer from expired edges,
-    /// so it fails loudly instead.
+    /// Asserts every caller-supplied cutoff is at or above the window start
+    /// (satisfied by construction for [`TenantSet`] cutoffs): a stale
+    /// cutoff below `TW` would silently answer from expired edges, so it
+    /// fails loudly instead, in every build profile. O(q) per batch.
     fn assert_cutoffs_fresh<W: WindowConnectivity>(w: &W, cutoffs: &[u64]) {
-        debug_assert!(
+        assert!(
             cutoffs.iter().all(|&c| c >= w.window_start()),
             "stale cutoff below the window start {}",
             w.window_start()
@@ -1683,7 +1683,6 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "stale cutoff")]
-    #[cfg(debug_assertions)]
     fn stale_cutoff_fails_loudly() {
         let mut lazy = SwConn::new(4, 1);
         lazy.batch_insert(&[(0, 1), (1, 2)]);

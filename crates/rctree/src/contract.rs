@@ -80,9 +80,9 @@
 //! the round is a packed-array hit (plus one index-table probe — 8 node
 //! ids per cache line) instead of a fresh spill chase.
 //!
-//! The size gate is load-bearing, not a tuning nicety. Measured on the
-//! `BENCH_batch_insert.json` protocol, incremental batches up to ℓ=4096
-//! put ~30–170 nodes in each deep round (the frontier decays
+//! The size gate is load-bearing, not a tuning nicety. Measured on
+//! Erdős–Rényi batch-insert streams at n = 1M, incremental batches up to
+//! ℓ=4096 put ~30–170 nodes in each deep round (the frontier decays
 //! geometrically, and rows 0–1 absorb the bulk of the work), so their
 //! whole row working set is cache-resident and the pack's domain-sized
 //! index table costs one *cold* probe per touch for nothing — an ungated

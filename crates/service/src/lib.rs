@@ -58,8 +58,9 @@
 //! Pick `bimst-service` when ops originate on more than one thread or you
 //! need admission-order semantics under mixed read/write traffic; drive a
 //! raw [`bimst_query::QueryBatch`] inline when a single loop owns the
-//! structure — the service's channel hop costs ~µs per batch (see
-//! `BENCH_serve.json`, which pairs the two on the same op stream).
+//! structure — the service's channel hop costs ~µs per batch (measured
+//! against an inline engine on the same op stream; `perfbench --trace 1`
+//! reports it as `service.*_tax_us`).
 //!
 //! # Quick start
 //!

@@ -214,9 +214,9 @@ impl SwConn {
 
     /// The window's left endpoint τ — the floor every caller-supplied
     /// recency cutoff must satisfy. Query layers that accept external
-    /// cutoffs (multi-tenant serving) debug-assert `cutoff ≥
-    /// window_start_tau()`: a stale tenant cutoff below this would silently
-    /// answer from expired edges, so it must fail loudly instead.
+    /// cutoffs (multi-tenant serving) assert `cutoff ≥ window_start_tau()`:
+    /// a stale tenant cutoff below this would silently answer from expired
+    /// edges, so it must fail loudly instead.
     pub fn window_start_tau(&self) -> u64 {
         self.tw
     }

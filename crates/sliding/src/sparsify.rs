@@ -20,8 +20,9 @@
 //! The paper's constants (`253 ε⁻² lg² n` sampling, `k = O(ε⁻² lg³ n)`
 //! certificates) target the w.h.p. guarantee at asymptotic scale; they are
 //! configurable here via [`SparsifierConfig`] and default to laptop-scale
-//! values. Experiment E6 *measures* the resulting cut preservation instead
-//! of assuming it (see `EXPERIMENTS.md`).
+//! values. Experiment E6 (`sparsifier_quality`, see the README's
+//! "Reproducing the paper" table) *measures* the resulting cut
+//! preservation instead of assuming it.
 
 use bimst_primitives::hash::hash3;
 use bimst_primitives::{FxHashSet, VertexId};

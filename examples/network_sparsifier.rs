@@ -108,5 +108,5 @@ fn main() {
             cs / co.max(1.0)
         );
     }
-    println!("\n(constants are laptop-scaled; see EXPERIMENTS.md E6 for the measured quality)");
+    println!("\n(constants are laptop-scaled; `sparsifier_quality` (E6) measures the quality)");
 }

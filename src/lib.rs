@@ -2,8 +2,8 @@
 //! of every member so examples, integration tests, and downstream users can
 //! depend on one crate.
 //!
-//! See `README.md` for the tour, `DESIGN.md` for the system inventory, and
-//! `EXPERIMENTS.md` for the reproduction results.
+//! See `README.md` for the tour and its "Reproducing the paper" table for
+//! the binary behind each of the paper's experiments.
 //!
 //! ```
 //! use bimst_repro::core::BatchMsf;
