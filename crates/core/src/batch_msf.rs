@@ -34,7 +34,7 @@ use bimst_primitives::soa::{EpochSet, EpochSlotMap};
 use bimst_primitives::{EdgeId, FxHashSet, VertexId, WKey};
 use bimst_rctree::RcForest;
 
-use crate::cpt::{compressed_path_tree_with, path_max, Cpt, CptScratch};
+use crate::cpt::{compressed_path_tree_with, path_fold, Cpt, CptScratch};
 
 /// Reusable working sets of [`BatchMsf::batch_insert`] (see the module docs'
 /// *Scratch lifecycle* section).
@@ -188,63 +188,22 @@ impl BatchMsf {
     }
 
     /// Fold of a [`PathMonoid`] over the edges of the MSF path between `u`
-    /// and `v` (`None` if disconnected or equal).
+    /// and `v` (`None` if disconnected or equal): the label of the single
+    /// edge of the 2-mark fold tree ([`crate::cpt::fold_path_tree`]).
     ///
     /// Strategy, selected at compile time (no `dyn`):
     ///
-    /// * `M::MAX_SUMMARY` (e.g. [`MaxW`]) — one 2-mark compressed path
-    ///   tree; the clusters already store the heaviest boundary-path key,
-    ///   so the fold is `M::summarize` of the CPT walk's answer.
-    ///   `O(lg n)` expected.
-    /// * otherwise (e.g. `MinW`/`SumW`/`Hops`) — the clusters only store
-    ///   the max summary, so the path is **peeled around its heaviest
-    ///   edge**: `path_max` names an edge `{a, b}` on the path together
-    ///   with its stored endpoints ([`edge_info`](Self::edge_info)), a
-    ///   second `path_max` orients it, and the two subsegments recurse on
-    ///   an explicit stack. `O(|path| lg n)` expected — per-query cost;
-    ///   `bimst-query` answers large fold batches with one offline
-    ///   path-fold sweep over the forest (`bimst_msf::OfflinePathFold`),
-    ///   or peels each shared compressed-path-tree segment once.
+    /// * `M::MAX_SUMMARY` (e.g. [`MaxW`]) — the clusters already store the
+    ///   heaviest boundary-path key, so the fold is `M::summarize` of the
+    ///   CPT walk's answer. `O(lg n)` expected.
+    /// * otherwise (e.g. `MinW`/`SumW`/`Hops`) — the same walk, with the
+    ///   surviving edge's path folded by descending its clusters' edge-role
+    ///   children down to the leaf edges. `O(lg n + |path|)` expected.
+    ///   `bimst-query` answers fold batches with one shared fold tree per
+    ///   chunk, or with one offline path-fold sweep over the forest
+    ///   (`bimst_msf::OfflinePathFold`) once a batch covers it.
     pub fn path_fold<M: PathMonoid>(&self, u: VertexId, v: VertexId) -> Option<M::Value> {
-        if M::MAX_SUMMARY {
-            return path_max(&self.forest, u, v).map(M::summarize);
-        }
-        let mut acc = M::IDENTITY;
-        // In-order segment stack: popping `Seg(u, v)` splits it around the
-        // heaviest edge; the left segment is pushed last so edges fold in
-        // path order (the provided monoids are commutative, but order
-        // costs nothing here and keeps the fold well-defined for any
-        // associative instance).
-        enum Item {
-            Seg(VertexId, VertexId),
-            Edge(WKey, VertexId, VertexId),
-        }
-        let mut stack = vec![Item::Seg(u, v)];
-        let mut nonempty = false;
-        while let Some(item) = stack.pop() {
-            match item {
-                Item::Edge(k, a, b) => acc = M::combine(acc, M::lift(k, a, b)),
-                Item::Seg(s, t) => {
-                    if s == t {
-                        continue;
-                    }
-                    let k = path_max(&self.forest, s, t)?;
-                    nonempty = true;
-                    let (a, b, _) = self
-                        .edge_info(k.id)
-                        .expect("path_max returned an edge not in the forest");
-                    // Orient {a, b} along s → t: the heaviest key of the
-                    // subpath s → a equals k exactly when the edge lies on
-                    // that side (ids are unique, and P(s,a) ⊆ P(s,t)).
-                    let on_sa = a != s && path_max(&self.forest, s, a) == Some(k);
-                    let (x, y) = if on_sa { (b, a) } else { (a, b) };
-                    stack.push(Item::Seg(y, t));
-                    stack.push(Item::Edge(k, x, y));
-                    stack.push(Item::Seg(s, x));
-                }
-            }
-        }
-        nonempty.then_some(acc)
+        path_fold::<M>(&self.forest, u, v)
     }
 
     /// Whether edge `id` is currently in the MSF.

@@ -6,7 +6,9 @@
 //! * [`cpt`] — the **compressed path tree** (§3, Algorithm 1): given the RC
 //!   tree of a weighted forest and `ℓ` marked vertices, a tree of size
 //!   `O(ℓ)` that preserves the heaviest edge on every pairwise path between
-//!   marked vertices, computed in `O(ℓ lg(1 + n/ℓ))` expected work.
+//!   marked vertices, computed in `O(ℓ lg(1 + n/ℓ))` expected work. The
+//!   same expansion builds *fold trees* that preserve the fold of any
+//!   `PathMonoid` (min, sum, hop count, …) on those paths.
 //! * [`batch_msf`] — **batch-incremental MSF** (§4, Algorithm 2,
 //!   Theorem 1.1): insert `ℓ` edges into a dynamically maintained MSF in
 //!   `O(ℓ lg(1 + n/ℓ))` expected work and polylogarithmic span, by taking
@@ -37,4 +39,4 @@ pub mod batch_msf;
 pub mod cpt;
 
 pub use batch_msf::{BatchMsf, InsertResult};
-pub use cpt::{compressed_path_tree, path_max, Cpt, CptEdge};
+pub use cpt::{compressed_path_tree, fold_path_tree, path_fold, path_max, Cpt, CptEdge};

@@ -14,15 +14,17 @@
 //! Binary cluster carries the heaviest `WKey` on its boundary-to-boundary
 //! path, which is exactly the information an MSF needs (Theorem 4.1 ties
 //! CPT edges to heaviest path edges). A monoid whose whole-path fold is
-//! recoverable from that heaviest key alone sets [`PathMonoid::MAX_SUMMARY`]
-//! and rides the CPT walk unchanged — [`MaxW`] monomorphizes back to
-//! today's `path_max` code, bit for bit. Folds that genuinely need every
-//! path edge ([`MinW`], [`SumW`], [`Hops`]) are answered from the stored
-//! forest instead: per query by peeling the path around its heaviest edge
-//! (repeated 2-mark CPTs); per batch either by one offline path-fold pass
-//! over the whole MSF edge list (`OfflinePathFold` in `bimst-msf`, for
-//! batches that cover the forest) or by folding each segment of a shared
-//! compressed path tree once (see `bimst-query` for the plan selection).
+//! recoverable from that heaviest key alone sets [`PathMonoid::MAX_SUMMARY`]:
+//! the compressed path tree reads its label off each cluster in `O(1)`,
+//! and [`MaxW`] monomorphizes back to the paper's `path_max` code, bit for
+//! bit. Folds that genuinely need every path edge ([`MinW`], [`SumW`],
+//! [`Hops`]) ride the same compressed path trees as *fold trees*
+//! (`bimst_core::cpt::fold_path_tree`): each surviving tree edge is folded
+//! by descending its clusters' edge-role children down to the leaf edges,
+//! per query or once per shared batch chunk. Batches that cover the forest
+//! take one offline path-fold pass over the whole MSF edge list instead
+//! (`OfflinePathFold` in `bimst-msf`; see `bimst-query` for the plan
+//! selection).
 //!
 //! Instances compose: [`Pair<A, B>`] folds two monoids in one walk and is
 //! `MAX_SUMMARY` exactly when both components are. The query layer uses
@@ -41,20 +43,22 @@ use crate::VertexId;
 /// * `IDENTITY` is a two-sided identity of `combine`;
 /// * `lift` depends only on its arguments (pure).
 ///
-/// The batch plans also need `combine` to be **commutative**: they fold
-/// each endpoint's half-path up to the LCA independently and combine the
-/// two halves there, so the second half enters in reverse path order. All
-/// provided instances are commutative (pinned by a test below); a
-/// non-commutative instance would still be folded in path order by the
-/// per-query peel, but not by the batch plans.
+/// Every fold plan also needs `combine` to be **commutative**: a fold tree
+/// combines segments in RC-tree order (a binary cluster's two halves, the
+/// two edges a splice merges), and the batch oracles fold each endpoint's
+/// half-path up to the LCA independently and combine the two halves there,
+/// so no plan — the per-query one included — folds in path order. All
+/// provided instances are commutative (pinned by a test below).
 pub trait PathMonoid {
     /// The fold's carrier type.
     type Value: Copy + Send + Sync + PartialEq + std::fmt::Debug;
 
     /// Whether the whole-path fold equals [`summarize`](Self::summarize) of
-    /// the heaviest [`WKey`] on the path. When true, the fold is answered
-    /// by the existing CPT max-walk (clusters already store that key);
-    /// when false, the fold needs every path edge.
+    /// the heaviest [`WKey`] on the path. When true, a compressed path tree
+    /// reads the fold off each cluster's stored key in `O(1)` (the paper's
+    /// max-walk); when false, it folds each surviving segment from its leaf
+    /// edges, descending the clusters' edge-role children, which costs the
+    /// segment's length.
     const MAX_SUMMARY: bool;
 
     /// Two-sided identity of [`combine`](Self::combine) — the fold over an
@@ -134,10 +138,11 @@ impl PathMonoid for MinW {
 /// Weight sum — additive routing cost along the path.
 ///
 /// `f64` addition is only associative up to rounding, and each plan
-/// associates it differently: the per-query peel edge by edge in path
-/// order, the shared-CPT batch plan segment by segment, and the offline
-/// batch plan in path-compression order. All committed oracles drive it
-/// with integer-valued weights (recency weights are `-τ`), where every
+/// associates it differently: fold trees (per query and per shared batch
+/// chunk) in RC-tree order — binary clusters' halves, then splices, then
+/// the chunk oracle's binary lifting — and the offline batch plan in
+/// path-compression order. All committed oracles drive it with
+/// integer-valued weights (recency weights are `-τ`), where every
 /// association order yields the identical bit pattern.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SumW;

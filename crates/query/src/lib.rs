@@ -23,9 +23,10 @@
 //!   This is the paper's own structure doing double duty as a query
 //!   accelerator. The same chunking serves [`PathMonoid`] folds
 //!   ([`QueryBatch::batch_path_fold`]) on batches the linear rule below
-//!   rejects: the CPT also preserves the path *decomposition*, so non-max
-//!   monoids fold each compressed segment once and combine segments with
-//!   a generic [`ForestPathFold`] oracle.
+//!   rejects: the chunk's tree is built as a `Pair<MaxW, M>` *fold tree*
+//!   ([`fold_path_tree_with`]), whose edges carry their segment's heaviest
+//!   key and its fold of `M`, and a generic [`ForestPathFold`] oracle
+//!   combines the segments of each query.
 //! * **A linear plan for batches that cover the forest.** The CPT bound
 //!   `O(m lg(1 + n/m))` for `m` marks is `Θ(n)` once a batch's endpoints
 //!   cover the forest, and then one pass over the whole forest is cheaper
@@ -50,12 +51,13 @@
 //!   weights (`n` = 2¹⁰…2¹⁶). At `n` = 2¹⁴ with 1024-pair batches the
 //!   union pass is ~4× cheaper (4.2–4.7 ms → 1.0–1.2 ms); at `n` = 2¹⁶
 //!   with 16-pair batches it would be 11–17× dearer, so those keep the CPT
-//!   plan. The same rule is safe for folds: the CPT fold plan costs ~50×
-//!   the CPT max plan (it peels every segment), the fold sweep 1.5–2× the
-//!   union pass, so wherever the rule picks the linear plan it is the
-//!   cheaper fold plan too (~50× at `n` = 2¹⁴ with 1024-pair lazy-window
-//!   batches: 90–120 ms → 1.5–2.5 ms). Both passes are sequential: they
-//!   win on work, not span.
+//!   plan. The same rule picks the cheaper fold plan too. Single thread,
+//!   2-core VM, medians over `MinW`, `SumW` and `Hops`: at `n` = 2¹⁴ with
+//!   1024-pair lazy-window batches the fold sweep takes 1.3–2.1 ms against
+//!   5.2–9.5 ms for the CPT fold trees, and at `n` = 2¹⁶ with 16-pair
+//!   eager-window batches the fold trees take ~0.37 ms against 6.3–8.5 ms
+//!   for the sweep. Both passes are sequential: they win on work, not
+//!   span.
 //! * **Snapshot consistency without cloning.** [`ReadHandle`] is a shared
 //!   borrow of the structure: while any handle is live the borrow checker
 //!   rules out `batch_insert`, so every query in a batch — across all
@@ -92,7 +94,7 @@
 //! assert_eq!(pm[1], None);
 //! ```
 
-use bimst_core::cpt::{compressed_path_tree_with, CptScratch};
+use bimst_core::cpt::{fold_path_tree_with, CptScratch};
 use bimst_core::{BatchMsf, Cpt};
 use bimst_msf::{ForestPathFold, ForestPathMax, KruskalPathMax, OfflinePathFold};
 use bimst_primitives::monoid::{MaxW, Pair, PathMonoid};
@@ -312,22 +314,41 @@ const SHARED_CPT_MIN: usize = 16;
 const LINEAR_C: f64 = 8.0;
 
 impl PathChunkScratch {
-    /// The prologue `run` and `run_fold` share: builds one CPT over the
-    /// chunk's distinct `u ≠ v` endpoints and labels its vertices densely
-    /// (every mark is in the CPT, isolated ones as singletons, so lookups
-    /// are total). Returns `false`, every answer written, for a chunk
-    /// below [`SHARED_CPT_MIN`] (answered by `per_query`) or of `u == v`
-    /// pairs only.
-    fn shared_cpt<V: Clone>(
+    /// Combined capacity (in elements) of the chunk's reusable buffers
+    /// (the label map is excluded, as in [`CptScratch::high_water`]).
+    #[cfg(test)]
+    fn high_water(&self) -> usize {
+        self.marks.capacity()
+            + self.cpt_ws.high_water()
+            + self.cpt.vertices.capacity()
+            + self.cpt.edges.capacity()
+            + self.edges.capacity()
+    }
+
+    /// The prologue `run` and `run_fold` share: builds one path tree of `M`
+    /// into `tree` over the chunk's distinct `u ≠ v` endpoints and labels
+    /// its vertices densely (every mark is in the tree, isolated ones as
+    /// singletons, so lookups are total). Returns `false`, every answer
+    /// written, for a chunk of `u == v` pairs only, or for a chunk below
+    /// [`SHARED_CPT_MIN`]: that one answers each query from its own 2-mark
+    /// tree on the reused scratch, `out[i] = answer(i, fold)`.
+    fn shared_tree<M: PathMonoid, V>(
         &mut self,
         f: &RcForest,
         queries: &[(VertexId, VertexId)],
+        tree: &mut Cpt<M::Value>,
         out: &mut [Option<V>],
-        per_query: impl Fn(&mut Self, usize, VertexId, VertexId) -> Option<V>,
+        answer: impl Fn(usize, M::Value) -> Option<V>,
     ) -> bool {
         if queries.len() < SHARED_CPT_MIN {
             for (i, (slot, &(u, v))) in out.iter_mut().zip(queries).enumerate() {
-                *slot = per_query(self, i, u, v);
+                *slot = if u == v {
+                    None
+                } else {
+                    fold_path_tree_with::<M>(f, &[u, v], &mut self.cpt_ws, tree);
+                    debug_assert!(tree.edges.len() <= 1);
+                    tree.edges.first().and_then(|e| answer(i, e.key))
+                };
             }
             return false;
         }
@@ -339,14 +360,14 @@ impl PathChunkScratch {
             }
         }
         if self.marks.is_empty() {
-            out.fill(None);
+            out.fill_with(|| None);
             return false;
         }
         self.marks.sort_unstable();
         self.marks.dedup();
-        compressed_path_tree_with(f, &self.marks, &mut self.cpt_ws, &mut self.cpt);
+        fold_path_tree_with::<M>(f, &self.marks, &mut self.cpt_ws, tree);
         self.label.clear();
-        for (i, &v) in self.cpt.vertices.iter().enumerate() {
+        for (i, &v) in tree.vertices.iter().enumerate() {
             self.label.insert(v, i as u32);
         }
         true
@@ -355,80 +376,63 @@ impl PathChunkScratch {
     /// Answers `queries` into `out` (same length) from one shared CPT plus
     /// a static path-max oracle over its compressed edges.
     fn run(&mut self, f: &RcForest, queries: &[(VertexId, VertexId)], out: &mut [Option<WKey>]) {
-        let two_marks = |ws: &mut Self, _, u, v| {
-            if u == v {
-                return None;
+        let mut cpt = std::mem::take(&mut self.cpt);
+        if self.shared_tree::<MaxW, _>(f, queries, &mut cpt, out, |_, k| Some(k)) {
+            self.edges.clear();
+            self.edges.extend(
+                cpt.edges
+                    .iter()
+                    .map(|e| (self.label[&e.u], self.label[&e.v], e.key)),
+            );
+            let pm = ForestPathMax::new(cpt.vertices.len(), &self.edges);
+            for (slot, &(u, v)) in out.iter_mut().zip(queries) {
+                *slot = if u == v {
+                    None
+                } else {
+                    pm.query(self.label[&u], self.label[&v])
+                };
             }
-            compressed_path_tree_with(f, &[u, v], &mut ws.cpt_ws, &mut ws.cpt);
-            debug_assert!(ws.cpt.edges.len() <= 1);
-            ws.cpt.edges.first().map(|e| e.key)
-        };
-        if !self.shared_cpt(f, queries, out, two_marks) {
-            return;
         }
-        self.edges.clear();
-        self.edges.extend(
-            self.cpt
-                .edges
-                .iter()
-                .map(|e| (self.label[&e.u], self.label[&e.v], e.key)),
-        );
-        let pm = ForestPathMax::new(self.cpt.vertices.len(), &self.edges);
-        for (slot, &(u, v)) in out.iter_mut().zip(queries) {
-            *slot = if u == v {
-                None
-            } else {
-                pm.query(self.label[&u], self.label[&v])
-            };
-        }
+        self.cpt = cpt;
     }
 
     /// Answers a *non-max* fold chunk, cutoff-filtered: `out[i]` is the
     /// fold of `M` over `queries[i]`'s path if its heaviest edge passes
     /// `cut.get(i)`, else `None`.
     ///
-    /// The CPT stores only the max summary, so the fold cannot be read off
-    /// the compressed keys — but the CPT still preserves the path
-    /// *decomposition* (a marks-to-marks path is the concatenation of its
-    /// CPT edges' underlying segments). So: build the same shared CPT,
-    /// fold each compressed edge's segment **once** with the engine peel
-    /// ([`BatchMsf::path_fold`]), and combine segments per query with a
-    /// [`ForestPathFold::from_values`] oracle carrying
-    /// `Pair<MaxW, M>` values — the max component is the Lemma 5.1 recency
-    /// witness, the `M` component the answer. Segments shared by many
-    /// queries are peeled once per chunk, not once per query. Chunks below
-    /// [`SHARED_CPT_MIN`] peel each query directly.
+    /// One fold tree of `Pair<MaxW, M>` over the chunk's endpoints
+    /// ([`fold_path_tree_with`]) labels every compressed edge with its
+    /// segment's heaviest key — the Lemma 5.1 recency witness — and its
+    /// fold of `M`; a [`ForestPathFold::from_values`] oracle over those
+    /// labels combines the segments of each query. Chunks below
+    /// [`SHARED_CPT_MIN`] build one 2-mark fold tree per query instead.
     fn run_fold<M: PathMonoid>(
         &mut self,
-        msf: &BatchMsf,
+        f: &RcForest,
         queries: &[(VertexId, VertexId)],
         cut: Cutoffs<'_>,
         out: &mut [Option<M::Value>],
     ) {
-        let peel = |_: &mut Self, i, u, v| {
-            msf.path_fold::<Pair<MaxW, M>>(u, v)
-                .and_then(|(mk, val)| (mk.id >= cut.get(i)).then_some(val))
-        };
-        if !self.shared_cpt(msf.forest(), queries, out, peel) {
+        let answer = |i, (mk, val): (WKey, M::Value)| (mk.id >= cut.get(i)).then_some(val);
+        // The labels are `M`-typed and so cannot live in the (untyped)
+        // scratch; this per-chunk allocation mirrors the per-chunk oracle
+        // build in `run`.
+        let mut tree = Cpt::default();
+        if !self.shared_tree::<Pair<MaxW, M>, _>(f, queries, &mut tree, out, answer) {
             return;
         }
-        // Fold every compressed edge's segment once. The value buffer is
-        // `M`-typed and so cannot live in the (untyped) scratch; per-chunk
-        // allocation here mirrors the per-chunk oracle build in `run`.
-        let mut edges: Vec<(u32, u32, (WKey, M::Value))> = Vec::with_capacity(self.cpt.edges.len());
-        for e in &self.cpt.edges {
-            let seg = msf
-                .path_fold::<M>(e.u, e.v)
-                .expect("CPT edge spans a non-empty forest path");
-            edges.push((self.label[&e.u], self.label[&e.v], (e.key, seg)));
-        }
-        let pf = ForestPathFold::<Pair<MaxW, M>>::from_values(self.cpt.vertices.len(), &edges);
+        let edges: Vec<_> = tree
+            .edges
+            .iter()
+            .map(|e| (self.label[&e.u], self.label[&e.v], e.key))
+            .collect();
+        let pf = ForestPathFold::<Pair<MaxW, M>>::from_values(tree.vertices.len(), &edges);
         for (i, (slot, &(u, v))) in out.iter_mut().zip(queries).enumerate() {
             *slot = if u == v {
                 None
             } else {
                 pf.query(self.label[&u], self.label[&v])
-                    .and_then(|(mk, val)| (mk.id >= cut.get(i)).then_some(val))
+                    .and_then(|x| answer(i, x))
             };
         }
     }
@@ -712,7 +716,7 @@ impl QueryBatch {
     /// on a batch of `nqueries` over `n` vertices: the CPT plan's
     /// `O(m lg(1 + n/m))` for `m = 2·nqueries` marks reaches the pass's
     /// `O(n)` once the marks cover the forest (see [`LINEAR_C`]). Batches
-    /// below [`SHARED_CPT_MIN`] keep the per-query walks and peels.
+    /// below [`SHARED_CPT_MIN`] keep the per-query walks and fold trees.
     fn use_linear(n: usize, nqueries: usize) -> bool {
         if nqueries < SHARED_CPT_MIN {
             return false;
@@ -844,7 +848,7 @@ impl QueryBatch {
 
     /// The shared-CPT fold plan: each [`PATH_CHUNK`] of queries is folded
     /// by [`PathChunkScratch::run_fold`] (chunks below [`SHARED_CPT_MIN`]
-    /// peel each query).
+    /// build a 2-mark fold tree per query).
     fn cpt_fold_into<M: PathMonoid>(
         &mut self,
         h: ReadHandle<'_>,
@@ -852,9 +856,9 @@ impl QueryBatch {
         cutoffs: Cutoffs<'_>,
         out: &mut Vec<Option<M::Value>>,
     ) {
-        let msf = h.msf;
+        let f = h.msf.forest();
         self.par_chunks(queries, cutoffs, out, |ws, q, c, o| {
-            ws.run_fold::<M>(msf, q, c, o)
+            ws.run_fold::<M>(f, q, c, o)
         });
     }
 
@@ -864,11 +868,11 @@ impl QueryBatch {
     /// `batch_path_fold::<MaxW>` is bit-identical to
     /// [`QueryBatch::batch_path_max`]; see the private `fold_core` for
     /// how non-max monoids pick the linear or the chunked CPT plan. Caveat
-    /// for [`bimst_primitives::monoid::SumW`]: the per-query peel
-    /// associates `f64` addition edge by edge in path order, the CPT plan
-    /// segment by segment, and the linear plan in path-compression order,
-    /// so answers can differ by rounding unless weights are integer-valued
-    /// (as all committed oracles arrange).
+    /// for [`bimst_primitives::monoid::SumW`]: the CPT plan and the
+    /// per-query fold trees associate `f64` addition in RC-tree order and
+    /// the linear plan in path-compression order, so answers can differ by
+    /// rounding unless weights are integer-valued (recency weights are, as
+    /// are all committed oracles' weights).
     pub fn batch_path_fold<M: PathMonoid>(
         &mut self,
         h: ReadHandle<'_>,
@@ -1228,9 +1232,9 @@ mod tests {
     /// Runs the linear and the chunked CPT path-max plans on one batch and
     /// checks both against the per-query [`BatchMsf::path_max`]; then does
     /// the same for the two fold plans of `MinW`, `SumW` and `Hops`, each
-    /// under a uniform and a per-query cutoff, against the per-query
-    /// [`BatchMsf::path_fold`]. `SumW` compares exactly only on
-    /// integer-valued weights, which every fixture uses.
+    /// under a uniform and a per-query cutoff, against the binary-lifting
+    /// referee [`oracle`]. `SumW` compares exactly only on integer-valued
+    /// weights, which every fixture uses.
     fn assert_plans_agree(msf: &BatchMsf, pairs: &[(u32, u32)]) {
         use bimst_primitives::monoid::{Hops, MinW, SumW};
         let h = ReadHandle::new(msf);
@@ -1246,8 +1250,25 @@ mod tests {
         assert_fold_plans_agree::<Hops>(&mut q, msf, pairs);
     }
 
+    /// The independent fold referee: `Pair<MaxW, M>` folds by binary
+    /// lifting over the MSF's real edges ([`ForestPathFold`]; no CPT).
+    fn oracle<M: PathMonoid>(msf: &BatchMsf) -> ForestPathFold<Pair<MaxW, M>> {
+        let edges: Vec<_> = msf.iter_msf_edges().map(|(_, u, v, k)| (u, v, k)).collect();
+        ForestPathFold::new(msf.num_vertices(), &edges)
+    }
+
+    /// The referee's answers to `pairs`, without cutoffs.
+    fn oracle_folds<M: PathMonoid>(msf: &BatchMsf, pairs: &[(u32, u32)]) -> Vec<Option<M::Value>> {
+        let o = oracle::<M>(msf);
+        pairs
+            .iter()
+            .map(|&(u, v)| o.query(u, v).map(|(_, val)| val))
+            .collect()
+    }
+
     /// The fold half of [`assert_plans_agree`] for one monoid. Cutoffs
     /// span the forest's edge ids, so some answers pass and some do not.
+    /// The per-query [`BatchMsf::path_fold`] must match the referee too.
     fn assert_fold_plans_agree<M: PathMonoid>(
         q: &mut QueryBatch,
         msf: &BatchMsf,
@@ -1259,12 +1280,15 @@ mod tests {
         let per: Vec<u64> = (0..pairs.len() as u64)
             .map(|i| hash2(7, i) % (top + 2))
             .collect();
-        let peeled: Vec<_> = pairs
+        let o = oracle::<M>(msf);
+        let referee: Vec<_> = pairs.iter().map(|&(u, v)| o.query(u, v)).collect();
+        let engine: Vec<_> = pairs
             .iter()
             .map(|&(u, v)| msf.path_fold::<Pair<MaxW, M>>(u, v))
             .collect();
+        assert_eq!(engine, referee, "per-query fold");
         for cut in [Cutoffs::Uniform(top / 2), Cutoffs::Per(&per)] {
-            let want: Vec<Option<M::Value>> = peeled
+            let want: Vec<Option<M::Value>> = referee
                 .iter()
                 .enumerate()
                 .map(|(i, p)| p.and_then(|(mk, val)| (mk.id >= cut.get(i)).then_some(val)))
@@ -1438,25 +1462,16 @@ mod tests {
         );
         assert_eq!(
             q.batch_path_fold::<MinW>(h, &pairs),
-            pairs
-                .iter()
-                .map(|&(u, v)| msf.path_fold::<MinW>(u, v))
-                .collect::<Vec<_>>()
+            oracle_folds::<MinW>(&msf, &pairs)
         );
         assert_eq!(
             q.batch_path_fold::<Hops>(h, &pairs),
-            pairs
-                .iter()
-                .map(|&(u, v)| msf.path_fold::<Hops>(u, v))
-                .collect::<Vec<_>>()
+            oracle_folds::<Hops>(&msf, &pairs)
         );
-        // Integer weights: segment-wise and edge-wise sums are bit-equal.
+        // Integer weights: every association order is bit-equal.
         assert_eq!(
             q.batch_path_fold::<SumW>(h, &pairs),
-            pairs
-                .iter()
-                .map(|&(u, v)| msf.path_fold::<SumW>(u, v))
-                .collect::<Vec<_>>()
+            oracle_folds::<SumW>(&msf, &pairs)
         );
         // Pair composes componentwise through the batch plan too.
         let pr = q.batch_path_fold::<Pair<MinW, Hops>>(h, &pairs);
@@ -1469,20 +1484,77 @@ mod tests {
     }
 
     #[test]
-    fn fold_small_batches_take_the_peel_plan() {
+    fn fold_small_batches_take_per_query_trees() {
         use bimst_primitives::monoid::Hops;
         let msf = sample_msf();
         let h = ReadHandle::new(&msf);
         let mut q = QueryBatch::new();
-        // Below SHARED_CPT_MIN: exercises the direct per-query peel.
+        // Below SHARED_CPT_MIN: one 2-mark fold tree per query.
         let pairs = [(0u32, 3u32), (4, 6), (2, 2), (0, 4), (6, 4)];
         assert_eq!(
             q.batch_path_fold::<Hops>(h, &pairs),
-            pairs
-                .iter()
-                .map(|&(u, v)| msf.path_fold::<Hops>(u, v))
-                .collect::<Vec<_>>()
+            oracle_folds::<Hops>(&msf, &pairs)
         );
+    }
+
+    #[test]
+    fn cpt_fold_plan_scratch_is_flat_at_steady_state() {
+        // The ingest shape: an eager window over n = 2^16 vertices at
+        // degree 2, queried in 16-pair batches — the CPT fold plan, one
+        // shared fold tree per batch.
+        use bimst_primitives::hash::hash2;
+        use bimst_primitives::monoid::{Hops, MinW, SumW};
+        let n = 1u32 << 16;
+        assert!(!QueryBatch::use_linear(n as usize, 16));
+        let mut eager = SwConnEager::new(n as usize, 7);
+        let edges: Vec<(u32, u32)> = (0..n as u64)
+            .map(|i| {
+                (
+                    (hash2(5, i) % n as u64) as u32,
+                    (hash2(6, i) % n as u64) as u32,
+                )
+            })
+            .filter(|&(u, v)| u != v)
+            .collect();
+        eager.batch_insert(&edges);
+        let h = ReadHandle::new(eager.msf());
+        let batch = |seed: u64| -> Vec<(u32, u32)> {
+            (0..16u64)
+                .map(|i| {
+                    (
+                        (hash2(seed, i) % n as u64) as u32,
+                        (hash2(seed + 1, i) % n as u64) as u32,
+                    )
+                })
+                .collect()
+        };
+        let mut q = QueryBatch::new();
+        let (mut min, mut sum, mut hops) = (Vec::new(), Vec::new(), Vec::new());
+        let mut serve = |q: &mut QueryBatch, seed: u64| {
+            let pairs = batch(seed);
+            q.batch_path_fold_into::<MinW>(h, &pairs, &mut min);
+            q.batch_path_fold_into::<SumW>(h, &pairs, &mut sum);
+            q.batch_path_fold_into::<Hops>(h, &pairs, &mut hops);
+        };
+        // Warm up on the batches the steady state then repeats: the
+        // `M`-typed fold trees and oracles are per-chunk allocations, every
+        // other chunk buffer must be reused.
+        for seed in 0..8 {
+            serve(&mut q, 10 * seed);
+        }
+        assert_eq!(q.path_ws.len(), 1, "one chunk per 16-pair batch");
+        let cap = q.path_ws[0].high_water();
+        assert!(cap > 0);
+        for round in 0..3 {
+            for seed in 0..8 {
+                serve(&mut q, 10 * seed);
+                assert_eq!(
+                    q.path_ws[0].high_water(),
+                    cap,
+                    "chunk scratch grew on round {round}, batch {seed}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -77,6 +77,10 @@ pub enum ClusterKind {
         boundary: NodeId,
     },
     /// Formed by a compress: two boundary vertices; acts as a superedge.
+    /// Its last two children are the edge-role clusters (leaf edges or
+    /// binary clusters) joining the representative to each boundary, so
+    /// its boundary path is theirs concatenated — the descent a
+    /// compressed path tree's non-max folds take.
     Binary {
         /// The deleted (representative) vertex.
         rep: NodeId,

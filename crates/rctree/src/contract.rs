@@ -1072,6 +1072,7 @@ impl Engine {
             Decision::Compress => {
                 let (u, c1) = row.adj[0];
                 let (w, c2) = row.adj[1];
+                // Last, as `ClusterKind::Binary` documents.
                 children.push(c1);
                 children.push(c2);
                 let k1 = self.clusters.kind(c1).edge_key().expect("edge role");

@@ -180,9 +180,9 @@ proptest! {
 }
 
 /// Large single-shot cross-check spanning both batch-plan regimes (shared
-/// CPT chunks and the small-batch peel path): the generic folds agree
-/// with the per-query engine loop on an ER graph big enough to take the
-/// chunked plan.
+/// CPT chunks and the small-batch per-query fold trees): the generic folds
+/// agree with the per-query engine loop on an ER graph big enough to take
+/// the chunked plan.
 #[test]
 fn large_fold_batch_matches_engine_loop() {
     use bimst_graphgen::erdos_renyi;
@@ -208,7 +208,7 @@ fn large_fold_batch_matches_engine_loop() {
         assert_eq!(mins[i], msf.path_fold::<MinW>(u, v), "min ({u},{v})");
         assert_eq!(hops[i], msf.path_fold::<Hops>(u, v), "hops ({u},{v})");
     }
-    // And the small-batch peel regime on the same structure.
+    // And the small-batch per-query regime on the same structure.
     let small = &pairs[..7];
     assert_eq!(q.batch_path_fold::<MinW>(h, small), mins[..7].to_vec());
 }
