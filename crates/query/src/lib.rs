@@ -153,20 +153,6 @@ impl<'a> From<&'a BatchMsf> for ReadHandle<'a> {
     }
 }
 
-/// How one tenant's queries are routed by a multi-window structure
-/// (see [`WindowConnectivity::tenant_route`]).
-pub enum TenantRoute<'a> {
-    /// Served from the shared structure: one merged path-max plan, this
-    /// cutoff applied as the tenant's recent-edge test.
-    Shared {
-        /// The tenant's expiry cutoff τᵢ (≥ the shared window start).
-        cutoff: u64,
-    },
-    /// Divergence fallback: served from the tenant's own dedicated
-    /// structure, whose window *is* the tenant's window.
-    Dedicated(&'a SwConn),
-}
-
 /// Sliding-window structures that can serve batched window-connectivity
 /// queries (implemented here for [`SwConn`], [`SwConnEager`] and the
 /// multi-tenant [`TenantSet`]).
@@ -183,12 +169,12 @@ pub trait WindowConnectivity {
     /// Whether expired edges are still present in the MSF and must be
     /// discounted at query time.
     fn lazy_expiry(&self) -> bool;
-    /// Resolves a tenant id to its serving route. Single-window structures
-    /// serve no tenants (the default); multi-window registries like
-    /// [`TenantSet`] override this. `None` means the id is unknown *or*
-    /// the structure is not tenant-aware — callers treat that as a routing
-    /// bug and fail stop.
-    fn tenant_route(&self, _tenant: u32) -> Option<TenantRoute<'_>> {
+    /// A tenant's expiry cutoff τᵢ (≥ [`WindowConnectivity::window_start`]).
+    /// Single-window structures serve no tenants (the default);
+    /// multi-window registries like [`TenantSet`] override this. `None`
+    /// means the id is unknown *or* the structure is not tenant-aware —
+    /// callers treat that as a routing bug and fail stop.
+    fn tenant_cutoff(&self, _tenant: u32) -> Option<u64> {
         None
     }
 }
@@ -218,7 +204,7 @@ impl WindowConnectivity for SwConnEager {
 }
 
 /// A [`TenantSet`] reads as its *shared* structure (lazy, window ℓ_max);
-/// per-tenant cutoffs ride in via [`WindowConnectivity::tenant_route`] and
+/// per-tenant cutoffs ride in via [`WindowConnectivity::tenant_cutoff`] and
 /// the `*_at` plans.
 impl WindowConnectivity for TenantSet {
     fn msf(&self) -> &BatchMsf {
@@ -230,12 +216,8 @@ impl WindowConnectivity for TenantSet {
     fn lazy_expiry(&self) -> bool {
         true
     }
-    fn tenant_route(&self, tenant: u32) -> Option<TenantRoute<'_>> {
-        if let Some(d) = self.dedicated(tenant) {
-            return Some(TenantRoute::Dedicated(d));
-        }
+    fn tenant_cutoff(&self, tenant: u32) -> Option<u64> {
         self.cutoff(tenant)
-            .map(|cutoff| TenantRoute::Shared { cutoff })
     }
 }
 
@@ -517,11 +499,9 @@ fn qobs() -> &'static QueryObs {
 /// the structure); the linear path-max plan reuses its sort, union-find
 /// and list buffers and allocates nothing at steady state; the linear fold
 /// plan reuses its untyped buffers and allocates only its `M`-typed
-/// per-vertex fold buffer.
-/// The `*_into` variants write answers into a caller-provided buffer, so a
-/// serving loop that also reuses its output vectors allocates nothing per
-/// batch at steady state. One `QueryBatch` serves one thread of control;
-/// the parallelism is *inside* each call.
+/// per-vertex fold buffer. Every entry point returns a fresh answer
+/// vector. One `QueryBatch` serves one thread of control; the parallelism
+/// is *inside* each call.
 #[derive(Default)]
 pub struct QueryBatch {
     /// Distinct queried vertices, sorted.
@@ -531,8 +511,7 @@ pub struct QueryBatch {
     /// Per-chunk scratch for the path-max / lazy-window plans.
     path_ws: Vec<PathChunkScratch>,
     /// Path-max answers reused by the windowed-connectivity and
-    /// max-summary fold cores (`*_into` variants stay allocation-free at
-    /// steady state).
+    /// max-summary fold cores.
     pm_buf: Vec<Option<WKey>>,
     /// Sort, union-find and pending-list buffers of the linear path-max
     /// plan.
@@ -597,68 +576,45 @@ impl QueryBatch {
         h: ReadHandle<'_>,
         queries: &[(VertexId, VertexId)],
     ) -> Vec<bool> {
-        let mut out = Vec::new();
-        self.batch_connected_into(h, queries, &mut out);
-        out
-    }
-
-    /// [`QueryBatch::batch_connected`] into a caller-provided buffer
-    /// (cleared and refilled): at steady state a serving loop allocates
-    /// nothing per batch, mirroring the write path's scratch discipline.
-    pub fn batch_connected_into(
-        &mut self,
-        h: ReadHandle<'_>,
-        queries: &[(VertexId, VertexId)],
-        out: &mut Vec<bool>,
-    ) {
         let f = h.msf.forest();
         let o = qobs();
         o.batch_size.record(queries.len() as u64);
+        let mut out = Vec::new();
         if !Self::use_grouped(h, queries.len()) {
             o.direct.inc();
-            par::map_into(queries, out, |&(u, v)| f.connected(u, v));
-            return;
+            par::map_into(queries, &mut out, |&(u, v)| f.connected(u, v));
+            return out;
         }
         o.grouped.inc();
         self.verts.clear();
         self.verts.extend(queries.iter().flat_map(|&(u, v)| [u, v]));
         self.cache_roots(f);
         let me = &*self;
-        par::map_into(queries, out, |&(u, v)| {
+        par::map_into(queries, &mut out, |&(u, v)| {
             me.cached_root(u) == me.cached_root(v)
         });
+        out
     }
 
     /// Batched [`BatchMsf::component_size`]: `out[i]` answers `vs[i]`.
     /// Plan selection as in [`QueryBatch::batch_connected`].
     pub fn batch_component_size(&mut self, h: ReadHandle<'_>, vs: &[VertexId]) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.batch_component_size_into(h, vs, &mut out);
-        out
-    }
-
-    /// [`QueryBatch::batch_component_size`] into a caller-provided buffer
-    /// (cleared and refilled).
-    pub fn batch_component_size_into(
-        &mut self,
-        h: ReadHandle<'_>,
-        vs: &[VertexId],
-        out: &mut Vec<usize>,
-    ) {
         let f = h.msf.forest();
         let o = qobs();
         o.batch_size.record(vs.len() as u64);
+        let mut out = Vec::new();
         if !Self::use_grouped(h, vs.len()) {
             o.direct.inc();
-            par::map_into(vs, out, |&v| f.component_size(v));
-            return;
+            par::map_into(vs, &mut out, |&v| f.component_size(v));
+            return out;
         }
         o.grouped.inc();
         self.verts.clear();
         self.verts.extend_from_slice(vs);
         self.cache_roots(f);
         let me = &*self;
-        par::map_into(vs, out, |&v| f.cluster_size(me.cached_root(v)));
+        par::map_into(vs, &mut out, |&v| f.cluster_size(me.cached_root(v)));
+        out
     }
 
     /// Batched [`BatchMsf::path_max`]: `out[i]` answers `queries[i]`
@@ -674,20 +630,7 @@ impl QueryBatch {
         h: ReadHandle<'_>,
         queries: &[(VertexId, VertexId)],
     ) -> Vec<Option<WKey>> {
-        let mut out = Vec::new();
-        self.batch_path_max_into(h, queries, &mut out);
-        out
-    }
-
-    /// [`QueryBatch::batch_path_max`] into a caller-provided buffer
-    /// (cleared and refilled).
-    pub fn batch_path_max_into(
-        &mut self,
-        h: ReadHandle<'_>,
-        queries: &[(VertexId, VertexId)],
-        out: &mut Vec<Option<WKey>>,
-    ) {
-        self.fold_core::<MaxW>(h, queries, Cutoffs::None, out);
+        self.fold_core::<MaxW>(h, queries, Cutoffs::None)
     }
 
     /// The path-max plan every max-summary fold and every
@@ -783,10 +726,10 @@ impl QueryBatch {
         par_each(&mut items, &|(ws, o, q, c)| chunk(ws, q, *c, o));
     }
 
-    /// The canonical fold core: `out[i]` is the fold of `M` over
+    /// The canonical fold core: answer `i` is the fold of `M` over
     /// `queries[i]`'s MSF path, filtered by the recent-edge test at
     /// `cutoffs.get(i)` ([`Cutoffs::None`] disables the filter). Every
-    /// public path-fold and path-max variant delegates here.
+    /// public path-fold and path-max entry point calls it.
     ///
     /// Max-summary monoids ([`PathMonoid::MAX_SUMMARY`]) are answered by
     /// the path-max plan (linear or shared-CPT) plus
@@ -801,28 +744,28 @@ impl QueryBatch {
         h: ReadHandle<'_>,
         queries: &[(VertexId, VertexId)],
         cutoffs: Cutoffs<'_>,
-        out: &mut Vec<Option<M::Value>>,
-    ) {
+    ) -> Vec<Option<M::Value>> {
+        let mut out = Vec::new();
         if M::MAX_SUMMARY {
             let mut pm = std::mem::take(&mut self.pm_buf);
             self.path_max_plan_into(h, queries, &mut pm);
-            out.clear();
             out.extend(
                 pm.iter()
                     .enumerate()
                     .map(|(i, k)| k.filter(|k| k.id >= cutoffs.get(i)).map(M::summarize)),
             );
             self.pm_buf = pm;
-            return;
+            return out;
         }
         let o = qobs();
         o.batch_size.record(queries.len() as u64);
         if Self::use_linear(h.msf.num_vertices(), queries.len()) {
             o.plan_linear.inc();
-            self.linear_fold_into::<M>(h, queries, cutoffs, out);
+            self.linear_fold_into::<M>(h, queries, cutoffs, &mut out);
         } else {
-            self.cpt_fold_into::<M>(h, queries, cutoffs, out);
+            self.cpt_fold_into::<M>(h, queries, cutoffs, &mut out);
         }
+        out
     }
 
     /// The linear fold plan: one offline path-fold pass over the MSF's
@@ -878,20 +821,7 @@ impl QueryBatch {
         h: ReadHandle<'_>,
         queries: &[(VertexId, VertexId)],
     ) -> Vec<Option<M::Value>> {
-        let mut out = Vec::new();
-        self.batch_path_fold_into::<M>(h, queries, &mut out);
-        out
-    }
-
-    /// [`QueryBatch::batch_path_fold`] into a caller-provided buffer
-    /// (cleared and refilled).
-    pub fn batch_path_fold_into<M: PathMonoid>(
-        &mut self,
-        h: ReadHandle<'_>,
-        queries: &[(VertexId, VertexId)],
-        out: &mut Vec<Option<M::Value>>,
-    ) {
-        self.fold_core::<M>(h, queries, Cutoffs::None, out);
+        self.fold_core::<M>(h, queries, Cutoffs::None)
     }
 
     /// Batched fold over the structure's *current window*: `out[i]` folds
@@ -907,26 +837,13 @@ impl QueryBatch {
         w: &W,
         queries: &[(VertexId, VertexId)],
     ) -> Vec<Option<M::Value>> {
-        let mut out = Vec::new();
-        self.batch_window_path_fold_into::<M, W>(w, queries, &mut out);
-        out
-    }
-
-    /// [`QueryBatch::batch_window_path_fold`] into a caller-provided
-    /// buffer (cleared and refilled).
-    pub fn batch_window_path_fold_into<M: PathMonoid, W: WindowConnectivity>(
-        &mut self,
-        w: &W,
-        queries: &[(VertexId, VertexId)],
-        out: &mut Vec<Option<M::Value>>,
-    ) {
         let h = ReadHandle::new(WindowConnectivity::msf(w));
         let cut = if w.lazy_expiry() {
             Cutoffs::Uniform(w.window_start())
         } else {
             Cutoffs::None
         };
-        self.fold_core::<M>(h, queries, cut, out);
+        self.fold_core::<M>(h, queries, cut)
     }
 
     /// Batched fold restricted to per-query window suffixes: `out[i]`
@@ -941,24 +858,9 @@ impl QueryBatch {
         queries: &[(VertexId, VertexId)],
         cutoffs: &[u64],
     ) -> Vec<Option<M::Value>> {
-        let mut out = Vec::new();
-        self.batch_path_fold_at_into::<M, W>(w, queries, cutoffs, &mut out);
-        out
-    }
-
-    /// [`QueryBatch::batch_path_fold_at`] into a caller-provided buffer
-    /// (cleared and refilled).
-    pub fn batch_path_fold_at_into<M: PathMonoid, W: WindowConnectivity>(
-        &mut self,
-        w: &W,
-        queries: &[(VertexId, VertexId)],
-        cutoffs: &[u64],
-        out: &mut Vec<Option<M::Value>>,
-    ) {
-        assert_eq!(queries.len(), cutoffs.len(), "one cutoff per query");
-        Self::assert_cutoffs_fresh(w, cutoffs);
+        Self::assert_cutoffs_fresh(w, queries, cutoffs);
         let h = ReadHandle::new(WindowConnectivity::msf(w));
-        self.fold_core::<M>(h, queries, Cutoffs::Per(cutoffs), out);
+        self.fold_core::<M>(h, queries, Cutoffs::Per(cutoffs))
     }
 
     /// Batched window connectivity (`SwConn::is_connected` /
@@ -973,60 +875,49 @@ impl QueryBatch {
         w: &W,
         queries: &[(VertexId, VertexId)],
     ) -> Vec<bool> {
-        let mut out = Vec::new();
-        self.batch_window_connected_into(w, queries, &mut out);
-        out
-    }
-
-    /// [`QueryBatch::batch_window_connected`] into a caller-provided buffer
-    /// (cleared and refilled).
-    pub fn batch_window_connected_into<W: WindowConnectivity>(
-        &mut self,
-        w: &W,
-        queries: &[(VertexId, VertexId)],
-        out: &mut Vec<bool>,
-    ) {
         if w.lazy_expiry() {
-            self.window_filtered_core(w, queries, Cutoffs::Uniform(w.window_start()), out);
+            self.window_filtered_core(w, queries, Cutoffs::Uniform(w.window_start()))
         } else {
             // `batch_connected` already answers `u == v` as true (equal
             // roots), exactly like the eager structure's root comparison.
-            let h = ReadHandle::new(WindowConnectivity::msf(w));
-            self.batch_connected_into(h, queries, out);
+            self.batch_connected(ReadHandle::new(WindowConnectivity::msf(w)), queries)
         }
     }
 
     /// The canonical windowed-connectivity core: the path-max plan plus
     /// the recent-edge test at `cutoffs.get(i)`; `u == v` answers `true`
-    /// (a vertex is connected to itself in any window).
-    /// [`QueryBatch::batch_window_connected_into`] (lazy side) and
-    /// [`QueryBatch::batch_connected_at_into`] are thin wrappers.
+    /// (a vertex is connected to itself in any window). Serves
+    /// [`QueryBatch::batch_window_connected`] (lazy side) and
+    /// [`QueryBatch::batch_connected_at`].
     fn window_filtered_core<W: WindowConnectivity>(
         &mut self,
         w: &W,
         queries: &[(VertexId, VertexId)],
         cutoffs: Cutoffs<'_>,
-        out: &mut Vec<bool>,
-    ) {
+    ) -> Vec<bool> {
         let h = ReadHandle::new(WindowConnectivity::msf(w));
         let mut pm = std::mem::take(&mut self.pm_buf);
         self.path_max_plan_into(h, queries, &mut pm);
-        out.clear();
-        out.extend(
-            queries
-                .iter()
-                .zip(&pm)
-                .enumerate()
-                .map(|(i, (&(u, v), k))| u == v || k.is_some_and(|k| k.id >= cutoffs.get(i))),
-        );
+        let out = queries
+            .iter()
+            .zip(&pm)
+            .enumerate()
+            .map(|(i, (&(u, v), k))| u == v || k.is_some_and(|k| k.id >= cutoffs.get(i)))
+            .collect();
         self.pm_buf = pm;
+        out
     }
 
-    /// Asserts every caller-supplied cutoff is at or above the window start
+    /// Asserts one cutoff per query, each at or above the window start
     /// (satisfied by construction for [`TenantSet`] cutoffs): a stale
     /// cutoff below `TW` would silently answer from expired edges, so it
     /// fails loudly instead, in every build profile. O(q) per batch.
-    fn assert_cutoffs_fresh<W: WindowConnectivity>(w: &W, cutoffs: &[u64]) {
+    fn assert_cutoffs_fresh<W: WindowConnectivity>(
+        w: &W,
+        queries: &[(VertexId, VertexId)],
+        cutoffs: &[u64],
+    ) {
+        assert_eq!(queries.len(), cutoffs.len(), "one cutoff per query");
         assert!(
             cutoffs.iter().all(|&c| c >= w.window_start()),
             "stale cutoff below the window start {}",
@@ -1050,110 +941,36 @@ impl QueryBatch {
         queries: &[(VertexId, VertexId)],
         cutoffs: &[u64],
     ) -> Vec<bool> {
-        let mut out = Vec::new();
-        self.batch_connected_at_into(w, queries, cutoffs, &mut out);
-        out
-    }
-
-    /// [`QueryBatch::batch_connected_at`] into a caller-provided buffer
-    /// (cleared and refilled).
-    pub fn batch_connected_at_into<W: WindowConnectivity>(
-        &mut self,
-        w: &W,
-        queries: &[(VertexId, VertexId)],
-        cutoffs: &[u64],
-        out: &mut Vec<bool>,
-    ) {
-        assert_eq!(queries.len(), cutoffs.len(), "one cutoff per query");
-        Self::assert_cutoffs_fresh(w, cutoffs);
-        self.window_filtered_core(w, queries, Cutoffs::Per(cutoffs), out);
-    }
-
-    /// Batched path-max restricted to per-query window suffixes: `out[i]`
-    /// is the heaviest (= oldest) MSF path edge for `queries[i]` if it is
-    /// unexpired at `cutoffs[i]`, else `None` (disconnected in that
-    /// tenant's window). Same shared plan as
-    /// [`QueryBatch::batch_connected_at`].
-    pub fn batch_path_max_at<W: WindowConnectivity>(
-        &mut self,
-        w: &W,
-        queries: &[(VertexId, VertexId)],
-        cutoffs: &[u64],
-    ) -> Vec<Option<WKey>> {
-        let mut out = Vec::new();
-        self.batch_path_max_at_into(w, queries, cutoffs, &mut out);
-        out
-    }
-
-    /// [`QueryBatch::batch_path_max_at`] into a caller-provided buffer
-    /// (cleared and refilled).
-    pub fn batch_path_max_at_into<W: WindowConnectivity>(
-        &mut self,
-        w: &W,
-        queries: &[(VertexId, VertexId)],
-        cutoffs: &[u64],
-        out: &mut Vec<Option<WKey>>,
-    ) {
-        self.batch_path_fold_at_into::<MaxW, W>(w, queries, cutoffs, out);
+        Self::assert_cutoffs_fresh(w, queries, cutoffs);
+        self.window_filtered_core(w, queries, Cutoffs::Per(cutoffs))
     }
 
     /// A mixed multi-tenant connectivity batch: `queries[i]` is
     /// `(tenant, u, v)` and the answer is connectivity in that tenant's
-    /// window. Shared-routed tenants are answered by **one** merged
-    /// [`QueryBatch::batch_connected_at`] plan across all of them;
-    /// dedicated (divergence-fallback) tenants get one
-    /// [`QueryBatch::batch_window_connected`] each against their own small
-    /// structure. Answers are bit-identical to the sequential
-    /// `TenantSet::is_connected` loop.
+    /// window. Each query takes its tenant's cutoff
+    /// ([`WindowConnectivity::tenant_cutoff`]), and **one** merged
+    /// [`QueryBatch::batch_connected_at`] plan answers the whole batch,
+    /// bit-identical to the sequential `TenantSet::is_connected` loop.
     ///
     /// # Panics
     ///
-    /// On a tenant id the structure does not serve (fail stop — see
-    /// [`WindowConnectivity::tenant_route`]).
+    /// On a tenant id the structure does not serve (fail stop).
     pub fn batch_tenant_connected<W: WindowConnectivity>(
         &mut self,
         w: &W,
         queries: &[(u32, VertexId, VertexId)],
     ) -> Vec<bool> {
-        let mut out = vec![false; queries.len()];
-        // Partition by route, keeping original indices for the scatter.
-        let mut shared_qs: Vec<(VertexId, VertexId)> = Vec::new();
-        let mut shared_cuts: Vec<u64> = Vec::new();
-        let mut shared_idx: Vec<usize> = Vec::new();
-        let mut ded: Vec<(u32, Vec<usize>)> = Vec::new();
-        for (i, &(tenant, u, v)) in queries.iter().enumerate() {
-            match w.tenant_route(tenant) {
-                Some(TenantRoute::Shared { cutoff }) => {
-                    shared_qs.push((u, v));
-                    shared_cuts.push(cutoff);
-                    shared_idx.push(i);
-                }
-                Some(TenantRoute::Dedicated(_)) => {
-                    match ded.iter_mut().find(|(t, _)| *t == tenant) {
-                        Some((_, idxs)) => idxs.push(i),
-                        None => ded.push((tenant, vec![i])),
-                    }
-                }
-                None => panic!("bimst-query: no route for tenant id {tenant}"),
-            }
-        }
-        let mut ans = Vec::new();
-        self.batch_connected_at_into(w, &shared_qs, &shared_cuts, &mut ans);
-        for (&i, &a) in shared_idx.iter().zip(&ans) {
-            out[i] = a;
-        }
-        for (tenant, idxs) in &ded {
-            let Some(TenantRoute::Dedicated(d)) = w.tenant_route(*tenant) else {
-                unreachable!("route changed mid-batch");
-            };
-            let qs: Vec<(VertexId, VertexId)> =
-                idxs.iter().map(|&i| (queries[i].1, queries[i].2)).collect();
-            self.batch_window_connected_into(d, &qs, &mut ans);
-            for (&i, &a) in idxs.iter().zip(&ans) {
-                out[i] = a;
-            }
-        }
-        out
+        let (pairs, cutoffs): (Vec<_>, Vec<_>) = queries
+            .iter()
+            .map(|&(tenant, u, v)| {
+                let cut = w.tenant_cutoff(tenant);
+                (
+                    (u, v),
+                    cut.unwrap_or_else(|| panic!("bimst-query: unknown tenant id {tenant}")),
+                )
+            })
+            .unzip();
+        self.batch_connected_at(w, &pairs, &cutoffs)
     }
 }
 
@@ -1370,10 +1187,10 @@ mod tests {
         // ingest: n = 2^16, 16-pair batches; serve_small: single queries.
         assert!(!QueryBatch::use_linear(1 << 16, 16));
         assert!(!QueryBatch::use_linear(1 << 20, 1));
-        // The n = 1M mixed-workload rows, up to 4096-query batches.
+        // A large forest keeps the shared CPTs even at 4096-query batches.
         assert!(!QueryBatch::use_linear(1_000_000, 4096));
-        // The CI mixed-workload smoke at n = 50 000: qbatch 4096 takes the
-        // linear plans, qbatch 64 the shared CPTs.
+        // At n = 50 000 the boundary falls between 64 and 4096 queries:
+        // the large batch covers the forest, the small one does not.
         assert!(QueryBatch::use_linear(50_000, 4096));
         assert!(!QueryBatch::use_linear(50_000, 64));
         // Below SHARED_CPT_MIN the per-query walks stay, however small n.
@@ -1411,20 +1228,18 @@ mod tests {
         assert!(QueryBatch::use_linear(n as usize, 512));
         let h = ReadHandle::new(lazy.msf());
         let mut q = QueryBatch::new();
-        let (mut pm, mut conn, mut fold) = (Vec::new(), Vec::new(), Vec::new());
-        let (mut min, mut sum, mut hops) = (Vec::new(), Vec::new(), Vec::new());
         // Interleaved max-summary and non-max folds: the path-max pass and
         // the fold pass each keep their untyped buffers across kinds (the
-        // fold pass's `M`-typed value buffer is its one per-batch
-        // allocation, not scratch).
-        let mut serve = |q: &mut QueryBatch, seed: u64| {
+        // fold pass's `M`-typed value buffer and the answer vectors are
+        // per-batch allocations, not scratch).
+        let serve = |q: &mut QueryBatch, seed: u64| {
             let pairs = batch(seed);
-            q.batch_path_max_into(h, &pairs, &mut pm);
-            q.batch_path_fold_into::<MinW>(h, &pairs, &mut min);
-            q.batch_window_connected_into(&lazy, &pairs, &mut conn);
-            q.batch_window_path_fold_into::<SumW, _>(&lazy, &pairs, &mut sum);
-            q.batch_path_fold_into::<MaxW>(h, &pairs, &mut fold);
-            q.batch_path_fold_into::<Hops>(h, &pairs, &mut hops);
+            q.batch_path_max(h, &pairs);
+            q.batch_path_fold::<MinW>(h, &pairs);
+            q.batch_window_connected(&lazy, &pairs);
+            q.batch_window_path_fold::<SumW, _>(&lazy, &pairs);
+            q.batch_path_fold::<MaxW>(h, &pairs);
+            q.batch_path_fold::<Hops>(h, &pairs);
         };
         let high_water = |q: &QueryBatch| {
             q.linear.high_water() + q.fold.high_water() + q.pm_buf.capacity() + q.path_ws.len()
@@ -1529,12 +1344,11 @@ mod tests {
                 .collect()
         };
         let mut q = QueryBatch::new();
-        let (mut min, mut sum, mut hops) = (Vec::new(), Vec::new(), Vec::new());
-        let mut serve = |q: &mut QueryBatch, seed: u64| {
+        let serve = |q: &mut QueryBatch, seed: u64| {
             let pairs = batch(seed);
-            q.batch_path_fold_into::<MinW>(h, &pairs, &mut min);
-            q.batch_path_fold_into::<SumW>(h, &pairs, &mut sum);
-            q.batch_path_fold_into::<Hops>(h, &pairs, &mut hops);
+            q.batch_path_fold::<MinW>(h, &pairs);
+            q.batch_path_fold::<SumW>(h, &pairs);
+            q.batch_path_fold::<Hops>(h, &pairs);
         };
         // Warm up on the batches the steady state then repeats: the
         // `M`-typed fold trees and oracles are per-chunk allocations, every
@@ -1579,7 +1393,7 @@ mod tests {
             let cutoffs = vec![cut; queries.len()];
             let fl = q.batch_path_fold_at::<Hops, _>(&lazy, &queries, &cutoffs);
             let conn = q.batch_connected_at(&lazy, &queries, &cutoffs);
-            let pm = q.batch_path_max_at(&lazy, &queries, &cutoffs);
+            let pm = q.batch_path_fold_at::<MaxW, _>(&lazy, &queries, &cutoffs);
             for (((&(u, v), f), &c), k) in queries.iter().zip(&fl).zip(&conn).zip(&pm) {
                 assert_eq!(f.is_some(), c && u != v, "cutoff {cut} ({u},{v})");
                 assert_eq!(f.is_some(), k.is_some(), "cutoff {cut} ({u},{v})");
@@ -1687,8 +1501,8 @@ mod tests {
                 .map(|&(u, v)| reference.is_connected(u, v))
                 .collect();
             assert_eq!(got, expect, "cutoff {cut}");
-            // Path-max-at: present iff connected at the cutoff (u != v).
-            let pm = q.batch_path_max_at(&lazy, &queries, &cutoffs);
+            // Max fold at the cutoff: present iff connected there (u != v).
+            let pm = q.batch_path_fold_at::<MaxW, _>(&lazy, &queries, &cutoffs);
             for ((&(u, v), k), &conn) in queries.iter().zip(&pm).zip(&got) {
                 assert_eq!(k.is_some(), conn && u != v, "cutoff {cut} ({u},{v})");
             }
@@ -1716,17 +1530,13 @@ mod tests {
 
     #[test]
     fn mixed_tenant_batch_matches_sequential() {
-        use bimst_sliding::{TenantConfig, TenantSpec};
+        use bimst_sliding::TenantSpec;
         let specs = [
             TenantSpec { id: 0, window: 64 },
             TenantSpec { id: 1, window: 8 },
-            TenantSpec { id: 2, window: 2 }, // dedicated under 1/8 · 64
+            TenantSpec { id: 2, window: 2 },
         ];
-        let cfg = TenantConfig {
-            dedicated_fraction: 1.0 / 8.0,
-        };
-        let mut ts = TenantSet::new(10, 5, &specs, cfg);
-        assert!(ts.dedicated(2).is_some());
+        let mut ts = TenantSet::new(10, 5, &specs);
         let mut q = QueryBatch::new();
         for round in 0..12u32 {
             let batch: Vec<(u32, u32)> = (0..5)
@@ -1746,7 +1556,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no route for tenant")]
+    #[should_panic(expected = "unknown tenant id")]
     fn tenant_batch_on_single_window_fails_stop() {
         let mut lazy = SwConn::new(4, 1);
         lazy.batch_insert(&[(0, 1)]);

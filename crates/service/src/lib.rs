@@ -37,9 +37,8 @@
 //!   the epoch retire): many readers XOR one writer, restated across the
 //!   channel boundary.
 //! * **Query coalescing.** Each batch of a queued run joins a *plan*, one
-//!   per query kind (fold kinds share one; a tenant batch joins the
-//!   shared-cutoff plan or its dedicated tenant's own), at a recorded
-//!   `(plan, offset)`. A plan is one shared-work batch (one root pass, one
+//!   per query kind (fold kinds share one; every tenant batch joins one
+//!   cutoff plan), at a recorded `(plan, offset)`. A plan is one shared-work batch (one root pass, one
 //!   set of shared CPT chunks) range-split across the readers; answers
 //!   are split back at the recorded offsets, bit-identical to the
 //!   per-query loop, so coalescing and sharding are invisible to clients.
@@ -85,9 +84,7 @@ use std::thread::JoinHandle;
 use bimst_graphgen::Op;
 use bimst_primitives::{FoldKind, FoldValue, VertexId, WKey};
 use bimst_query::WindowConnectivity;
-use bimst_sliding::{
-    SlidingWrite, SwConn, SwConnEager, TenantConfig, TenantSet, TenantSpec, WindowCheckpoint,
-};
+use bimst_sliding::{SlidingWrite, SwConn, SwConnEager, TenantSet, TenantSpec, WindowCheckpoint};
 use bimst_wal::{Meta, Recovery, Store};
 
 mod reader;
@@ -184,8 +181,8 @@ pub enum QueryReq {
     ComponentSize(Vec<VertexId>),
     /// Window connectivity *for one logical tenant* of a multi-tenant
     /// service ([`Service::tenants`]): answered under the tenant's own
-    /// window length via its recency cutoff on the shared structure (or
-    /// its dedicated fallback structure). Answers arrive as
+    /// window length via its recency cutoff on the shared structure.
+    /// Answers arrive as
     /// [`QueryResp::WindowConnected`]. Submitting this to a service whose
     /// window serves no tenants fails stop.
     TenantConnected {
@@ -555,7 +552,7 @@ impl ServiceHandle {
     /// admission queue, so the writer answers it after everything admitted
     /// before it (FIFO) and the snapshot's counters cover exactly that
     /// prefix. Folds the service's own registry with the window
-    /// structure's (tenant routing) and the process-global one (engine
+    /// structure's (tenant cutoff lag) and the process-global one (engine
     /// rounds, query plans — aggregated across *all* services in the
     /// process). Blocks under backpressure like any other submission.
     ///
@@ -651,60 +648,17 @@ impl Service {
     /// structure sized to the longest window. A tenant's
     /// [`QueryReq::TenantConnected`] batch is answered under its own
     /// window length via a per-tenant recency cutoff (Lemma 5.1 applied
-    /// per tenant); tenants with windows below
-    /// `tcfg.dedicated_fraction × ℓ_max` get dedicated fallback
-    /// structures fed from the same admission log. Mixed-tenant batches
-    /// admitted in the same generation share one deduped query plan.
+    /// per tenant). Mixed-tenant batches admitted in the same generation
+    /// share one deduped query plan.
     ///
     /// In-memory only: the WAL codec carries the tenant op tag, but
-    /// durable recovery of a tenant registry is future work, and this
+    /// durable recovery of a tenant registry is future work (the WAL
+    /// refuses to create or open a tenant-tagged store), and this
     /// constructor takes no store path so nothing about it *looks*
     /// durable. `cfg.sync` / `cfg.checkpoint_every` are ignored exactly
-    /// as by [`Service::start`]. A caller that needs the durable
-    /// combination must go through [`Service::tenants_durable`], which
-    /// fails loudly instead of silently skipping the log.
-    pub fn tenants(
-        n: usize,
-        seed: u64,
-        specs: &[TenantSpec],
-        tcfg: TenantConfig,
-        cfg: ServiceConfig,
-    ) -> Service {
-        Service::start(TenantSet::new(n, seed, specs, tcfg), cfg)
-    }
-
-    /// The durable counterpart [`Service::tenants`] deliberately does not
-    /// have: durable recovery of a tenant registry (per-tenant cutoffs,
-    /// dedicated fallback structures) is **not implemented**, and before
-    /// this constructor existed a caller could hand a durable-looking
-    /// `ServiceConfig` to [`Service::tenants`] and believe its ops were
-    /// logged. This always returns [`io::ErrorKind::Unsupported`] — the
-    /// WAL layer refuses to create (or ever open) a tenant-tagged store,
-    /// so the combination cannot silently lose durability. No file is
-    /// created.
-    pub fn tenants_durable(
-        path: impl AsRef<Path>,
-        n: usize,
-        seed: u64,
-        specs: &[TenantSpec],
-        tcfg: TenantConfig,
-        cfg: ServiceConfig,
-    ) -> io::Result<Service> {
-        let _ = (specs, tcfg, cfg);
-        let meta = Meta {
-            tenants: true,
-            ..shard::meta(n, seed, false)
-        };
-        match Store::create(path, &meta) {
-            Err(e) => Err(e),
-            // Unreachable today; if the WAL ever learns to log a tenant
-            // registry this constructor must grow a real serving path
-            // rather than quietly dropping the store.
-            Ok(_) => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "bimst-service: durable tenant serving is not implemented",
-            )),
-        }
+    /// as by [`Service::start`].
+    pub fn tenants(n: usize, seed: u64, specs: &[TenantSpec], cfg: ServiceConfig) -> Service {
+        Service::start(TenantSet::new(n, seed, specs), cfg)
     }
 
     /// [`Service::eager`] with durability: admitted write ops are logged
@@ -1176,21 +1130,18 @@ mod tests {
     }
 
     /// A multi-tenant service's answers must match the sequentially driven
-    /// `TenantSet`, across shared-routed and dedicated-routed tenants and
+    /// `TenantSet`, across tenants of very different window lengths and
     /// mixed-tenant batches admitted in the same generation.
     #[test]
     fn tenant_service_matches_sequential_tenant_set() {
         let specs = [
             TenantSpec { id: 0, window: 64 },
             TenantSpec { id: 1, window: 8 },
-            TenantSpec { id: 2, window: 2 }, // dedicated under fraction 1/8
+            TenantSpec { id: 2, window: 2 },
         ];
-        let tcfg = TenantConfig {
-            dedicated_fraction: 1.0 / 8.0,
-        };
         for readers in [1, 3] {
-            let svc = Service::tenants(32, 7, &specs, tcfg, cfg(readers));
-            let mut seq = bimst_sliding::TenantSet::new(32, 7, &specs, tcfg);
+            let svc = Service::tenants(32, 7, &specs, cfg(readers));
+            let mut seq = bimst_sliding::TenantSet::new(32, 7, &specs);
             let mut x = 11u64;
             let mut hash2 = |m: u64| {
                 x = x
@@ -1207,8 +1158,7 @@ mod tests {
                     seq.batch_expire(4);
                 }
                 // One batch per tenant, all admitted in the same
-                // generation, so they coalesce into one shared plan plus
-                // the dedicated tenant's own plan.
+                // generation, so they coalesce into one cutoff plan.
                 let pairs: Vec<(u32, u32)> = (0..6).map(|_| (hash2(32), hash2(32))).collect();
                 let tickets: Vec<(u32, QueryTicket)> = specs
                     .iter()
@@ -1227,7 +1177,7 @@ mod tests {
         }
     }
 
-    /// A tenant query against a single-window service has no route — it
+    /// A tenant query against a single-window service has no cutoff — it
     /// must fail stop (ticket errors, service dead), not silently answer
     /// from the wrong window.
     #[test]
@@ -1251,15 +1201,7 @@ mod tests {
             TenantSpec { id: 0, window: 64 },
             TenantSpec { id: 1, window: 4 },
         ];
-        let svc = Service::tenants(
-            64,
-            7,
-            &specs,
-            TenantConfig {
-                dedicated_fraction: 1.0 / 8.0,
-            },
-            cfg(2),
-        );
+        let svc = Service::tenants(64, 7, &specs, cfg(2));
         let mut tickets = Vec::new();
         for op in MixedStream::new(cfg_stream, 11).take(30) {
             if let Some(t) = svc.submit_op(op).unwrap() {

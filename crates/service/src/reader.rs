@@ -32,7 +32,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use bimst_primitives::{FoldKind, FoldValue, Hops, MaxW, MinW, PathMonoid, SumW, VertexId};
-use bimst_query::{QueryBatch, ReadHandle, TenantRoute, WindowConnectivity};
+use bimst_query::{QueryBatch, ReadHandle, WindowConnectivity};
 
 use crate::{QueryResp, ServeWindow};
 
@@ -72,11 +72,9 @@ impl<W> Copy for Snapshot<W> {}
 // `W: Sync` makes `&W` itself shareable across threads.
 unsafe impl<W: Sync> Send for Snapshot<W> {}
 
-/// The plan kinds of the serve path: one per request kind, except that
-/// tenant connectivity splits by route — every shared-routed tenant of a
-/// run joins one cutoff plan, each dedicated tenant is a plan of its own.
-/// The discriminant indexes the per-kind metric table
-/// (`shard::KIND_METRICS`).
+/// The plan kinds of the serve path, one per request kind: every tenant of
+/// a run joins one cutoff plan. The discriminant indexes the per-kind
+/// metric table (`shard::KIND_METRICS`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Kind {
     WindowConnected,
@@ -84,8 +82,7 @@ pub(crate) enum Kind {
     ComponentSize,
     /// All [`FoldKind`]s in one plan.
     PathFold,
-    TenantShared,
-    TenantDedicated,
+    TenantConnected,
 }
 
 /// One coalesced plan, kept by the writer across generations so its
@@ -96,13 +93,11 @@ pub(crate) enum Kind {
 #[derive(Clone)]
 pub(crate) struct Plan {
     pub kind: Kind,
-    /// The tenant a `TenantDedicated` plan serves (`0` otherwise).
-    pub tenant: u32,
     /// Endpoint pairs (every kind but `ComponentSize`).
     pub pairs: Vec<(VertexId, VertexId)>,
     /// Vertices (`ComponentSize`).
     pub verts: Vec<VertexId>,
-    /// Per-query tenant cutoffs, parallel to `pairs` (`TenantShared`).
+    /// Per-query tenant cutoffs, parallel to `pairs` (`TenantConnected`).
     pub cutoffs: Vec<u64>,
     /// Per-query fold kinds, parallel to `pairs` (`PathFold`). Readers
     /// serve maximal same-kind spans through one monomorphized plan each.
@@ -285,20 +280,8 @@ fn answer<W: ServeWindow>(q: &mut QueryBatch, w: &W, plan: &Plan, r: Range<usize
             }
             QueryResp::PathFold(out)
         }
-        Kind::TenantShared => {
+        Kind::TenantConnected => {
             QueryResp::WindowConnected(q.batch_connected_at(w, pairs(), &plan.cutoffs[r.clone()]))
-        }
-        Kind::TenantDedicated => {
-            // The writer resolved the route at merge time and has not
-            // touched the structure since (publish→retire), so the
-            // dedicated structure must still be there.
-            let Some(TenantRoute::Dedicated(d)) = w.tenant_route(plan.tenant) else {
-                panic!(
-                    "bimst-service: tenant {} route changed mid-generation",
-                    plan.tenant
-                );
-            };
-            QueryResp::WindowConnected(q.batch_window_connected(d, pairs()))
         }
     }
 }

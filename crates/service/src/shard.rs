@@ -36,7 +36,6 @@ use std::sync::Arc;
 
 use bimst_graphgen::Op;
 use bimst_primitives::VertexId;
-use bimst_query::TenantRoute;
 use bimst_sliding::{SlidingWrite, SwConn, SwConnEager, WindowCheckpoint};
 use bimst_wal::{Checkpoint, Meta, Store, SyncPolicy};
 
@@ -215,19 +214,17 @@ pub(crate) struct SvcObs {
     ops_insert: bimst_obs::Counter,
     ops_expire: bimst_obs::Counter,
     /// Per plan kind, indexed by [`Kind`] (see [`KIND_METRICS`]).
-    by_kind: [KindObs; 6],
+    by_kind: [KindObs; 5],
 }
 
 /// Per plan kind: the name suffix of its `service_queries_<kind>` counter
-/// and `service_answer_ns_<kind>` histogram, and the tenant route counter
-/// it also feeds. Both tenant routes count as one request kind.
-const KIND_METRICS: [(&str, Option<&str>); 6] = [
-    ("window_connected", None),
-    ("path_max", None),
-    ("component_size", None),
-    ("path_fold", None),
-    ("tenant_connected", Some("service_tenant_shared_queries")),
-    ("tenant_connected", Some("service_tenant_dedicated_queries")),
+/// and `service_answer_ns_<kind>` histogram.
+const KIND_METRICS: [&str; 5] = [
+    "window_connected",
+    "path_max",
+    "component_size",
+    "path_fold",
+    "tenant_connected",
 ];
 
 /// One plan kind's metrics.
@@ -236,8 +233,6 @@ struct KindObs {
     queries: bimst_obs::Counter,
     /// Admission-to-answer latency of each batch.
     answer_ns: bimst_obs::Histogram,
-    /// Queries by resolved tenant route (tenant plans only).
-    route: Option<bimst_obs::Counter>,
 }
 
 impl SvcObs {
@@ -250,10 +245,9 @@ impl SvcObs {
             groups: rec.counter("service_write_groups"),
             ops_insert: rec.counter("service_ops_insert"),
             ops_expire: rec.counter("service_ops_expire"),
-            by_kind: KIND_METRICS.map(|(kind, route)| KindObs {
+            by_kind: KIND_METRICS.map(|kind| KindObs {
                 queries: rec.counter(&format!("service_queries_{kind}")),
                 answer_ns: rec.histogram(&format!("service_answer_ns_{kind}")),
-                route: route.map(|r| rec.counter(r)),
             }),
             rec,
         }
@@ -469,27 +463,26 @@ const MIN_SHARD: usize = 64;
 /// ever coalesced, then steady-state serving allocates nothing here.
 #[derive(Default)]
 pub(crate) struct ServeScratch {
-    /// Every plan served so far, one per `(kind, tenant)` key. A plan no
-    /// request of the current run joins stays empty and is not dispatched.
+    /// Every plan served so far, one per kind. A plan no request of the
+    /// current run joins stays empty and is not dispatched.
     plans: Vec<Arc<Plan>>,
     /// Per run entry, parallel to [`Core::run`]: its plan and its offset
     /// in that plan, recorded at merge so split-back needs no cursors and
-    /// no second route lookup.
+    /// no second cutoff lookup.
     slots: Vec<(usize, usize)>,
     /// The current generation's partial answers.
     parts: Vec<Partial>,
 }
 
 impl ServeScratch {
-    /// Joins the run's next request, `req`, to the `(kind, tenant)` plan,
-    /// created on first use: records where the request's queries start in
-    /// the plan and returns the plan's input to append them to.
-    fn join(&mut self, req: &QueryReq, kind: Kind, tenant: u32) -> &mut Plan {
-        let key = |p: &Arc<Plan>| (p.kind, p.tenant) == (kind, tenant);
-        let p = self.plans.iter().position(key).unwrap_or_else(|| {
+    /// Joins the run's next request, `req`, to the `kind` plan, created
+    /// on first use: records where the request's queries start in the plan
+    /// and returns the plan's input to append them to.
+    fn join(&mut self, req: &QueryReq, kind: Kind) -> &mut Plan {
+        let p = self.plans.iter().position(|p| p.kind == kind);
+        let p = p.unwrap_or_else(|| {
             self.plans.push(Arc::new(Plan {
                 kind,
-                tenant,
                 pairs: Vec::new(),
                 verts: Vec::new(),
                 cutoffs: Vec::new(),
@@ -505,48 +498,42 @@ impl ServeScratch {
 }
 
 /// Merges `req` into its plan: the one place the serve path names request
-/// kinds. A tenant's route is resolved here, once: shared-routed tenants
-/// merge into one plan with the tenant's cutoff repeated per query, each
-/// dedicated tenant is its own plan. Folds of every kind merge into one
-/// plan the same way, tagged with their kind.
+/// kinds. A tenant's cutoff is resolved here, once: every tenant merges
+/// into one plan with its cutoff repeated per query. Folds of every kind
+/// merge into one plan the same way, tagged with their kind.
 ///
 /// # Panics
 ///
-/// On a tenant id the window does not route: it must not be answered from
+/// On a tenant id the window does not serve: it must not be answered from
 /// the wrong window. [`Core::serve`] merges every request before it
 /// publishes, so unwinding here resolves every pending ticket as closed.
 fn merge<W: ServeWindow>(req: &QueryReq, w: &W, ws: &mut ServeScratch) {
     match req {
         QueryReq::WindowConnected(q) => ws
-            .join(req, Kind::WindowConnected, 0)
+            .join(req, Kind::WindowConnected)
             .pairs
             .extend_from_slice(q),
-        QueryReq::PathMax(q) => ws.join(req, Kind::PathMax, 0).pairs.extend_from_slice(q),
+        QueryReq::PathMax(q) => ws.join(req, Kind::PathMax).pairs.extend_from_slice(q),
         QueryReq::ComponentSize(vs) => ws
-            .join(req, Kind::ComponentSize, 0)
+            .join(req, Kind::ComponentSize)
             .verts
             .extend_from_slice(vs),
         QueryReq::PathFold { kind, pairs } => {
-            let plan = ws.join(req, Kind::PathFold, 0);
+            let plan = ws.join(req, Kind::PathFold);
             plan.pairs.extend_from_slice(pairs);
             plan.folds.resize(plan.pairs.len(), *kind);
         }
-        QueryReq::TenantConnected { tenant, pairs } => match w.tenant_route(*tenant) {
-            Some(TenantRoute::Shared { cutoff }) => {
-                let plan = ws.join(req, Kind::TenantShared, 0);
-                plan.pairs.extend_from_slice(pairs);
-                plan.cutoffs.resize(plan.pairs.len(), cutoff);
-            }
-            Some(TenantRoute::Dedicated(_)) => {
-                ws.join(req, Kind::TenantDedicated, *tenant)
-                    .pairs
-                    .extend_from_slice(pairs);
-            }
-            None => panic!(
-                "bimst-service: no tenant route for id {tenant} \
-                 (tenant query on a non-tenant service?)"
-            ),
-        },
+        QueryReq::TenantConnected { tenant, pairs } => {
+            let cutoff = w.tenant_cutoff(*tenant).unwrap_or_else(|| {
+                panic!(
+                    "bimst-service: unknown tenant id {tenant} \
+                     (tenant query on a non-tenant service?)"
+                )
+            });
+            let plan = ws.join(req, Kind::TenantConnected);
+            plan.pairs.extend_from_slice(pairs);
+            plan.cutoffs.resize(plan.pairs.len(), cutoff);
+        }
     }
 }
 
@@ -603,7 +590,7 @@ impl<W: ServeWindow> Core<W> {
     }
 
     /// The core's registry folded with the window structure's (tenant
-    /// routing).
+    /// cutoff lag).
     pub(crate) fn metrics(&self) -> bimst_obs::Snapshot {
         let mut snap = self.obs.rec.snapshot();
         if let Some(r) = self.w.obs_recorder() {
@@ -713,9 +700,6 @@ impl<W: ServeWindow> Core<W> {
             let answers = plan.out.slice(off..off + req.len());
             let m = &obs.by_kind[plan.kind as usize];
             m.queries.add(req.len() as u64);
-            if let Some(route) = &m.route {
-                route.add(req.len() as u64);
-            }
             // Admission-to-answer latency. `at` is stamped at submission iff
             // recording was on, so the off twin reads no clock.
             if let Some(at) = at {
@@ -952,35 +936,24 @@ mod tests {
     }
 
     /// The serve path over a `TenantSet`, driven directly with a run that
-    /// mixes shared-routed and dedicated-routed tenant batches (several
-    /// dedicated tenants, so their plans splice side by side), plain
-    /// window queries and folds of two kinds: every split answer must
-    /// match the sequentially queried structure.
+    /// mixes tenant batches of five window lengths (their cutoffs splice
+    /// side by side in one plan), plain window queries and folds of two
+    /// kinds: every split answer must match the sequentially queried
+    /// structure.
     #[test]
     fn serve_splits_mixed_tenant_runs() {
         use bimst_primitives::{Hops, MaxW, MinW, Pair, WKey};
-        use bimst_sliding::{TenantConfig, TenantSet, TenantSpec};
+        use bimst_sliding::{TenantSet, TenantSpec};
         let specs = [
             TenantSpec { id: 3, window: 32 },
             TenantSpec { id: 5, window: 16 },
-            // Windows below 32/4 get dedicated structures.
             TenantSpec { id: 7, window: 6 },
             TenantSpec { id: 9, window: 2 },
             TenantSpec { id: 11, window: 3 },
         ];
-        let mut w = TenantSet::new(
-            12,
-            5,
-            &specs,
-            TenantConfig {
-                dedicated_fraction: 1.0 / 4.0,
-            },
-        );
+        let mut w = TenantSet::new(12, 5, &specs);
         w.batch_insert(&[(0, 1), (1, 2), (4, 5), (5, 6), (2, 3)]);
         w.batch_expire(2);
-        for t in [7, 9, 11] {
-            assert!(matches!(w.tenant_route(t), Some(TenantRoute::Dedicated(_))));
-        }
 
         let pairs: Vec<(u32, u32)> = vec![(0, 2), (0, 3), (4, 6), (1, 3), (5, 5)];
         let mut core = Core::new(w, 4, 2, bimst_obs::Recorder::new());
@@ -997,8 +970,8 @@ mod tests {
             kind: FoldKind::Hops,
             pairs: pairs.clone(),
         });
-        // A dedicated tenant again after the folds: its plan offset is
-        // not the start of its plan.
+        // A tenant again after the folds: its plan offset is not the start
+        // of its plan.
         reqs.push(QueryReq::TenantConnected {
             tenant: 9,
             pairs: pairs[1..].to_vec(),
@@ -1062,13 +1035,9 @@ mod tests {
             answers[8].resp,
             QueryResp::PathFold(fold(FoldKind::Min, &pairs[..3]))
         );
-        // Route counters: tenants 3 and 5 are shared-routed, 7, 9 (twice)
-        // and 11 dedicated; both routes count as tenant-kind queries.
+        // Five tenant batches of 5 pairs and one of 4: 29 tenant queries.
         let snap = core.metrics();
-        let count = |name| snap.counter(name);
-        assert_eq!(count("service_tenant_shared_queries"), Some(10));
-        assert_eq!(count("service_tenant_dedicated_queries"), Some(19));
-        assert_eq!(count("service_queries_tenant_connected"), Some(29));
+        assert_eq!(snap.counter("service_queries_tenant_connected"), Some(29));
         core.shutdown();
     }
 
@@ -1124,11 +1093,11 @@ mod tests {
     /// repeated same-shape generations reclaim every buffer through the
     /// post-join `Arc` round-trip instead of reallocating. Covers every
     /// plan kind: folds of two kinds share one plan, and a `TenantSet`
-    /// core adds the shared-cutoff plan and a dedicated tenant's own plan.
+    /// core adds the cutoff plan, joined by two tenants.
     /// Styled after `scratch_steady_state.rs` on the write path.
     #[test]
     fn serve_scratch_steady_state() {
-        use bimst_sliding::{TenantConfig, TenantSet, TenantSpec};
+        use bimst_sliding::{TenantSet, TenantSpec};
         let mut w = SwConnEager::new(300, 9);
         let ring: Vec<(u32, u32)> = (0..299).map(|v| (v, v + 1)).collect();
         w.batch_insert(&ring);
@@ -1158,15 +1127,11 @@ mod tests {
 
         let specs = [
             TenantSpec { id: 1, window: 200 },
-            TenantSpec { id: 2, window: 10 }, // dedicated under fraction 1/4
+            TenantSpec { id: 2, window: 10 },
         ];
-        let tcfg = TenantConfig {
-            dedicated_fraction: 1.0 / 4.0,
-        };
-        let mut w = TenantSet::new(300, 9, &specs, tcfg);
+        let mut w = TenantSet::new(300, 9, &specs);
         w.batch_insert(&ring);
         w.batch_expire(20);
-        assert!(matches!(w.tenant_route(2), Some(TenantRoute::Dedicated(_))));
         let mut core = Core::new(w, 0, 3, bimst_obs::Recorder::new());
         let tenant = |tenant, pairs: &[(u32, u32)]| QueryReq::TenantConnected {
             tenant,

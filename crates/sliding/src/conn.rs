@@ -267,20 +267,9 @@ impl SwConn {
         if u == v {
             return true;
         }
-        // The cutoff convention of the tenant module: fold the max monoid
-        // (heaviest = oldest edge on the path, under recency weights) and
-        // compare its id against the window start, failing loudly in debug
-        // builds if the cutoff ever drifts from `window_start_tau()`.
-        let cutoff = self.tw;
-        debug_assert_eq!(
-            cutoff,
-            self.window_start_tau(),
-            "stale recent-edge cutoff: {cutoff} vs window start {}",
-            self.window_start_tau()
-        );
         match self.msf.path_fold::<MaxW>(u, v) {
             // Heaviest = oldest edge on the path; connected iff unexpired.
-            Some(k) => k.id >= cutoff,
+            Some(k) => k.id >= self.tw,
             None => false,
         }
     }

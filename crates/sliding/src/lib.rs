@@ -45,4 +45,4 @@ pub use cyclefree::CycleFree;
 pub use kcert::KCertificate;
 pub use mincut::global_min_cut;
 pub use sparsify::{Sparsifier, SparsifierConfig};
-pub use tenant::{TenantConfig, TenantSet, TenantSpec};
+pub use tenant::{TenantSet, TenantSpec};

@@ -12,15 +12,11 @@
 //!
 //! [`TenantSet`] is that registry. Each tenant is `(id, ℓᵢ)`; inserts feed
 //! the shared structure once, and every tenant's window slides implicitly
-//! with the stream position. The one place sharing can *lose* is a tenant
-//! whose window is vastly shorter than ℓ_max: its queries pay path-max
-//! walks over a forest dominated by edges it will always filter out, where
-//! a dedicated structure would stay tiny. [`TenantConfig::dedicated_fraction`]
-//! is the divergence fallback: tenants with `ℓᵢ < fraction · ℓ_max` get
-//! their own small [`SwConn`] fed from the same stream (identical
-//! positions, via [`SwConn::batch_insert_at`]), so pathological mixes
-//! degrade to the naive per-tenant baseline instead of below it. Answers
-//! are bit-identical on both routes — the differential suite
+//! with the stream position. Every tenant, however short its window, is
+//! answered from the shared structure: a separate lazy structure for a
+//! short window would not be smaller, because lazy expiry only moves its
+//! left endpoint and it keeps the same whole-stream MSF. Answers are
+//! bit-identical to a naive per-tenant replica — the differential suite
 //! (`tests/prop_tenants.rs`) pins that.
 
 use crate::conn::{SlidingWrite, SwConn};
@@ -36,34 +32,9 @@ pub struct TenantSpec {
     pub window: u64,
 }
 
-/// Shape of a [`TenantSet`].
-#[derive(Clone, Copy, Debug)]
-pub struct TenantConfig {
-    /// Divergence fallback threshold: a tenant whose window satisfies
-    /// `ℓᵢ < dedicated_fraction · ℓ_max` is served from a dedicated small
-    /// [`SwConn`] instead of the shared structure. `0.0` disables the
-    /// fallback (everything shared); `1.0` dedicates every tenant but the
-    /// longest (the naive baseline).
-    pub dedicated_fraction: f64,
-}
-
-impl Default for TenantConfig {
-    fn default() -> Self {
-        // 1/64: a tenant has to be well over an order of magnitude shorter
-        // than the shared window before its filtered path-max walks are
-        // plausibly worse than paying a second contraction per insert.
-        TenantConfig {
-            dedicated_fraction: 1.0 / 64.0,
-        }
-    }
-}
-
 struct TenantEntry {
     id: u32,
     window: u64,
-    /// Divergence fallback: `Some` iff this tenant's window is shorter
-    /// than the configured fraction of ℓ_max.
-    dedicated: Option<SwConn>,
 }
 
 /// N logical sliding windows ("tenants") served from one shared
@@ -73,9 +44,8 @@ struct TenantEntry {
 /// tenant's window slides implicitly with the stream, and an explicit
 /// [`TenantSet::batch_expire`] advances a *global* floor clamping every
 /// tenant's cutoff (the serving runtime's expiry semantics, shared by all
-/// tenants of one stream). Reads resolve a tenant to either the shared
-/// structure plus its cutoff `τᵢ = max(t − ℓᵢ, floor)` or its dedicated
-/// fallback structure.
+/// tenants of one stream). Reads resolve a tenant to the shared structure
+/// plus its cutoff `τᵢ = max(t − ℓᵢ, floor)`.
 pub struct TenantSet {
     /// The shared structure: lazy expiry, window = ℓ_max.
     shared: SwConn,
@@ -86,9 +56,9 @@ pub struct TenantSet {
     /// Explicitly expired stream prefix (from [`TenantSet::batch_expire`]);
     /// clamps every tenant's cutoff from below.
     floor: u64,
-    /// This set's own metrics registry (routing counts, cutoff lag); a
-    /// serving layer reaches it via [`SlidingWrite::obs_recorder`] and
-    /// folds it into its snapshot.
+    /// This set's own metrics registry (cutoff lag); a serving layer
+    /// reaches it via [`SlidingWrite::obs_recorder`] and folds it into its
+    /// snapshot.
     obs: TenantObs,
 }
 
@@ -96,12 +66,6 @@ pub struct TenantSet {
 /// (per-instance, so parallel tests and co-resident sets never mix).
 struct TenantObs {
     rec: bimst_obs::Recorder,
-    /// `tenant_queries_shared`: sequential-reference queries answered
-    /// through the shared structure + cutoff filter.
-    shared_queries: bimst_obs::Counter,
-    /// `tenant_queries_dedicated`: sequential-reference queries answered by
-    /// a dedicated fallback structure.
-    dedicated_queries: bimst_obs::Counter,
     /// `tenant_cutoff_lag`: per tenant per write batch, how far its cutoff
     /// `τᵢ` sits ahead of the shared structure's left endpoint.
     cutoff_lag: bimst_obs::Histogram,
@@ -111,8 +75,6 @@ impl TenantObs {
     fn new() -> Self {
         let rec = bimst_obs::Recorder::new();
         TenantObs {
-            shared_queries: rec.counter("tenant_queries_shared"),
-            dedicated_queries: rec.counter("tenant_queries_dedicated"),
             cutoff_lag: rec.histogram("tenant_cutoff_lag"),
             rec,
         }
@@ -125,7 +87,7 @@ impl TenantSet {
     /// # Panics
     ///
     /// If `specs` is empty, a window is zero, or tenant ids repeat.
-    pub fn new(n: usize, seed: u64, specs: &[TenantSpec], cfg: TenantConfig) -> Self {
+    pub fn new(n: usize, seed: u64, specs: &[TenantSpec]) -> Self {
         assert!(!specs.is_empty(), "TenantSet needs at least one tenant");
         assert!(
             specs.iter().all(|s| s.window > 0),
@@ -134,14 +96,9 @@ impl TenantSet {
         let max_window = specs.iter().map(|s| s.window).max().unwrap();
         let mut tenants: Vec<TenantEntry> = specs
             .iter()
-            .map(|s| {
-                let dedicated = ((s.window as f64) < cfg.dedicated_fraction * max_window as f64)
-                    .then(|| SwConn::new(n, seed ^ (0x9e3779b9 + u64::from(s.id))));
-                TenantEntry {
-                    id: s.id,
-                    window: s.window,
-                    dedicated,
-                }
+            .map(|s| TenantEntry {
+                id: s.id,
+                window: s.window,
             })
             .collect();
         tenants.sort_by_key(|e| e.id);
@@ -170,16 +127,14 @@ impl TenantSet {
             .map(|i| &self.tenants[i])
     }
 
-    /// Slides every structure's left endpoint to its tenant's current
-    /// cutoff (windows are suffixes of the stream, so cutoffs only grow).
+    /// Slides the shared structure's left endpoint to the longest
+    /// window's cutoff (windows are suffixes of the stream, so cutoffs only
+    /// grow).
     fn advance(&mut self) {
         let t = self.shared.window().1;
         let shared_start = t.saturating_sub(self.max_window).max(self.floor);
         self.shared.expire_before(shared_start);
-        for e in &mut self.tenants {
-            if let Some(d) = &mut e.dedicated {
-                d.expire_before(t.saturating_sub(e.window).max(self.floor));
-            }
+        for e in &self.tenants {
             // Cutoff lag: how far this tenant's visible suffix starts ahead
             // of the shared structure's left endpoint (0 for the ℓ_max
             // tenant; larger for shorter windows).
@@ -193,21 +148,6 @@ impl TenantSet {
     /// the first edge.
     pub fn batch_insert(&mut self, edges: &[(VertexId, VertexId)]) -> u64 {
         let first = self.shared.batch_insert(edges);
-        if self.tenants.iter().any(|e| e.dedicated.is_some()) {
-            // Dedicated structures replay the same stream at the same
-            // positions — that identity is what makes the two routes
-            // bit-identical.
-            let at: Vec<(VertexId, VertexId, u64)> = edges
-                .iter()
-                .enumerate()
-                .map(|(i, &(u, v))| (u, v, first + i as u64))
-                .collect();
-            for e in &mut self.tenants {
-                if let Some(d) = &mut e.dedicated {
-                    d.batch_insert_at(&at);
-                }
-            }
-        }
         self.advance();
         first
     }
@@ -262,12 +202,6 @@ impl TenantSet {
         Some(t.saturating_sub(e.window).max(self.floor))
     }
 
-    /// The tenant's dedicated fallback structure, if the divergence
-    /// threshold routed it off the shared path.
-    pub fn dedicated(&self, tenant: u32) -> Option<&SwConn> {
-        self.entry(tenant)?.dedicated.as_ref()
-    }
-
     /// Whether `u` and `v` are connected in `tenant`'s window — the
     /// sequential reference the batched plans must match bit-identically.
     ///
@@ -276,19 +210,12 @@ impl TenantSet {
     /// On an unknown tenant id (a routing bug, not a data-dependent
     /// condition — fail stop).
     pub fn is_connected(&self, tenant: u32, u: VertexId, v: VertexId) -> bool {
-        let e = self
-            .entry(tenant)
+        let tau = self
+            .cutoff(tenant)
             .unwrap_or_else(|| panic!("bimst-sliding: unknown tenant id {tenant}"));
-        if let Some(d) = &e.dedicated {
-            self.obs.dedicated_queries.inc();
-            return d.is_connected(u, v);
-        }
-        self.obs.shared_queries.inc();
         if u == v {
             return true;
         }
-        let t = self.shared.window().1;
-        let tau = t.saturating_sub(e.window).max(self.floor);
         match self.shared.msf().path_max(u, v) {
             // Recent-edge test at the tenant's own cutoff.
             Some(k) => k.id >= tau,
@@ -363,13 +290,9 @@ mod tests {
     #[test]
     fn shared_answers_match_naive_replicas() {
         let n = 24usize;
-        // fraction 1/8: ℓ = 4 < 64/8 is dedicated, 16 and 64 are shared.
-        let cfg = TenantConfig {
-            dedicated_fraction: 1.0 / 8.0,
-        };
-        let mut ts = TenantSet::new(n, 5, &specs(), cfg);
-        assert!(ts.dedicated(7).is_some(), "ℓ=4 crosses the threshold");
-        assert!(ts.dedicated(0).is_none() && ts.dedicated(3).is_none());
+        // ℓ = 4 is 1/16 of ℓ_max = 64 and still answers from the shared
+        // structure.
+        let mut ts = TenantSet::new(n, 5, &specs());
         let mut naive: Vec<(u32, Naive)> = specs()
             .iter()
             .map(|s| (s.id, Naive::new(n, s.window, 99 + u64::from(s.id))))
@@ -413,7 +336,7 @@ mod tests {
 
     #[test]
     fn cutoffs_are_nested_and_floored() {
-        let mut ts = TenantSet::new(8, 1, &specs(), TenantConfig::default());
+        let mut ts = TenantSet::new(8, 1, &specs());
         ts.batch_insert(&(0..100).map(|i| (i % 8, (i + 1) % 8)).collect::<Vec<_>>());
         // t = 100: cutoffs are t − ℓᵢ, all ≥ the shared window start.
         assert_eq!(ts.window(), (100 - 64, 100));
@@ -435,7 +358,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown tenant id")]
     fn unknown_tenant_fails_stop() {
-        let ts = TenantSet::new(4, 1, &specs(), TenantConfig::default());
+        let ts = TenantSet::new(4, 1, &specs());
         ts.is_connected(42, 0, 1);
     }
 
@@ -446,32 +369,6 @@ mod tests {
             TenantSpec { id: 1, window: 8 },
             TenantSpec { id: 1, window: 9 },
         ];
-        TenantSet::new(4, 1, &dup, TenantConfig::default());
-    }
-
-    #[test]
-    fn fraction_extremes() {
-        // 0.0: nothing dedicated; 1.0: everything but ℓ_max dedicated.
-        let all_shared = TenantSet::new(
-            4,
-            1,
-            &specs(),
-            TenantConfig {
-                dedicated_fraction: 0.0,
-            },
-        );
-        assert!(all_shared
-            .tenant_ids()
-            .all(|id| all_shared.dedicated(id).is_none()));
-        let naive = TenantSet::new(
-            4,
-            1,
-            &specs(),
-            TenantConfig {
-                dedicated_fraction: 1.0,
-            },
-        );
-        assert!(naive.dedicated(3).is_none(), "ℓ_max itself stays shared");
-        assert!(naive.dedicated(0).is_some() && naive.dedicated(7).is_some());
+        TenantSet::new(4, 1, &dup);
     }
 }

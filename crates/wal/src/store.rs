@@ -85,12 +85,12 @@ pub struct Meta {
     /// (`SwConn`).
     pub eager: bool,
     /// `true` when the store is (or would be) tagged as backing a
-    /// multi-tenant window set. Durable recovery of a tenant registry —
-    /// per-tenant cutoffs, dedicated fallback structures — is future
-    /// work, so the tag exists only to fail loudly: [`Store::create`]
-    /// refuses to create a tenant-tagged store and every recovery entry
-    /// point refuses to open one, instead of silently rebuilding a
-    /// single-window structure under a registry that was never logged.
+    /// multi-tenant window set. Durable recovery of a tenant registry
+    /// (its tenant windows and expiry floor) is future work, so the tag
+    /// exists only to fail loudly: [`Store::create`] refuses to create a
+    /// tenant-tagged store and every recovery entry point refuses to open
+    /// one, instead of silently rebuilding a single-window structure under
+    /// a registry that was never logged.
     pub tenants: bool,
 }
 
@@ -207,7 +207,7 @@ fn tenants_unsupported() -> io::Error {
     io::Error::new(
         io::ErrorKind::Unsupported,
         "bimst-wal: tenant-tagged store: durable recovery of a tenant \
-         registry (per-tenant cutoffs, dedicated fallbacks) is not \
+         registry (tenant windows, expiry floor) is not \
          implemented — serve tenant window sets in-memory",
     )
 }

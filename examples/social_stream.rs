@@ -31,7 +31,7 @@
 
 use bimst_graphgen::{MixedConfig, MixedStream, MixedTopology, Op};
 use bimst_service::{QueryReq, QueryResp, Service, ServiceConfig};
-use bimst_sliding::{TenantConfig, TenantSpec};
+use bimst_sliding::TenantSpec;
 
 /// Prints the phase's metrics digest and schema-validates both exports —
 /// the JSON must round-trip through the offline bench parser with every
@@ -229,32 +229,17 @@ fn main() {
     // Two products watch the same interaction firehose with very different
     // retention: the feed ranker wants the full 6k-interaction window, the
     // abuse detector only the freshest 256. One shared structure serves
-    // the ranker through its per-tenant cutoff; the detector's window is
-    // short enough (below the divergence fraction) that it gets a
-    // dedicated small structure fed from the same admission log — both
-    // behind the same service, with the stream's tenant-tagged query
-    // batches routed by `submit_op`.
+    // both through per-tenant cutoffs behind the same service, with the
+    // stream's tenant-tagged query batches routed by `submit_op`.
     println!("\nmulti-tenant phase: feed window 6000 vs abuse window 256, one stream:");
     let specs = [
         TenantSpec {
             id: 0,
             window: 6_000,
-        }, // feed ranker (shared route)
-        TenantSpec { id: 1, window: 256 }, // abuse detector (dedicated)
+        }, // feed ranker
+        TenantSpec { id: 1, window: 256 }, // abuse detector
     ];
-    let tsvc = Service::tenants(
-        n as usize,
-        seed,
-        &specs,
-        // Dedicate below ℓ_max/8 = 750: the 256-window detector falls
-        // back to its own small structure, the 6000-window ranker shares.
-        // (The route counters in the phase's metrics digest show both
-        // paths taken.)
-        TenantConfig {
-            dedicated_fraction: 1.0 / 8.0,
-        },
-        svc_cfg,
-    );
+    let tsvc = Service::tenants(n as usize, seed, &specs, svc_cfg);
     let tcfg_stream = MixedConfig {
         queries_per_insert: 2, // connectivity batches rotate tenants 0, 1
         tenants: 2,
@@ -287,18 +272,12 @@ fn main() {
         per_tenant_hits[1] * per_tenant_total[0] <= per_tenant_hits[0] * per_tenant_total[1],
         "a nested shorter window cannot be better-connected than the full one"
     );
-    // The tenant snapshot folds the `TenantSet`'s own recorder in: route
-    // counters (every tenant query takes exactly one of shared/dedicated)
-    // and the cutoff-lag histogram (τ_tenant − τ_shared per advance).
+    // The tenant snapshot folds the `TenantSet`'s own recorder in: the
+    // cutoff-lag histogram (τ_tenant − τ_shared per advance).
     report_metrics(
         "multi-tenant",
         &tsvc.metrics_snapshot().expect("service alive"),
-        &[
-            "service_queries_tenant_connected",
-            "service_tenant_shared_queries",
-            "service_tenant_dedicated_queries",
-            "tenant_cutoff_lag",
-        ],
+        &["service_queries_tenant_connected", "tenant_cutoff_lag"],
     );
     tsvc.shutdown();
 }

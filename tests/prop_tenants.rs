@@ -1,5 +1,5 @@
 //! Differential oracles for multi-tenant serving ([`TenantSet`] and the
-//! shared-cutoff query plans): every tenant's answers under the shared
+//! cutoff query plans): every tenant's answers under the shared
 //! structure must be **bit-identical** to a dedicated per-tenant
 //! [`SwConn`] replaying the same stream — the Lemma 5.1 claim the whole
 //! tentpole rests on, probed under [`bimst_graphgen::MixedStream`]
@@ -11,11 +11,8 @@
 //! same positions answers identically regardless of its seed — any
 //! mismatch is a real routing/cutoff bug, never noise.
 //!
-//! Both the shared route (per-tenant cutoff on one structure) and the
-//! divergence-fallback route (dedicated small structure) are exercised:
-//! the sampled `dedicated_fraction` values place the tenant windows on
-//! both sides of the threshold, including all-shared (`0.0`) and
-//! all-dedicated-but-ℓ_max (`1.0`).
+//! Tenant windows span ℓ_max down to ℓ_max / 16, so short windows are
+//! answered from the same shared structure as the longest one.
 //!
 //! Every property replays the checked-in seeds in `tests/seeds/` first —
 //! the workspace's regression-corpus convention (see `TESTING.md`).
@@ -23,7 +20,7 @@
 use bimst_graphgen::{MixedConfig, MixedStream, MixedTopology, Op};
 use bimst_primitives::hash::hash2;
 use bimst_query::QueryBatch;
-use bimst_sliding::{SwConn, TenantConfig, TenantSet, TenantSpec};
+use bimst_sliding::{SwConn, TenantSet, TenantSpec};
 use proptest::prelude::*;
 
 /// The oracle: one dedicated lazy window per tenant, fed every stream
@@ -63,10 +60,9 @@ impl NaiveTenant {
 }
 
 /// A tenant-tagged MixedStream workload plus the tenant registry shape:
-/// windows are fixed fractions of the longest window (so they are nested
-/// and straddle the divergence threshold), and `dedicated_fraction` is
-/// sampled from both extremes and a middle value.
-fn tenant_cfg() -> impl Strategy<Value = (MixedConfig, Vec<TenantSpec>, TenantConfig, u64)> {
+/// windows are fixed fractions of the longest window, so they are nested
+/// and span a 16× range.
+fn tenant_cfg() -> impl Strategy<Value = (MixedConfig, Vec<TenantSpec>, u64)> {
     (
         prop_oneof![
             Just(MixedTopology::ErdosRenyi),
@@ -75,10 +71,9 @@ fn tenant_cfg() -> impl Strategy<Value = (MixedConfig, Vec<TenantSpec>, TenantCo
         ],
         1usize..6,
         8u64..64,
-        prop_oneof![Just(0.0), Just(0.3), Just(1.0)],
         0u64..1_000_000,
     )
-        .prop_map(|(topology, insert_batch, max_window, fraction, seed)| {
+        .prop_map(|(topology, insert_batch, max_window, seed)| {
             let windows = [
                 max_window,
                 (max_window / 2).max(1),
@@ -102,14 +97,7 @@ fn tenant_cfg() -> impl Strategy<Value = (MixedConfig, Vec<TenantSpec>, TenantCo
                 window: max_window,
                 tenants: specs.len() as u32,
             };
-            (
-                cfg,
-                specs,
-                TenantConfig {
-                    dedicated_fraction: fraction,
-                },
-                seed,
-            )
+            (cfg, specs, seed)
         })
 }
 
@@ -130,14 +118,14 @@ fn query_pairs(seed: u64, round: u64, n: u32, count: usize) -> Vec<(u32, u32)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Per-tenant point queries through the shared structure (or its
-    /// dedicated fallback) match the naive dedicated replica at every
+    /// Per-tenant point queries through the shared structure match the
+    /// naive dedicated replica at every
     /// checkpoint, and the published cutoffs match the replica's window
     /// start exactly.
     #[test]
-    fn tenant_set_matches_dedicated_replicas((cfg, specs, tcfg, seed) in tenant_cfg()) {
+    fn tenant_set_matches_dedicated_replicas((cfg, specs, seed) in tenant_cfg()) {
         let n = cfg.n as usize;
-        let mut ts = TenantSet::new(n, seed, &specs, tcfg);
+        let mut ts = TenantSet::new(n, seed, &specs);
         let mut naive: Vec<NaiveTenant> = specs
             .iter()
             .map(|s| NaiveTenant::new(n, seed ^ 0xd1f0, s.window))
@@ -187,9 +175,9 @@ proptest! {
     /// replicas — the queries of all tenants share one deduped root/CPT
     /// pass, with the per-tenant cutoffs applied only as the final filter.
     #[test]
-    fn mixed_tenant_plans_match_naive_replicas((cfg, specs, tcfg, seed) in tenant_cfg()) {
+    fn mixed_tenant_plans_match_naive_replicas((cfg, specs, seed) in tenant_cfg()) {
         let n = cfg.n as usize;
-        let mut ts = TenantSet::new(n, seed, &specs, tcfg);
+        let mut ts = TenantSet::new(n, seed, &specs);
         let mut naive: Vec<NaiveTenant> = specs
             .iter()
             .map(|s| NaiveTenant::new(n, seed ^ 0xbeef, s.window))
@@ -213,8 +201,8 @@ proptest! {
                 _ => {
                     round += 1;
                     // Interleave the tenants within one batch so the
-                    // grouped plan really mixes cutoffs (and dedicated
-                    // routes) rather than running per-tenant segments.
+                    // grouped plan really mixes cutoffs rather than running
+                    // per-tenant segments.
                     let mixed: Vec<(u32, u32, u32)> = query_pairs(seed, round, cfg.n, 12)
                         .into_iter()
                         .enumerate()
@@ -228,9 +216,8 @@ proptest! {
                     prop_assert_eq!(
                         &got,
                         &want,
-                        "mixed batch diverged at round {} (fraction {})",
-                        round,
-                        tcfg.dedicated_fraction
+                        "mixed batch diverged at round {}",
+                        round
                     );
                 }
             }
