@@ -84,14 +84,14 @@ use std::thread::JoinHandle;
 use bimst_graphgen::Op;
 use bimst_primitives::{FoldKind, FoldValue, VertexId, WKey};
 use bimst_query::WindowConnectivity;
-use bimst_sliding::{SlidingWrite, SwConn, SwConnEager, TenantSet, TenantSpec, WindowCheckpoint};
+use bimst_sliding::{SlidingWrite, SwConn, SwConnEager, TenantSet, TenantSpec};
 use bimst_wal::{Meta, Recovery, Store};
 
 mod reader;
 mod replica;
 mod shard;
 
-use shard::{DurCtl, Req, SnapshotFn};
+use shard::{DurCtl, Queue, Req, Run};
 
 pub use bimst_wal::SyncPolicy;
 pub use replica::{ReplicaSet, ReplicaSetConfig};
@@ -446,7 +446,12 @@ impl ServiceHandle {
 
     /// Admits `req`, blocking under backpressure.
     fn submit(&self, req: Req) -> Result<(), ServiceClosed> {
-        self.tx.send(req).map_err(|_| ServiceClosed)?;
+        self.send(req).map_err(|_| ServiceClosed)
+    }
+
+    /// [`ServiceHandle::submit`], handing `req` back if the writer is gone.
+    fn send(&self, req: Req) -> Result<(), Req> {
+        self.tx.send(req).map_err(|e| e.0)?;
         self.submitted.inc();
         Ok(())
     }
@@ -559,6 +564,13 @@ impl ServiceHandle {
     /// Export with [`bimst_obs::Snapshot::to_json`] or
     /// [`bimst_obs::Snapshot::to_prometheus`].
     pub fn metrics_snapshot(&self) -> Result<bimst_obs::Snapshot, ServiceClosed> {
+        let mut snap = self.writer_metrics()?;
+        snap.absorb(&bimst_obs::global().snapshot());
+        Ok(snap)
+    }
+
+    /// The writer's snapshot without the process-global recorder.
+    fn writer_metrics(&self) -> Result<bimst_obs::Snapshot, ServiceClosed> {
         let (resp, rx) = mpsc::channel();
         self.submit(Req::Metrics(resp))?;
         rx.recv().map_err(|_| ServiceClosed)
@@ -603,24 +615,29 @@ impl Service {
     /// Starts a service around an existing window structure (in-memory:
     /// no WAL; `cfg.sync` / `cfg.checkpoint_every` are ignored).
     pub fn start<W: ServeWindow>(w: W, cfg: ServiceConfig) -> Service {
-        Service::spawn(w, cfg, 0, None, bimst_obs::Recorder::new())
+        Service::thread("bimst-serve-writer", cfg.queue_cap, move |rx, rec| {
+            let q = Queue::new(rx, true, cfg.write_budget);
+            shard::writer_main(w, None, Run::new(q, 0, cfg.readers, rec))
+        })
     }
 
-    fn spawn<W: ServeWindow>(
-        w: W,
-        cfg: ServiceConfig,
-        generation: u64,
-        dur: Option<(DurCtl, SnapshotFn<W>)>,
-        rec: bimst_obs::Recorder,
+    /// Starts the writer thread `name`, which runs `body` over the
+    /// receiving end of a fresh admission queue of `queue_cap` and a fresh
+    /// per-service recorder.
+    fn thread(
+        name: &str,
+        queue_cap: usize,
+        body: impl FnOnce(Receiver<Req>, bimst_obs::Recorder) + Send + 'static,
     ) -> Service {
-        let (tx, rx) = mpsc::sync_channel(cfg.queue_cap.max(1));
+        let (tx, rx) = mpsc::sync_channel(queue_cap.max(1));
         // Handle counters register on the same per-service recorder the
         // writer snapshots, so submitted/rejected show up in
         // `metrics_snapshot()` without any cross-thread plumbing.
+        let rec = bimst_obs::Recorder::new();
         let handle = ServiceHandle::new(tx, &rec);
         let writer = std::thread::Builder::new()
-            .name("bimst-serve-writer".into())
-            .spawn(move || shard::writer_main(w, cfg, rx, generation, dur, rec))
+            .name(name.into())
+            .spawn(move || body(rx, rec))
             .expect("spawn bimst-service writer thread");
         Service {
             handle,
@@ -691,7 +708,7 @@ impl Service {
         cfg: ServiceConfig,
     ) -> io::Result<Service> {
         let store = Store::create(path, &meta)?;
-        Ok(shard::open_window(&meta, None, &[], Durable(store, 0, cfg)))
+        Ok(Service::resume(store, meta, Recovery::default(), cfg))
     }
 
     /// Reopens the WAL store at `path`, rebuilds the window it describes
@@ -728,9 +745,20 @@ impl Service {
         Ok(Service::resume(store, meta, rec, cfg))
     }
 
-    fn resume(store: Store, meta: Meta, rec: Recovery, cfg: ServiceConfig) -> Service {
-        let durable = Durable(store, rec.generation, cfg);
-        shard::open_window(&meta, rec.checkpoint.as_ref(), &rec.tail, durable)
+    /// Starts a durable service whose writer thread rebuilds the window
+    /// `meta` describes at the recovered position `from`.
+    fn resume(store: Store, meta: Meta, from: Recovery, cfg: ServiceConfig) -> Service {
+        Service::thread("bimst-serve-writer", cfg.queue_cap, move |rx, rec| {
+            // WAL metrics (`wal_*`) land on the service recorder: the store
+            // is owned by this writer, so they are per-service too.
+            let dur = DurCtl::new(store, cfg.sync, cfg.checkpoint_every, &rec);
+            let q = Queue::new(rx, dur.merges(), cfg.write_budget);
+            let run = Run {
+                dur: Some(dur),
+                ..Run::new(q, from.generation, cfg.readers, rec)
+            };
+            shard::open_window(&meta, from.checkpoint.as_ref(), &from.tail, run)
+        })
     }
 
     /// A client endpoint for another thread.
@@ -761,24 +789,6 @@ impl std::ops::Deref for Service {
 
     fn deref(&self) -> &ServiceHandle {
         &self.handle
-    }
-}
-
-/// A durable service to start over the window [`shard::open_window`]
-/// rebuilds: its store, starting generation and shape.
-struct Durable(Store, u64, ServiceConfig);
-
-impl shard::OpenWith for Durable {
-    type Out = Service;
-
-    fn with<W: ServeWindow + WindowCheckpoint>(self, w: W) -> Service {
-        let Durable(store, generation, cfg) = self;
-        let rec = bimst_obs::Recorder::new();
-        // WAL metrics (`wal_*`) land on the service recorder: the store is
-        // owned by this writer, so they are per-service too.
-        let dur = DurCtl::new(store, cfg.sync, cfg.checkpoint_every, &rec);
-        let snapshot: SnapshotFn<W> = shard::checkpoint_of::<W>;
-        Service::spawn(w, cfg, generation, Some((dur, snapshot)), rec)
     }
 }
 
@@ -1348,6 +1358,59 @@ mod tests {
         let (_, _, rec) = bimst_wal::Store::open(&dir).unwrap();
         assert_eq!(rec.generation, 6);
         assert_eq!(rec.tail.len(), 6, "one record per op under Always");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `recover_expecting` refuses a store whose identity disagrees with
+    /// the caller's, naming every field that differs and leaving the
+    /// store's files untouched; a matching identity resumes it.
+    #[test]
+    fn recover_expecting_checks_the_store_identity() {
+        let dir = tmpdir("expecting");
+        let c = cfg(1);
+        let svc = Service::lazy_durable(&dir, 16, 5, c).unwrap();
+        svc.insert(vec![(0, 1), (1, 2)]).unwrap();
+        svc.expire(1).unwrap();
+        let g = svc.barrier().unwrap().wait().unwrap();
+        svc.shutdown();
+        let files = || -> Vec<(std::path::PathBuf, Vec<u8>)> {
+            let mut all: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .map(|p| (p.clone(), std::fs::read(p).unwrap()))
+                .collect();
+            all.sort();
+            all
+        };
+        let before = files();
+        for (n, seed, eager, named) in [
+            (17, 5, false, &["n 16 != expected 17"][..]),
+            (16, 6, false, &["seed 0x5 != expected 0x6"]),
+            (16, 5, true, &["discipline lazy != expected eager"]),
+            (
+                8,
+                9,
+                true,
+                &[
+                    "n 16 != expected 8",
+                    "seed 0x5 != expected 0x9",
+                    "discipline lazy",
+                ],
+            ),
+        ] {
+            let err = Service::recover_expecting(&dir, n, seed, eager, c)
+                .err()
+                .expect("a mismatched identity must not recover");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            let msg = err.to_string();
+            for field in named {
+                assert!(msg.contains(field), "{msg:?} does not name {field:?}");
+            }
+            assert_eq!(files(), before, "a refused recover touched the store");
+        }
+        let svc = Service::recover_expecting(&dir, 16, 5, false, c).unwrap();
+        assert_eq!(svc.barrier().unwrap().wait().unwrap(), g);
+        svc.shutdown();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -16,10 +16,9 @@
 //!
 //! A `Service` writer runs all three on one thread ([`writer_main`]). A
 //! `ReplicaSet` runs `Queue` + `DurCtl` on its admission thread, which
-//! publishes each group to the op bus instead of applying it, and
-//! `Queue` + `Core` on every replica writer, whose feeder hands it one
-//! bus record per message. Either way one WAL record is one write group
-//! is one generation.
+//! sends each group to every replica instead of applying it, and every
+//! replica is a [`writer_main`] thread of its own, fed one record per
+//! write. Either way the generation counts WAL records.
 //!
 //! Sequential semantics: the state after processing the queue is identical
 //! to applying every admitted op one at a time in admission order, and
@@ -31,6 +30,7 @@
 //! regardless of how batches are merged or range-partitioned (the
 //! `bimst-query` determinism contract, pinned by `tests/prop_query.rs`).
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
@@ -40,14 +40,15 @@ use bimst_sliding::{SlidingWrite, SwConn, SwConnEager, WindowCheckpoint};
 use bimst_wal::{Checkpoint, Meta, Store, SyncPolicy};
 
 use crate::reader::{Kind, Partial, Plan, ReaderPool, ServeTask, Snapshot};
-use crate::{Answered, QueryReq, ServeWindow, ServiceConfig};
+use crate::{Answered, QueryReq, ServeWindow};
 
 /// One coalesced query: request, reply channel, admission timestamp
 /// (`None` when recording is off).
 pub(crate) type RunEntry = (QueryReq, Sender<Answered>, Option<std::time::Instant>);
 
 /// An admitted operation (see `ServiceHandle` for the client-side view).
-/// Replica feeders send one `Insert` / `Expire` per bus record.
+/// A replica set's admission thread sends one `Insert` / `Expire` per log
+/// record to every replica.
 pub(crate) enum Req {
     /// Append edges on the new side of the window.
     Insert(Vec<(VertexId, VertexId)>),
@@ -68,6 +69,8 @@ pub(crate) enum Req {
     /// Resolve with a metrics snapshot covering everything admitted (and
     /// therefore, by FIFO order, processed) before this request.
     Metrics(Sender<bimst_obs::Snapshot>),
+    /// Resolve with a checkpoint of the window after every prior write.
+    Checkpoint(Sender<Checkpoint>),
 }
 
 /// What one [`Queue::next`] call yields.
@@ -81,6 +84,8 @@ pub(crate) enum Step {
     Barrier(Sender<u64>),
     /// A metrics request.
     Metrics(Sender<bimst_obs::Snapshot>),
+    /// A checkpoint request.
+    Checkpoint(Sender<Checkpoint>),
 }
 
 /// The group-commit step over one admission queue.
@@ -184,6 +189,7 @@ impl Queue {
             }
             Req::Barrier(resp) => Step::Barrier(resp),
             Req::Metrics(resp) => Step::Metrics(resp),
+            Req::Checkpoint(resp) => Step::Checkpoint(resp),
         })
     }
 }
@@ -269,8 +275,8 @@ pub(crate) struct DurCtl {
 }
 
 /// A checkpoint of a window at a generation; monomorphized per window
-/// type by the durable constructors, so the writer needs no
-/// `WindowCheckpoint` bound for the in-memory case.
+/// type by the durable constructors and the replicas, so the writer needs
+/// no `WindowCheckpoint` bound for an in-memory `Service`.
 pub(crate) type SnapshotFn<W> = fn(&W, u64) -> Checkpoint;
 
 impl DurCtl {
@@ -362,21 +368,37 @@ fn apply_op<W: SlidingWrite>(w: &mut W, op: &Op) {
     }
 }
 
-/// What to do with the window [`open_window`] rebuilds: a trait rather
-/// than a closure because the window's type depends on the discipline.
-pub(crate) trait OpenWith {
-    type Out;
-    fn with<W: ServeWindow + WindowCheckpoint>(self, w: W) -> Self::Out;
+/// What a writer thread runs besides its window: queue, starting
+/// generation, readers, recorder, a durable `Service`'s WAL side-car, and
+/// where it publishes its generation after every write group.
+pub(crate) struct Run {
+    pub(crate) q: Queue,
+    pub(crate) generation: u64,
+    pub(crate) readers: usize,
+    pub(crate) rec: bimst_obs::Recorder,
+    pub(crate) dur: Option<DurCtl>,
+    pub(crate) applied: Arc<AtomicU64>,
+    /// Each queued write is one log record (a replica's), not each group.
+    pub(crate) per_write: bool,
+}
+
+impl Run {
+    pub(crate) fn new(q: Queue, generation: u64, readers: usize, rec: bimst_obs::Recorder) -> Run {
+        Run {
+            q,
+            generation,
+            readers,
+            rec,
+            dur: None,
+            applied: Arc::default(),
+            per_write: false,
+        }
+    }
 }
 
 /// Builds the window `meta` describes at a recovered position (the
-/// checkpoint, then the log tail replayed on top) and hands it to `f`.
-pub(crate) fn open_window<F: OpenWith>(
-    meta: &Meta,
-    ckpt: Option<&Checkpoint>,
-    tail: &[Op],
-    f: F,
-) -> F::Out {
+/// checkpoint, then the log tail on top) and runs the writer loop on it.
+pub(crate) fn open_window(meta: &Meta, ckpt: Option<&Checkpoint>, tail: &[Op], run: Run) {
     fn rebuild<W: WindowCheckpoint>(mut w: W, ckpt: Option<&Checkpoint>, tail: &[Op]) -> W {
         if let Some(ck) = ckpt {
             w.restore(&ck.edges, ck.tw, ck.t);
@@ -388,32 +410,30 @@ pub(crate) fn open_window<F: OpenWith>(
     }
     let (n, seed) = (meta.n as usize, meta.seed);
     if meta.eager {
-        f.with(rebuild(SwConnEager::new(n, seed), ckpt, tail))
+        let w = rebuild(SwConnEager::new(n, seed), ckpt, tail);
+        writer_main(w, Some(checkpoint_of), run);
     } else {
-        f.with(rebuild(SwConn::new(n, seed), ckpt, tail))
+        let w = rebuild(SwConn::new(n, seed), ckpt, tail);
+        writer_main(w, Some(checkpoint_of), run);
     }
 }
 
-/// The `Service` writer loop. Runs until the admission queue disconnects
-/// (every `ServiceHandle` dropped), which is what makes "admitted ⇒
-/// processed" exact: a submission that was acked is in the queue, and the
-/// queue is drained to the end before the readers retire and the
-/// structure drops.
+/// The writer loop of a `Service` and of every `ReplicaSet` replica. Runs
+/// until the queue disconnects (every sender dropped), which is what
+/// makes "admitted ⇒ processed" exact: a submission that was acked is in
+/// the queue, and the queue is drained to the end before the readers
+/// retire and the structure drops.
 ///
 /// With a `DurCtl` attached, every write group is one WAL record and one
 /// generation increment, so the generation recovered from the log is
 /// exactly the generation the live service would have reported.
-pub(crate) fn writer_main<W: ServeWindow>(
-    w: W,
-    cfg: ServiceConfig,
-    rx: Receiver<Req>,
-    generation: u64,
-    mut dur: Option<(DurCtl, SnapshotFn<W>)>,
-    rec: bimst_obs::Recorder,
-) {
-    let mut core = Core::new(w, generation, cfg.readers, rec);
-    let merge = dur.as_ref().is_none_or(|(d, _)| d.merges());
-    let mut q = Queue::new(rx, merge, cfg.write_budget);
+/// `snapshot` takes the durable checkpoints and answers checkpoint
+/// requests; a writer without one drops the request, so the requester
+/// sees a closed channel.
+pub(crate) fn writer_main<W: ServeWindow>(w: W, snapshot: Option<SnapshotFn<W>>, mut run: Run) {
+    let mut core = Core::new(w, run.generation, run.readers, run.rec);
+    let (q, dur, applied) = (&mut run.q, &mut run.dur, &run.applied);
+    applied.store(core.generation, Ordering::Release);
     // Handle-side admission counter, paired with the queue's dequeued
     // count to sample the queue depth.
     let submitted = core.obs.rec.counter("service_submitted_ops");
@@ -424,11 +444,12 @@ pub(crate) fn writer_main<W: ServeWindow>(
         }
         match step {
             Step::Write(op, ops) => {
-                if let Some((d, _)) = dur.as_mut() {
+                if let Some(d) = dur.as_mut() {
                     d.log(&op);
                 }
-                core.apply(&op, ops, 1);
-                if let Some((d, snapshot)) = dur.as_mut() {
+                core.apply(&op, ops, if run.per_write { ops } else { 1 });
+                applied.store(core.generation, Ordering::Release);
+                if let (Some(d), Some(snapshot)) = (dur.as_mut(), snapshot) {
                     d.maybe_checkpoint(|| snapshot(&core.w, core.generation));
                 }
             }
@@ -436,18 +457,19 @@ pub(crate) fn writer_main<W: ServeWindow>(
             Step::Barrier(resp) => {
                 let _ = resp.send(core.generation);
             }
+            // FIFO admission makes the snapshot cover everything this
+            // writer admitted, and hence processed, before the request.
             Step::Metrics(resp) => {
-                // FIFO admission makes the snapshot cover everything this
-                // service admitted — and hence processed — before the
-                // request; the process-wide recorder adds engine rounds
-                // and query plans.
-                let mut snap = core.metrics();
-                snap.absorb(&bimst_obs::global().snapshot());
-                let _ = resp.send(snap);
+                let _ = resp.send(core.metrics());
+            }
+            Step::Checkpoint(resp) => {
+                if let Some(snapshot) = snapshot {
+                    let _ = resp.send(snapshot(&core.w, core.generation));
+                }
             }
         }
     }
-    if let Some((d, _)) = dur {
+    if let Some(d) = run.dur {
         d.close();
     }
     core.shutdown();
@@ -537,9 +559,9 @@ fn merge<W: ServeWindow>(req: &QueryReq, w: &W, ws: &mut ServeScratch) {
     }
 }
 
-/// The window owner of a writer thread, shared by the `Service` writer
-/// and every replica writer: applies write groups, serves coalesced query
-/// runs through its reader pool, and answers metrics requests.
+/// The window owner of a writer thread, `Service` and replica alike:
+/// applies write groups, serves coalesced query runs through its reader
+/// pool, and answers metrics requests.
 pub(crate) struct Core<W: ServeWindow> {
     pub(crate) w: W,
     /// Log records applied so far.
@@ -574,8 +596,8 @@ impl<W: ServeWindow> Core<W> {
     }
 
     /// Applies one write group that folds `ops` queued writes and covers
-    /// `records` log records (one for a `Service` group; a replica's
-    /// group folds one bus record per write).
+    /// `records` log records: one for a `Service` group, one per write for
+    /// a replica's.
     pub(crate) fn apply(&mut self, op: &Op, ops: u64, records: u64) {
         apply_op(&mut self.w, op);
         self.generation += records;

@@ -35,7 +35,7 @@ const fn crc_table() -> [u32; 256] {
 static CRC_TABLE: [u32; 256] = crc_table();
 
 /// CRC32 (IEEE, reflected) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut c = !0u32;
     for &b in bytes {
         c = CRC_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
@@ -44,43 +44,36 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// Bytes of framing overhead per record (`len` + `crc`).
-pub const FRAME_HEADER: usize = 8;
+pub(crate) const FRAME_HEADER: usize = 8;
 
 /// Appends one frame around `payload` to `out`.
-///
-/// Public because the replicated serving tier reuses the WAL's exact
-/// record framing for its in-memory fan-out bus: the bytes a durable
-/// replica set appends to disk and the bytes its replicas replay from
-/// memory are the same bytes.
-pub fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
+pub(crate) fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
 }
 
 /// Cursor over the frames of a byte buffer; see the module docs for the
-/// torn-tail contract. Public for the same reason as [`write_frame`]: the
-/// replica tier's in-memory bus replays records through the identical
-/// framing the on-disk segments use.
-pub struct Frames<'a> {
+/// torn-tail contract.
+pub(crate) struct Frames<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Frames<'a> {
     /// Starts a cursor at the beginning of `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         Frames { buf, pos: 0 }
     }
 
     /// Byte offset just past the last intact frame yielded so far.
-    pub fn valid_len(&self) -> usize {
+    pub(crate) fn valid_len(&self) -> usize {
         self.pos
     }
 
     /// The next intact frame's payload, or `None` at the first torn /
     /// corrupted frame (which leaves [`Frames::valid_len`] untouched).
-    pub fn next_frame(&mut self) -> Option<&'a [u8]> {
+    pub(crate) fn next_frame(&mut self) -> Option<&'a [u8]> {
         let rest = &self.buf[self.pos..];
         if rest.len() < FRAME_HEADER {
             return None;

@@ -11,8 +11,8 @@
 //!
 //! Three layers, bottom up:
 //!
-//! * [`frame`]: `[len][crc32][payload]` records; reading stops at the
-//!   first frame that cannot be proven complete and intact.
+//! * `frame` (crate-private): `[len][crc32][payload]` records; reading
+//!   stops at the first frame that cannot be proven complete and intact.
 //! * [`codec`]: the stable op encoding (one tag byte, little-endian
 //!   fields, exact — no trailing bytes).
 //! * [`Store`]: a directory of `meta` + `wal-<g>.seg` segments +
@@ -21,8 +21,8 @@
 //!   tmp-then-rename and retained two deep, so a crash *during* a
 //!   checkpoint falls back to the previous one. Recovery = newest valid
 //!   checkpoint + replay of the segment tail ([`recover_dir`] to inspect,
-//!   [`Store::open`] to resume appending, [`ReplayCursor`] to *tail* the
-//!   live log read-only — the replica tier's rejoin path).
+//!   [`Store::open`] to resume appending). Nothing tails a live log: a
+//!   rejoining replica restores a live peer's checkpoint instead.
 //!
 //! What a crash can cost is the [`SyncPolicy`] the service writer runs
 //! with — per-op fsync (`Always`), one fsync per merged write group
@@ -33,11 +33,8 @@
 //! torture suite that pins the recovery contract at every byte offset.
 
 pub mod codec;
-pub mod frame;
+mod frame;
 mod store;
-mod tail;
 
 pub use codec::{decode_op, encode_op, encoded_len, DecodeError};
-pub use frame::{crc32, write_frame, Frames, FRAME_HEADER};
 pub use store::{recover_dir, Checkpoint, Meta, Recovery, Store, SyncPolicy, FILE_HEADER};
-pub use tail::{ReplayCursor, ReplayStart};

@@ -40,7 +40,7 @@ use crate::frame::{write_frame, Frames};
 pub const FILE_HEADER: usize = 8;
 
 const MAGIC_META: &[u8; FILE_HEADER] = b"BWALMET1";
-pub(crate) const MAGIC_SEG: &[u8; FILE_HEADER] = b"BWALSEG1";
+const MAGIC_SEG: &[u8; FILE_HEADER] = b"BWALSEG1";
 const MAGIC_CKPT: &[u8; FILE_HEADER] = b"BWALCKP1";
 const META: &str = "meta";
 
@@ -150,8 +150,8 @@ pub struct Checkpoint {
 }
 
 /// What a recovery scan found: the state to rebuild and the ops to replay
-/// on top of it.
-#[derive(Debug)]
+/// on top of it. The default is a fresh store's: nothing to rebuild.
+#[derive(Debug, Default)]
 pub struct Recovery {
     /// Newest fully-valid checkpoint, if any.
     pub checkpoint: Option<Checkpoint>,
@@ -162,7 +162,7 @@ pub struct Recovery {
     pub generation: u64,
 }
 
-pub(crate) fn seg_name(g: u64) -> String {
+fn seg_name(g: u64) -> String {
     format!("wal-{g:020}.seg")
 }
 
@@ -170,7 +170,7 @@ fn ckpt_name(g: u64) -> String {
     format!("ckpt-{g:020}.ckpt")
 }
 
-pub(crate) fn parse_gen(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
+fn parse_gen(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
     name.strip_prefix(prefix)?
         .strip_suffix(suffix)?
         .parse()
@@ -293,20 +293,19 @@ fn decode_ckpt(payload: &[u8]) -> Option<Checkpoint> {
 }
 
 /// Everything one pass over the directory learns; shared by the read-only
-/// and resuming entry points (and the tailing [`crate::ReplayCursor`]) so
-/// they cannot disagree.
-pub(crate) struct Scan {
-    pub(crate) meta: Meta,
-    pub(crate) checkpoint: Option<Checkpoint>,
-    pub(crate) tail: Vec<Op>,
-    pub(crate) generation: u64,
+/// and resuming entry points so they cannot disagree.
+struct Scan {
+    meta: Meta,
+    checkpoint: Option<Checkpoint>,
+    tail: Vec<Op>,
+    generation: u64,
     /// Segment appends resume into: (start generation, path, valid bytes).
-    pub(crate) resume: Option<(u64, PathBuf, u64)>,
+    resume: Option<(u64, PathBuf, u64)>,
     /// Files the scan proved dead: segments past a tear and `*.tmp` files.
-    pub(crate) dead: Vec<PathBuf>,
+    dead: Vec<PathBuf>,
 }
 
-pub(crate) fn scan(dir: &Path) -> io::Result<Scan> {
+fn scan(dir: &Path) -> io::Result<Scan> {
     let meta = read_framed(&dir.join(META), MAGIC_META)
         .as_deref()
         .and_then(decode_meta)
@@ -315,7 +314,7 @@ pub(crate) fn scan(dir: &Path) -> io::Result<Scan> {
         // A tenant-tagged store can only come from a foreign writer:
         // Store::create refuses to make one precisely because recovery
         // of a tenant registry is future work. Refusing here covers every
-        // entry point (open, recover_dir, the replay cursor) at once.
+        // entry point (open, open_expecting, recover_dir) at once.
         return Err(tenants_unsupported());
     }
 

@@ -1,9 +1,9 @@
 //! Property tests for the replicated read-scaling tier
 //! (`bimst_service::ReplicaSet`): every replica's answers bit-identical
 //! to a sequential replay at every barrier generation, across replica
-//! counts, queue shapes, checkpoint cadences and both expiry
-//! disciplines — including a chaos case that fail-stops a replica
-//! mid-stream and rejoins it through WAL replay.
+//! counts, queue shapes and both expiry disciplines — including a chaos
+//! case that fail-stops a replica mid-stream and rejoins it from a live
+//! peer's checkpoint.
 //!
 //! The correctness bar extends `prop_service.rs`'s: a replica set is k
 //! logical copies of *one* admitted op sequence, so the sequential
@@ -11,8 +11,9 @@
 //! `SwConn`/`SwConnEager`) must match **every** replica at **every**
 //! barrier — not just at the end, and not just converged: bit-identical
 //! answers at equal generation. The kill/restart case proves the rejoin
-//! path (checkpoint + disk replay + bus catch-up) lands the replica on
-//! the same answer sequence, indistinguishable from one that never died.
+//! path (a peer's checkpoint at a fixed log position, then every later
+//! record) lands the replica on the same answer sequence,
+//! indistinguishable from one that never died.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -130,7 +131,7 @@ proptest! {
 
     /// Every replica of an in-memory set answers bit-identically to the
     /// sequential replay at every barrier generation, across replica
-    /// counts, reader counts, queue capacities and checkpoint cadences.
+    /// counts, reader counts and queue capacities.
     /// Both expiry disciplines (the replicas must agree with *their*
     /// discipline's replay — eager and lazy answers are themselves
     /// equivalent, but the oracle is exact per discipline).
@@ -145,8 +146,6 @@ proptest! {
             replicas: 1 + shape % 3,
             readers: 1 + shape % 2,
             queue_cap: [1, 4, 64][shape % 3],
-            checkpoint_every: [0, 3][shape % 2],
-            catchup_batch: 1 + shape,
             ..ReplicaSetConfig::default()
         };
 
@@ -183,11 +182,11 @@ proptest! {
     }
 
     /// Chaos: a durable set loses a replica mid-stream (fail-stop), keeps
-    /// admitting writes, then rejoins it — restart rebuilds from the
-    /// newest checkpoint and replays the WAL up to the live bus. From the
-    /// rejoin barrier on, the revived replica must be bit-identical to
-    /// the survivors *and* to the sequential replay, at every remaining
-    /// barrier.
+    /// admitting writes, then rejoins it — restart restores the surviving
+    /// peer's checkpoint at a fixed log position and applies every later
+    /// record. From the rejoin barrier on, the revived replica must be
+    /// bit-identical to the survivors *and* to the sequential replay, at
+    /// every remaining barrier.
     #[test]
     fn killed_replica_rejoins_bit_identical(
         script in rounds(16),
@@ -200,17 +199,12 @@ proptest! {
         let cfg = ReplicaSetConfig {
             replicas: 2,
             readers: 1 + shape % 2,
-            // 0 forces the rejoin to replay the whole log from disk; a
-            // small cadence makes it start from a mid-stream bus
-            // checkpoint and replay only the WAL suffix.
-            checkpoint_every: [0, 3][shape % 2],
-            catchup_batch: 1 + shape,
             ..ReplicaSetConfig::default()
         };
         let mut set = ReplicaSet::eager_durable(&dir, n, seed, cfg).expect("create store");
         let expected = replay_eager(n, seed, &script);
         let kill_at = kill_at % script.len();
-        let victim = kill_at % 2; // either slot, including the checkpointer
+        let victim = kill_at % 2; // either slot
         let mut dead = false;
 
         for (k, r) in script.iter().enumerate() {
@@ -219,9 +213,9 @@ proptest! {
                 dead = true;
             }
             // Rejoin one round later, with writes admitted in between —
-            // the restart replays a strict suffix it never saw live.
+            // the peer's checkpoint covers writes the victim never saw.
             if dead && k == kill_at + 1 {
-                set.restart(victim).expect("rejoin via WAL replay");
+                set.restart(victim).expect("rejoin from the live peer");
                 dead = false;
             }
             set.insert(r.insert.clone()).expect("set alive");
@@ -243,7 +237,7 @@ proptest! {
         // A victim still dead at the end (killed on the last round)
         // rejoins here, catching up on everything it missed.
         if dead {
-            set.restart(victim).expect("rejoin via WAL replay");
+            set.restart(victim).expect("rejoin from the live peer");
             let g = set.barrier().expect("set alive").wait().expect("set alive");
             let r = script.last().expect("non-empty script");
             let got = ask(&set, victim, g, r);
