@@ -1,7 +1,8 @@
 //! Persistent sharded serving runtime over the sliding-window MSF
 //! structures: one writer thread owning a [`SwConn`]/[`SwConnEager`]
-//! instance, a pool of reader workers each owning a
-//! [`bimst_query::QueryBatch`] shard, connected by channels.
+//! instance and a pool of query slots, each owning a
+//! [`bimst_query::QueryBatch`] shard. Slot 0 is the writer itself; the
+//! other slots are reader threads, connected to it by channels.
 //!
 //! `bimst_query::ReadHandle` is a shared borrow, so the borrow checker
 //! keeps inserts out while a query batch is in flight, but only within
@@ -11,13 +12,15 @@
 //! ```text
 //!                    bounded op queue (backpressure)
 //!   clients ──────────────┐
-//!    insert / expire      │          ┌──────────────────────────────┐
-//!    query batches     ┌──▼───────┐  │  generation g snapshot       │
-//!    (tickets)         │  writer  │──┼──► reader 0 (QueryBatch)     │
-//!                      │  thread  │  │──► reader 1 (QueryBatch)     │
-//!                      │ owns the │  │──► …        (QueryBatch)     │
-//!                      │ structure│◄─┼─── partial answers (join)    │
-//!                      └──────────┘  └──────────────────────────────┘
+//!    insert / expire      │            ┌──────────────────────────────┐
+//!    query batches     ┌──▼─────────┐  │  generation g snapshot       │
+//!    (tickets)         │   writer   │──┼──► reader 1 (QueryBatch)     │
+//!                      │   thread   │──┼──► reader 2 (QueryBatch)     │
+//!                      │  owns the  │  │──► …        (QueryBatch)     │
+//!                      │ structure; │◄─┼─── partial answers (join)    │
+//!                      │  slot 0:   │  └──────────────────────────────┘
+//!                      │ QueryBatch │
+//!                      └────────────┘
 //! ```
 //!
 //! * **Group commit.** The writer drains the admission queue: consecutive
@@ -31,15 +34,17 @@
 //!   increments a generation counter. A query batch admitted at generation
 //!   *g* (i.e. after the *g*-th write group and before the *g+1*-st) is
 //!   answered from the structure *as of g*: the writer publishes a
-//!   reader-side snapshot of the structure, fans the coalesced query
-//!   work out to the reader pool, and **does not touch the structure again
-//!   until every partial answer has been collected** (the join barrier is
-//!   the epoch retire): many readers XOR one writer, restated across the
-//!   channel boundary.
+//!   reader-side snapshot of the structure, deals the coalesced query
+//!   ranges round-robin over the slots, answers slot 0's ranges itself,
+//!   and **does not touch the structure again until every partial answer
+//!   has been collected** (the join barrier is the epoch retire): many
+//!   readers XOR one writer, restated across the channel boundary. A plan
+//!   shorter than 64 queries is one range, so a lone small batch is
+//!   answered on the writer without a channel hop.
 //! * **Query coalescing.** Each batch of a queued run joins a *plan*, one
 //!   per query kind (fold kinds share one; every tenant batch joins one
 //!   cutoff plan), at a recorded `(plan, offset)`. A plan is one shared-work batch (one root pass, one
-//!   set of shared CPT chunks) range-split across the readers; answers
+//!   set of shared CPT chunks) range-split across the slots; answers
 //!   are split back at the recorded offsets, bit-identical to the
 //!   per-query loop, so coalescing and sharding are invisible to clients.
 //! * **Backpressure.** The admission queue is bounded
@@ -57,7 +62,7 @@
 //! Pick `bimst-service` when ops originate on more than one thread or you
 //! need admission-order semantics under mixed read/write traffic; drive a
 //! raw [`bimst_query::QueryBatch`] inline when a single loop owns the
-//! structure — the service's channel hop costs ~µs per batch (measured
+//! structure — the service's admission hop costs ~µs per batch (measured
 //! against an inline engine on the same op stream; `perfbench --trace 1`
 //! reports it as `service.*_tax_us`).
 //!
@@ -108,9 +113,12 @@ impl<W: SlidingWrite + WindowConnectivity + Send + Sync + 'static> ServeWindow f
 /// Shape of a [`Service`].
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceConfig {
-    /// Reader workers (query shards). Each owns a `QueryBatch` whose
-    /// scratch persists across generations; coalesced query batches are
-    /// split across them in contiguous ranges. Clamped to ≥ 1.
+    /// Threads answering queries, the writer included; `readers − 1`
+    /// reader threads are spawned, so `1` spawns none. Each slot owns a
+    /// `QueryBatch` whose scratch persists across generations; coalesced
+    /// query plans are split across the slots in contiguous ranges of at
+    /// least 64 queries, so a shorter plan never leaves the writer.
+    /// Clamped to ≥ 1.
     pub readers: usize,
     /// Capacity of the bounded admission queue (ops, not edges). Clamped
     /// to ≥ 1. Blocking submits park when full; `try_*` submits return
@@ -136,6 +144,10 @@ pub struct ServiceConfig {
     pub checkpoint_every: u64,
 }
 
+/// The default checkpoint cadence, in write groups: `ServiceConfig`'s
+/// default, and the cadence of every durable `ReplicaSet`.
+pub(crate) const CHECKPOINT_EVERY: u64 = 1 << 15;
+
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
@@ -143,7 +155,7 @@ impl Default for ServiceConfig {
             queue_cap: 1024,
             write_budget: 1 << 14,
             sync: SyncPolicy::GroupCommit,
-            checkpoint_every: 1 << 15,
+            checkpoint_every: CHECKPOINT_EVERY,
         }
     }
 }
@@ -974,18 +986,26 @@ mod tests {
     }
 
     /// The same fail-stop on the linear path-max plan, which a batch this
-    /// size over a forest this small takes (each reader's range holds
-    /// ≥ 64 pairs on 64 vertices): the bad id must panic the reader, never
-    /// be answered as a disconnected pair.
+    /// size over a forest this small takes (each slot's range holds
+    /// ≥ 64 pairs on 64 vertices): the bad id must panic whichever slot
+    /// answers it, never be answered as a disconnected pair. 256 pairs on
+    /// 2 slots split into two ranges of 128: index 10 sits in slot 0's
+    /// range, which the writer answers itself (its panic is caught before
+    /// the join), index 200 in the reader thread's.
     #[test]
     fn malformed_linear_plan_batch_fails_stop() {
-        let svc = Service::eager(64, 2, cfg(2));
-        svc.insert((0..63).map(|v| (v, v + 1)).collect()).unwrap();
-        let mut pairs: Vec<(u32, u32)> = (0..256).map(|i| (i % 64, (i * 7) % 64)).collect();
-        pairs[200] = (3, 900);
-        let t = svc.query(QueryReq::PathMax(pairs)).unwrap();
-        assert!(t.wait().is_err(), "poisoned serve must resolve as closed");
-        svc.shutdown();
+        for bad in [10, 200] {
+            let svc = Service::eager(64, 2, cfg(2));
+            svc.insert((0..63).map(|v| (v, v + 1)).collect()).unwrap();
+            let mut pairs: Vec<(u32, u32)> = (0..256).map(|i| (i % 64, (i * 7) % 64)).collect();
+            pairs[bad] = (3, 900);
+            let t = svc.query(QueryReq::PathMax(pairs)).unwrap();
+            assert!(
+                t.wait().is_err(),
+                "poisoned serve must resolve as closed (index {bad})"
+            );
+            svc.shutdown();
+        }
     }
 
     /// Every kind answers an empty batch with empty answers of its own

@@ -1,6 +1,9 @@
 //! The reader side of the runtime: persistent worker threads, each owning
 //! one [`QueryBatch`] shard, answering range-partitioned slices of the
-//! writer's coalesced query plans against an epoch-pinned snapshot.
+//! writer's coalesced query plans against an epoch-pinned snapshot. The
+//! writer is slot 0 of its own pool: it answers the ranges dealt to it
+//! through the `&W` it already holds, so a pool of `readers` slots runs
+//! `readers − 1` threads.
 //!
 //! # The epoch-handoff protocol
 //!
@@ -16,7 +19,10 @@
 //!    the structure.
 //! 2. **Serve.** A reader dereferences the snapshot only between receiving
 //!    a task and sending that task's `Partial` — never holding the
-//!    reference across loop iterations.
+//!    reference across loop iterations. Meanwhile the writer, as slot 0,
+//!    answers its own ranges through a shared borrow of its own, and
+//!    catches a panic there exactly as a reader does, so it never unwinds
+//!    inside the window.
 //! 3. **Retire.** The writer blocks until it has received one `Partial`
 //!    per dispatched task, and only then resumes mutation. The channel's
 //!    happens-before edge on each `Partial` makes the readers' last loads
@@ -102,7 +108,7 @@ pub(crate) struct Plan {
     /// Per-query fold kinds, parallel to `pairs` (`PathFold`). Readers
     /// serve maximal same-kind spans through one monomorphized plan each.
     pub folds: Vec<FoldKind>,
-    /// The merged answers, spliced by the writer from the readers'
+    /// The merged answers, spliced by the writer from every slot's
     /// partials after the join.
     pub out: QueryResp,
 }
@@ -122,7 +128,7 @@ impl Plan {
     }
 }
 
-/// A range of one plan, assigned to one reader.
+/// A range of one plan, dealt to one reader thread.
 pub(crate) struct ServeTask<W> {
     /// The generation's published structure.
     pub snap: Snapshot<W>,
@@ -136,14 +142,14 @@ pub(crate) struct ServeTask<W> {
     pub done: Sender<Partial>,
 }
 
-/// Partial answers for one [`ServeTask`]'s range.
+/// Partial answers for one dealt range.
 pub(crate) struct Partial {
     /// The task's plan index.
     pub idx: usize,
     /// Splice offset within the plan's answers (the task range's start).
     pub start: usize,
-    /// The answers, or `None` if the reader panicked on the range (e.g.
-    /// an out-of-range vertex id), so the writer fails stop.
+    /// The answers, or `None` if the slot panicked on the range (e.g. an
+    /// out-of-range vertex id), so the writer fails stop.
     pub resp: Option<QueryResp>,
 }
 
@@ -152,63 +158,58 @@ enum Task<W> {
     Stop,
 }
 
-/// The persistent reader workers. Tasks are assigned round-robin; each
-/// reader's `QueryBatch` scratch (sorted-endpoint buffers, CPT chunk
-/// workspaces) survives across generations, so steady-state serving reuses
-/// capacity exactly like the write path's scratch discipline.
+/// The persistent reader workers: slots `1..readers` of a pool whose slot
+/// 0 is the writer. Each reader's `QueryBatch` scratch (sorted-endpoint
+/// buffers, CPT chunk workspaces) survives across generations, so
+/// steady-state serving reuses capacity exactly like the write path's
+/// scratch discipline.
 pub(crate) struct ReaderPool<W> {
     txs: Vec<Sender<Task<W>>>,
     threads: Vec<JoinHandle<()>>,
-    next: usize,
 }
 
 impl<W: ServeWindow> ReaderPool<W> {
-    /// Spawns `readers` workers (clamped to ≥ 1).
+    /// Spawns the `readers − 1` reader threads of a pool with `readers`
+    /// slots, the writer included: `readers ≤ 1` spawns none.
     pub(crate) fn spawn(readers: usize) -> Self {
-        let readers = readers.max(1);
-        let mut txs = Vec::with_capacity(readers);
-        let mut threads = Vec::with_capacity(readers);
-        for i in 0..readers {
+        let mut txs = Vec::new();
+        let mut threads = Vec::new();
+        for slot in 1..readers {
             let (tx, rx) = channel::<Task<W>>();
             let handle = std::thread::Builder::new()
-                .name(format!("bimst-serve-reader-{i}"))
+                .name(format!("bimst-serve-reader-{slot}"))
                 .spawn(move || reader_main(rx))
                 .expect("spawn bimst-service reader thread");
             txs.push(tx);
             threads.push(handle);
         }
-        ReaderPool {
-            txs,
-            threads,
-            next: 0,
-        }
+        ReaderPool { txs, threads }
     }
 
-    /// Number of workers.
-    pub(crate) fn len(&self) -> usize {
-        self.txs.len()
-    }
-
-    /// Hands a task to the next worker (round-robin). Returns whether the
-    /// worker accepted it: `false` means that reader thread is gone, so no
-    /// [`Partial`] will ever arrive for the task (see `Core::serve` for
-    /// the fail-stop that follows).
+    /// Hands a task to reader thread `i` (slot `i + 1`). Returns whether
+    /// the thread accepted it: `false` means that reader thread is gone,
+    /// so no [`Partial`] will ever arrive for the task (see `Core::serve`
+    /// for the fail-stop that follows).
     #[must_use]
-    pub(crate) fn dispatch(&mut self, task: ServeTask<W>) -> bool {
-        let i = self.next;
-        self.next = (self.next + 1) % self.txs.len();
+    pub(crate) fn dispatch(&self, i: usize, task: ServeTask<W>) -> bool {
         self.txs[i].send(Task::Serve(task)).is_ok()
     }
 
-    /// Test-only: stops worker `i` and joins it, simulating a reader
+    /// Test-only: stops reader thread `i` and joins it, simulating a reader
     /// thread that died outside the serve path. Joining (not just
     /// signalling) guarantees the receiver is dropped, so the next
-    /// [`ReaderPool::dispatch`] aimed at the slot reports `false` rather
+    /// [`ReaderPool::dispatch`] aimed at the thread reports `false` rather
     /// than queueing a task no one will serve.
     #[cfg(test)]
     pub(crate) fn kill_worker(&mut self, i: usize) {
         let _ = self.txs[i].send(Task::Stop);
         let _ = self.threads.remove(i).join();
+    }
+
+    /// Test-only: the number of live reader threads.
+    #[cfg(test)]
+    pub(crate) fn threads(&self) -> usize {
+        self.threads.len()
     }
 
     /// Retires the pool: readers finish queued tasks, then exit and join.
@@ -240,25 +241,36 @@ fn reader_main<W: ServeWindow>(rx: Receiver<Task<W>>) {
         // this snapshot for the current generation and is parked at the
         // join barrier until the `send` below is received.
         let w: &W = unsafe { snap.get() };
-        // A panic (e.g. an out-of-range vertex id in a client's batch)
-        // must not strand the writer at its join barrier: catch it, report
-        // a poison partial, and let the writer fail stop. The panic cannot
-        // leave the snapshot borrowed — the catch boundary is inside the
-        // publish→retire window — but the executor's scratch may be
-        // mid-update, so it is discarded below.
-        let start = range.start;
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            answer(&mut q, w, &plan, range)
-        }));
-        let resp = result.map_err(|_| q = QueryBatch::new()).ok();
+        let part = answer_range(&mut q, w, &plan, idx, range);
         // Release the plan's `Arc` *before* signalling completion: once
         // the writer has collected every `Partial`, no reader holds a
         // reference, so the writer can deterministically take the
         // merged-plan buffers back for the next generation instead of
         // reallocating per dispatch.
         drop(plan);
-        let _ = done.send(Partial { idx, start, resp });
+        let _ = done.send(part);
     }
+}
+
+/// Answers `range` of plan `idx` on behalf of one pool slot, reader thread
+/// or writer alike. A panic (e.g. an out-of-range vertex id in a client's
+/// batch) must not strand the writer at its join barrier, nor unwind the
+/// writer while readers still borrow the structure: it is caught and
+/// reported as a poison partial, and the writer fails stop after the join.
+/// The catch boundary is inside the publish→retire window, but the
+/// executor's scratch may be mid-update, so it is discarded.
+pub(crate) fn answer_range<W: ServeWindow>(
+    q: &mut QueryBatch,
+    w: &W,
+    plan: &Plan,
+    idx: usize,
+    range: Range<usize>,
+) -> Partial {
+    let start = range.start;
+    let result =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| answer(q, w, plan, range)));
+    let resp = result.map_err(|_| *q = QueryBatch::new()).ok();
+    Partial { idx, start, resp }
 }
 
 /// Answers `range` of one plan through the matching `QueryBatch` core.

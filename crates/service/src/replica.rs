@@ -13,7 +13,11 @@
 //!
 //! * **One log, one order.** The admission thread group-commits with the
 //!   `Service` writer's step, logs each group (durable sets), queues it on
-//!   every live replica, and only then publishes the set generation.
+//!   every live replica, and only then publishes the set generation. Every
+//!   2¹⁵ groups (`ServiceConfig`'s default cadence) a durable set asks a
+//!   live replica for a checkpoint through its queue and writes it to the
+//!   store, so the log and recovery stay bounded. The admission thread
+//!   admits no write while it waits for that checkpoint.
 //! * **Replicas are `Service` writers** over identically seeded windows.
 //!   A group a replica's queue merges advances its generation by every
 //!   record it folds, and at equal generation every replica answers
@@ -43,7 +47,9 @@ use bimst_primitives::VertexId;
 use bimst_wal::{Checkpoint, Meta, Store, SyncPolicy};
 
 use crate::shard::{self, DurCtl, Queue, Req, Run, Step};
-use crate::{BarrierTicket, QueryReq, QueryTicket, Service, ServiceClosed, ServiceHandle};
+use crate::{
+    BarrierTicket, QueryReq, QueryTicket, Service, ServiceClosed, ServiceHandle, CHECKPOINT_EVERY,
+};
 
 /// Shape of a [`ReplicaSet`].
 #[derive(Clone, Copy, Debug)]
@@ -51,7 +57,9 @@ pub struct ReplicaSetConfig {
     /// Number of replicas (logical copies of the window, each with its
     /// own writer thread and reader pool). Clamped to ≥ 1.
     pub replicas: usize,
-    /// Reader workers *per replica* (see [`crate::ServiceConfig::readers`]).
+    /// Threads answering queries *per replica*, the replica's writer
+    /// included; `readers − 1` reader threads are spawned per replica (see
+    /// [`crate::ServiceConfig::readers`]).
     pub readers: usize,
     /// Capacity of each bounded queue: the admission queue and every
     /// replica's writer queue. Clamped to ≥ 1.
@@ -117,6 +125,28 @@ impl Shared {
         self.moved.notify_all();
     }
 
+    /// A checkpoint of the window at the set generation, taken by the first
+    /// live replica that answers. The request queues behind every
+    /// published group (FIFO), so it is answered at exactly that
+    /// generation. `None` if no live replica answers. Called by the
+    /// admission thread only, between two groups.
+    fn checkpoint(&self) -> Option<Checkpoint> {
+        // Ask outside the lock: a replica answers only once it has applied
+        // its queue, and routers and `kill` need the lock meanwhile.
+        let live: Vec<ServiceHandle> = self.lock().iter().flatten().cloned().collect();
+        let ck = live.iter().find_map(|h| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            h.send(Req::Checkpoint(tx)).ok()?;
+            rx.recv().ok()
+        })?;
+        let g = self.gen.load(Ordering::Acquire);
+        assert_eq!(
+            ck.generation, g,
+            "bimst-service: replica checkpoint off the set generation"
+        );
+        Some(ck)
+    }
+
     /// Blocks until the set generation reaches `g`; `false` if it never will.
     fn wait_for(&self, g: u64) -> bool {
         let mut fan = self.lock();
@@ -145,7 +175,8 @@ impl Drop for CloseOnExit {
 /// one writer of the WAL store and the one sender of every replica's
 /// records. **Log before publish**: a group's record hits the store (and
 /// is fsynced, per policy) before any replica can apply it, so no served
-/// answer can out-run the disk.
+/// answer can out-run the disk. A durable set's checkpoint cadence counts
+/// logged groups; the checkpoint itself comes from a replica.
 fn admission_main(mut q: Queue, shared: Arc<Shared>, mut dur: Option<DurCtl>) {
     let _close = CloseOnExit(shared.clone());
     let mut run = Vec::new();
@@ -156,6 +187,9 @@ fn admission_main(mut q: Queue, shared: Arc<Shared>, mut dur: Option<DurCtl>) {
                     d.log(&op);
                 }
                 shared.publish(&op);
+                if let Some(d) = dur.as_mut() {
+                    d.maybe_checkpoint(|| shared.checkpoint());
+                }
             }
             Step::Barrier(resp) => {
                 let _ = resp.send(shared.gen.load(Ordering::Acquire));
@@ -303,10 +337,8 @@ impl ReplicaSet {
 
     fn boot(meta: Meta, store: Option<Store>, origin: Origin, cfg: ReplicaSetConfig) -> ReplicaSet {
         let rec = bimst_obs::Recorder::new();
-        // No disk checkpoints mid-stream: the store's segment naming ties a
-        // checkpoint to the record count, which only the admission thread
-        // knows. The `wal_*` metrics land on the set's own recorder.
-        let dur = store.map(|store| DurCtl::new(store, cfg.sync, 0, &rec));
+        // The `wal_*` metrics land on the set's own recorder.
+        let dur = store.map(|store| DurCtl::new(store, cfg.sync, CHECKPOINT_EVERY, &rec));
         let replicas: Vec<Replica> = (0..cfg.replicas.max(1))
             .map(|i| {
                 let origin = origin.clone();
@@ -728,6 +760,57 @@ mod tests {
         let (_, _, rec) = Store::open(&dir).unwrap();
         assert_eq!(rec.generation, 6);
         assert_eq!(rec.tail.len(), 6, "one record per op under Always");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A durable set checkpoints on its cadence: 32 write groups past
+    /// `CHECKPOINT_EVERY` (2¹⁵) the store hands back the checkpoint taken
+    /// at 2¹⁵ and a tail of the 32 records after it, and the recovered set
+    /// answers like a sequential replay.
+    #[test]
+    fn durable_set_checkpoints_on_its_cadence() {
+        let dir = tmpdir("cadence");
+        let cfg = ReplicaSetConfig {
+            sync: SyncPolicy::None,
+            ..ReplicaSetConfig::default()
+        };
+        let (n, total) = (32u32, CHECKPOINT_EVERY + 32);
+        let set = ReplicaSet::eager_durable(&dir, n as usize, 5, cfg).unwrap();
+        let mut seq = bimst_sliding::SwConnEager::new(n as usize, 5);
+        let mut x = 7u32;
+        // Inserts and expires alternate, so no two writes merge: one
+        // write group per op.
+        for _ in 0..total / 2 {
+            x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+            let edges = vec![((x >> 8) % n, (x >> 20) % n), ((x >> 3) % n, (x >> 14) % n)];
+            set.insert(edges.clone()).unwrap();
+            seq.batch_insert(&edges);
+            set.expire(1).unwrap();
+            seq.batch_expire(1);
+        }
+        assert_eq!(set.barrier().unwrap().wait().unwrap(), total);
+        set.shutdown();
+
+        let (_, _, rec) = Store::open(&dir).unwrap();
+        assert_eq!(rec.generation, total);
+        let ck = rec.checkpoint.as_ref().expect("no checkpoint was written");
+        assert_eq!(ck.generation, CHECKPOINT_EVERY);
+        assert_eq!(rec.tail.len(), 32, "tail past the checkpoint");
+
+        let set = ReplicaSet::recover(&dir, cfg).unwrap();
+        assert_eq!(set.generation(), total);
+        let pairs: Vec<(u32, u32)> = (0..n).flat_map(|u| (0..n).map(move |v| (u, v))).collect();
+        let want: Vec<bool> = pairs.iter().map(|&(u, v)| seq.is_connected(u, v)).collect();
+        for i in 0..set.replicas() {
+            let req = QueryReq::WindowConnected(pairs.clone());
+            let a = set.query_on(i, total, req).unwrap().wait().unwrap();
+            assert_eq!(
+                a.resp,
+                QueryResp::WindowConnected(want.clone()),
+                "replica {i}"
+            );
+        }
+        set.shutdown();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

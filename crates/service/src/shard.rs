@@ -11,8 +11,10 @@
 //!   (and fsynced, per policy) **before** the group is applied or
 //!   published, plus the checkpoint cadence, counted in write groups.
 //! * [`Core`], the window owner: applies write groups (generation and
-//!   `service_*` accounting), serves coalesced query runs through its
-//!   reader pool, and answers metrics requests.
+//!   `service_*` accounting), serves coalesced query runs as slot 0 of its
+//!   own reader pool (it answers its share of the ranges itself and hands
+//!   the rest to `readers − 1` reader threads), and answers metrics
+//!   requests.
 //!
 //! A `Service` writer runs all three on one thread ([`writer_main`]). A
 //! `ReplicaSet` runs `Queue` + `DurCtl` on its admission thread, which
@@ -30,16 +32,18 @@
 //! regardless of how batches are merged or range-partitioned (the
 //! `bimst-query` determinism contract, pinned by `tests/prop_query.rs`).
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
 use bimst_graphgen::Op;
 use bimst_primitives::VertexId;
+use bimst_query::QueryBatch;
 use bimst_sliding::{SlidingWrite, SwConn, SwConnEager, WindowCheckpoint};
 use bimst_wal::{Checkpoint, Meta, Store, SyncPolicy};
 
-use crate::reader::{Kind, Partial, Plan, ReaderPool, ServeTask, Snapshot};
+use crate::reader::{answer_range, Kind, Partial, Plan, ReaderPool, ServeTask, Snapshot};
 use crate::{Answered, QueryReq, ServeWindow};
 
 /// One coalesced query: request, reply channel, admission timestamp
@@ -210,6 +214,9 @@ pub(crate) struct SvcObs {
     /// `service_serve_ns`: publish→serve→retire latency of each coalesced
     /// query run (one span per `serve`).
     serve_ns: bimst_obs::Histogram,
+    /// `service_reader_tasks`: plan ranges handed to reader threads (a
+    /// range the writer answers itself, as slot 0, is not counted).
+    reader_tasks: bimst_obs::Counter,
     /// `service_generation`: the writer's current generation.
     generation: bimst_obs::Gauge,
     /// `service_write_groups`: applied write groups (== generation
@@ -247,6 +254,7 @@ impl SvcObs {
             queue_depth: rec.histogram("service_queue_depth"),
             merge_width: rec.histogram("service_merge_width_ops"),
             serve_ns: rec.histogram("service_serve_ns"),
+            reader_tasks: rec.counter("service_reader_tasks"),
             generation: rec.gauge("service_generation"),
             groups: rec.counter("service_write_groups"),
             ops_insert: rec.counter("service_ops_insert"),
@@ -315,13 +323,16 @@ impl DurCtl {
     }
 
     /// After a group is applied: writes the checkpoint `ck` takes if
-    /// `checkpoint_every` groups were logged since the last one.
-    pub(crate) fn maybe_checkpoint(&mut self, ck: impl FnOnce() -> Checkpoint) {
+    /// `checkpoint_every` groups were logged since the last one. `ck`
+    /// yields `None` when no checkpoint can be had right now (a replica
+    /// set with no live replica); the next group asks again.
+    pub(crate) fn maybe_checkpoint(&mut self, ck: impl FnOnce() -> Option<Checkpoint>) {
         if self.checkpoint_every == 0 || self.since < self.checkpoint_every {
             return;
         }
+        let Some(ck) = ck() else { return };
         self.store
-            .checkpoint(&ck())
+            .checkpoint(&ck)
             .expect("bimst-service: WAL checkpoint failed");
         self.since = 0;
     }
@@ -450,7 +461,7 @@ pub(crate) fn writer_main<W: ServeWindow>(w: W, snapshot: Option<SnapshotFn<W>>,
                 core.apply(&op, ops, if run.per_write { ops } else { 1 });
                 applied.store(core.generation, Ordering::Release);
                 if let (Some(d), Some(snapshot)) = (dur.as_mut(), snapshot) {
-                    d.maybe_checkpoint(|| snapshot(&core.w, core.generation));
+                    d.maybe_checkpoint(|| Some(snapshot(&core.w, core.generation)));
                 }
             }
             Step::Serve => core.serve(),
@@ -475,10 +486,11 @@ pub(crate) fn writer_main<W: ServeWindow>(w: W, snapshot: Option<SnapshotFn<W>>,
     core.shutdown();
 }
 
-/// Smallest per-reader slice of a merged plan: below this, splitting costs
-/// more (task envelope, channel hop) than a reader saves. The partition is
-/// a fixed function of `(plan len, reader count)` — never of timing — and
-/// answers are partition-independent anyway.
+/// Smallest per-slot slice of a merged plan: below this, splitting costs
+/// more (task envelope, channel hop) than a reader saves, so a plan shorter
+/// than this is one range and never leaves the writer when it is dealt to
+/// slot 0. The partition is a fixed function of `(plan len, slot count)` —
+/// never of timing — and answers are partition-independent anyway.
 const MIN_SHARD: usize = 64;
 
 /// Reusable buffers of the serve path: capacities grow to the largest run
@@ -494,6 +506,8 @@ pub(crate) struct ServeScratch {
     slots: Vec<(usize, usize)>,
     /// The current generation's partial answers.
     parts: Vec<Partial>,
+    /// The ranges dealt to slot 0, the writer: `(plan index, range)`.
+    own: Vec<(usize, Range<usize>)>,
 }
 
 impl ServeScratch {
@@ -560,8 +574,8 @@ fn merge<W: ServeWindow>(req: &QueryReq, w: &W, ws: &mut ServeScratch) {
 }
 
 /// The window owner of a writer thread, `Service` and replica alike:
-/// applies write groups, serves coalesced query runs through its reader
-/// pool, and answers metrics requests.
+/// applies write groups, serves coalesced query runs as slot 0 of its
+/// reader pool, and answers metrics requests.
 pub(crate) struct Core<W: ServeWindow> {
     pub(crate) w: W,
     /// Log records applied so far.
@@ -569,6 +583,11 @@ pub(crate) struct Core<W: ServeWindow> {
     pub(crate) obs: SvcObs,
     /// The query run being coalesced, reused across runs.
     pub(crate) run: Vec<RunEntry>,
+    /// Slots answering queries, the writer (slot 0) included.
+    readers: usize,
+    /// The writer's own executor, for the ranges dealt to slot 0.
+    q: QueryBatch,
+    /// The reader threads, slots `1..readers`.
     pool: ReaderPool<W>,
     done_tx: Sender<Partial>,
     done_rx: Receiver<Partial>,
@@ -577,8 +596,10 @@ pub(crate) struct Core<W: ServeWindow> {
 }
 
 impl<W: ServeWindow> Core<W> {
-    /// A core at `generation` with `readers` reader workers.
+    /// A core at `generation` answering queries on `readers` slots (clamped
+    /// to ≥ 1): itself and `readers − 1` reader threads.
     pub(crate) fn new(w: W, generation: u64, readers: usize, rec: bimst_obs::Recorder) -> Self {
+        let readers = readers.max(1);
         let obs = SvcObs::new(rec);
         // A recovered starting point is visible even before the first group.
         obs.generation.set(generation);
@@ -588,6 +609,8 @@ impl<W: ServeWindow> Core<W> {
             generation,
             obs,
             run: Vec::new(),
+            readers,
+            q: QueryBatch::new(),
             pool: ReaderPool::spawn(readers),
             done_tx,
             done_rx,
@@ -628,22 +651,27 @@ impl<W: ServeWindow> Core<W> {
     }
 
     /// Serves the coalesced run at the current generation: merge each
-    /// request into its plan, publish the snapshot, fan the plans out
-    /// across the reader pool, join, and split answers back per request.
-    /// At steady state only the readers' partials and the clients' answer
-    /// vectors are allocated.
+    /// request into its plan, publish the snapshot, deal each plan's
+    /// contiguous ranges round-robin over the slots (slot 0 is this
+    /// writer), answer slot 0's ranges here while the reader threads answer
+    /// theirs, join, and split answers back per request. A run that is one
+    /// range, e.g. a single batch shorter than `MIN_SHARD`, never leaves
+    /// the writer. At steady state only the partials and the clients'
+    /// answer vectors are allocated.
     pub(crate) fn serve(&mut self) {
         let Core {
             w,
             generation,
             obs,
             run,
+            readers,
+            q,
             pool,
             done_tx,
             done_rx,
             scratch: ws,
         } = self;
-        let (w, generation): (&W, u64) = (w, *generation);
+        let (w, generation, readers): (&W, u64, usize) = (w, *generation, *readers);
         // One span covers the whole publish→serve→retire protocol.
         let _span = obs.serve_ns.time();
         // Merge in run order into the plans the previous serve cleared.
@@ -655,34 +683,51 @@ impl<W: ServeWindow> Core<W> {
         // thread must not mutate `w` — rustc enforces it locally via the `&W`
         // borrow, the protocol extends it across the reader threads.
         let snap = Snapshot::publish(w);
-        // Fan out each plan in contiguous ranges, round-robin. A range a dead
-        // worker refuses sends no partial, so it is not joined on; it fails
-        // stop below like a reader that panicked mid-serve. Dispatch goes on
-        // past it: unwinding before the join barrier would drop the
-        // structure while live readers still borrow it.
-        let (mut expected, mut dead_reader) = (0usize, false);
+        // Deal each plan in contiguous ranges, round-robin from slot 0 on
+        // every serve. Slot 0's ranges are kept for below; the rest go to
+        // the reader threads first, so they start while the writer works. A
+        // range a dead thread refuses sends no partial, so it is not joined
+        // on; it fails stop below like a reader that panicked mid-serve.
+        // Dealing goes on past it: unwinding before the join barrier would
+        // drop the structure while live readers still borrow it.
+        let (mut expected, mut dead_reader, mut slot) = (0usize, false, 0usize);
         for (idx, plan) in ws.plans.iter().enumerate() {
             let len = plan.len();
-            let chunk = len.div_ceil(pool.len()).max(MIN_SHARD);
+            let chunk = len.div_ceil(readers).max(MIN_SHARD);
             for lo in (0..len).step_by(chunk) {
+                let range = lo..(lo + chunk).min(len);
+                let dealt = slot;
+                slot = (slot + 1) % readers;
+                if dealt == 0 {
+                    ws.own.push((idx, range));
+                    continue;
+                }
                 let task = ServeTask {
                     snap,
                     idx,
                     plan: plan.clone(),
-                    range: lo..(lo + chunk).min(len),
+                    range,
                     done: done_tx.clone(),
                 };
-                if pool.dispatch(task) {
+                if pool.dispatch(dealt - 1, task) {
                     expected += 1;
                 } else {
                     dead_reader = true;
                 }
             }
         }
+        obs.reader_tasks.add(expected as u64);
+        // Slot 0 (protocol step 2): the writer answers its own ranges through
+        // the borrow it holds. `answer_range` catches a panic, so the writer
+        // reaches the join barrier whatever the batch holds.
+        for (idx, range) in ws.own.drain(..) {
+            ws.parts
+                .push(answer_range(q, w, &ws.plans[idx], idx, range));
+        }
 
-        // Join barrier (protocol step 3): collect every partial before
-        // touching the structure again. Plans of different kinds are in flight
-        // simultaneously, so a run mixing kinds uses the whole pool.
+        // Join barrier (protocol step 3): collect every dispatched partial
+        // before touching the structure again. Plans of different kinds are
+        // dealt in one sequence, so a run mixing kinds uses the whole pool.
         for _ in 0..expected {
             let part = done_rx.recv().expect("bimst-service reader pool alive");
             ws.parts.push(part);
@@ -696,7 +741,8 @@ impl<W: ServeWindow> Core<W> {
         // Fail stop, but only after the join barrier: every reader is parked
         // again, so unwinding the writer (dropping the structure) is safe, and
         // pending tickets resolve with `ServiceClosed` instead of hanging.
-        // A worker that was already dead at dispatch time (`dead_reader`)
+        // A poisoned partial may come from the writer's own share. A reader
+        // thread that was already dead at dispatch time (`dead_reader`)
         // surfaces through this same path.
         let poisoned = ws.parts.iter().any(|p| p.resp.is_none());
         assert!(
@@ -895,7 +941,7 @@ mod tests {
         core.shutdown();
     }
 
-    /// Large merged plans are range-partitioned across readers; splicing
+    /// Large merged plans are range-partitioned across the slots; splicing
     /// the partials back must reconstruct the full per-query loop answers.
     #[test]
     fn fan_out_partitions_reassemble_exactly() {
@@ -916,29 +962,50 @@ mod tests {
             .map(|&(u, v)| core.w.is_connected(u, v))
             .collect();
         assert_eq!(got, want);
+        // 500 pairs on 3 slots → three ranges of ≤ 167: the writer answers
+        // the first, each reader thread one of the others.
+        let tasks = core.metrics().counter("service_reader_tasks");
+        assert_eq!(tasks, Some(2));
         core.shutdown();
     }
 
     /// A reader thread that died *outside* a serve (so its channel is
     /// already disconnected at dispatch time) must surface through the
     /// poisoned-barrier fail-stop — the same error a reader that panicked
-    /// mid-serve produces — not the old bare
-    /// `expect("bimst-service reader worker alive")` panic, which fired
-    /// mid-fan-out while the surviving readers still held the published
-    /// snapshot. The surviving workers' partials are drained first (the
-    /// join barrier counts only accepted tasks), then the writer fails
-    /// stop.
+    /// mid-serve produces — not a bare panic mid-fan-out while the
+    /// surviving readers still held the published snapshot. The writer
+    /// answers its own share and drains the accepted tasks first (the join
+    /// barrier counts only accepted tasks), then fails stop.
+    ///
+    /// Before that, the dispatch rule `MIN_SHARD` keeps: a plan shorter
+    /// than it is one range, dealt to slot 0, so with the only reader
+    /// thread dead a 10-query batch is still answered and no range is
+    /// counted as handed to a reader.
     #[test]
     fn dead_reader_routes_through_the_poisoned_barrier() {
         let mut w = SwConnEager::new(200, 5);
         let ring: Vec<(u32, u32)> = (0..199).map(|v| (v, v + 1)).collect();
         w.batch_insert(&ring);
+        w.batch_expire(60);
 
         let mut core = Core::new(w, 1, 2, bimst_obs::Recorder::new());
-        core.pool.kill_worker(1);
-        // 200 pairs with 2 workers → chunk 100 ≥ MIN_SHARD → two tasks:
-        // one lands on the live worker, one on the dead slot.
+        core.pool.kill_worker(0);
         let pairs: Vec<(u32, u32)> = (0..200u32).map(|i| (i, (i * 3 + 1) % 200)).collect();
+        let (tx, rx) = channel();
+        core.run
+            .push((QueryReq::WindowConnected(pairs[..10].to_vec()), tx, None));
+        core.serve();
+        let want = pairs[..10].iter().map(|&(u, v)| core.w.is_connected(u, v));
+        assert_eq!(
+            rx.recv().unwrap().resp,
+            QueryResp::WindowConnected(want.collect())
+        );
+        let tasks = core.metrics().counter("service_reader_tasks");
+        assert_eq!(tasks, Some(0), "a small plan was handed to a reader");
+
+        // 200 pairs on 2 slots → chunk 100 ≥ MIN_SHARD → two ranges: the
+        // writer (slot 0) answers one, the other is dealt to the dead
+        // thread.
         let (tx, answer_rx) = channel();
         core.run.push((QueryReq::WindowConnected(pairs), tx, None));
         let unwind = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| core.serve()))
@@ -954,6 +1021,60 @@ mod tests {
         // poisoned serve, the client sees a closed channel, not a hang.
         core.run.clear();
         assert!(answer_rx.recv().is_err());
+        core.shutdown();
+    }
+
+    /// A one-slot core spawns no reader thread: the writer answers every
+    /// plan itself, bit-identically to the per-query loop, on a run mixing
+    /// window connectivity, path-max and two fold kinds.
+    #[test]
+    fn one_slot_core_answers_alone() {
+        use bimst_primitives::{Hops, SumW};
+        let mut w = SwConnEager::new(200, 5);
+        let ring: Vec<(u32, u32)> = (0..199).map(|v| (v, v + 1)).collect();
+        w.batch_insert(&ring);
+        w.batch_insert(&[(3, 150), (20, 90)]);
+        w.batch_expire(30);
+
+        let mut core = Core::new(w, 2, 1, bimst_obs::Recorder::new());
+        assert_eq!(core.pool.threads(), 0, "readers: 1 spawns no thread");
+        let pairs: Vec<(u32, u32)> = (0..300u32).map(|i| (i % 200, (i * 13 + 7) % 200)).collect();
+        let reqs = [
+            QueryReq::WindowConnected(pairs.clone()),
+            QueryReq::PathMax(pairs[..150].to_vec()),
+            QueryReq::PathFold {
+                kind: FoldKind::Sum,
+                pairs: pairs[50..].to_vec(),
+            },
+            QueryReq::PathFold {
+                kind: FoldKind::Hops,
+                pairs: pairs[..90].to_vec(),
+            },
+        ];
+        let mut rxs = Vec::new();
+        for req in &reqs {
+            let (tx, rx) = channel();
+            core.run.push((req.clone(), tx, None));
+            rxs.push(rx);
+        }
+        core.serve();
+
+        let w = &core.w;
+        let answers: Vec<QueryResp> = rxs.into_iter().map(|rx| rx.recv().unwrap().resp).collect();
+        let conn = pairs.iter().map(|&(u, v)| w.is_connected(u, v)).collect();
+        assert_eq!(answers[0], QueryResp::WindowConnected(conn));
+        let pm = pairs[..150].iter().map(|&(u, v)| w.msf().path_max(u, v));
+        assert_eq!(answers[1], QueryResp::PathMax(pm.collect()));
+        let sum = pairs[50..]
+            .iter()
+            .map(|&(u, v)| w.msf().path_fold::<SumW>(u, v).map(FoldValue::Sum));
+        assert_eq!(answers[2], QueryResp::PathFold(sum.collect()));
+        let hops = pairs[..90]
+            .iter()
+            .map(|&(u, v)| w.msf().path_fold::<Hops>(u, v).map(FoldValue::Hops));
+        assert_eq!(answers[3], QueryResp::PathFold(hops.collect()));
+        let tasks = core.metrics().counter("service_reader_tasks");
+        assert_eq!(tasks, Some(0));
         core.shutdown();
     }
 
@@ -1079,7 +1200,11 @@ mod tests {
                 + w.folds.capacity()
                 + out
         });
-        plans.sum::<usize>() + ws.plans.capacity() + ws.slots.capacity() + ws.parts.capacity()
+        plans.sum::<usize>()
+            + ws.plans.capacity()
+            + ws.slots.capacity()
+            + ws.parts.capacity()
+            + ws.own.capacity()
     }
 
     /// Runs `reqs` through `core` for 60 generations: after the warmup

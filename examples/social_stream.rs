@@ -20,8 +20,8 @@
 //!   commits the write batches, and logs every applied write group to the
 //!   WAL (one fsync per merged group under the default `GroupCommit`
 //!   policy) *before* applying it;
-//! * its reader pool answers each query ticket from a generation-pinned
-//!   snapshot — the `generation` stamp on every answer says exactly which
+//! * the writer and its reader thread answer each query ticket from a
+//!   generation-pinned snapshot — the `generation` stamp on every answer says exactly which
 //!   prefix of the write stream it reflects;
 //! * shutdown drains: every admitted ticket resolves before the structure
 //!   is dropped — and then the demo **recovers**: `Service::recover`
@@ -101,7 +101,7 @@ fn main() {
 
     println!(
         "serving {n}-vertex interaction stream: window = {}, {} writes + 3×{} queries per round,\n\
-         writer + 2 reader shards behind a bounded queue, WAL at {}\n",
+         writer + 1 reader thread (2 query slots) behind a bounded queue, WAL at {}\n",
         cfg.window,
         cfg.insert_batch,
         cfg.query_batch,

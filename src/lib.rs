@@ -40,9 +40,9 @@
 //! ```
 //!
 //! Serving: when ops originate on many threads, hand the window to
-//! `bimst-service` — a writer thread group-commits the write stream, a
-//! reader pool answers query tickets from generation-pinned snapshots,
-//! and a bounded queue provides backpressure (`try_*` variants) with
+//! `bimst-service` — a writer thread group-commits the write stream and,
+//! with its reader threads, answers query tickets from generation-pinned
+//! snapshots, and a bounded queue provides backpressure (`try_*` variants) with
 //! drain-ordered shutdown. Answers are bit-identical to a sequential
 //! replay of the admitted ops; see the README's *Serving* section for the
 //! architecture diagram and the generation-handoff rules.
