@@ -144,6 +144,17 @@ impl BatchMsf {
         self.scratch.high_water() + self.forest.engine().scratch_high_water()
     }
 
+    /// Frees every reusable buffer counted by
+    /// [`BatchMsf::scratch_high_water`], which then reads 0. Call once after
+    /// a one-off batch far larger than the steady state — installing a
+    /// checkpoint as one `batch_insert` — so its window-sized scratch is not
+    /// kept for the structure's life. Later batches regrow what they need;
+    /// answers do not depend on the scratch.
+    pub fn release_scratch(&mut self) {
+        self.scratch = InsertScratch::default();
+        self.forest.release_scratch();
+    }
+
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
         self.forest.num_vertices()

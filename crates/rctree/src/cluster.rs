@@ -34,6 +34,13 @@
 //!   Splitting them further would turn each such touch into several
 //!   random-line loads for no reader's benefit.
 //!
+//! A body is exactly **64 bytes** — one cache line, asserted at compile
+//! time: 32 for the kind, 28 for the inline children, 4 for the size word.
+//! Liveness is bit 31 of that word (`ALIVE_BIT`) rather than a separate
+//! `bool`, which would pad the record to 72 bytes. A size counts original
+//! vertices, so it is at most `n`, and engine construction
+//! ([`crate::contract::Engine::with_singletons`]) asserts `n < 2³¹`.
+//!
 //! Chunked storage means arena growth allocates one fixed-size chunk and
 //! never copies — see the [`bimst_primitives::soa`] module docs for why
 //! that matters at the 100 MB scale.
@@ -141,14 +148,35 @@ impl ClusterKind {
     }
 }
 
+/// Liveness flag inside [`ClusterBody::size_alive`]; the low 31 bits are
+/// the size (see the module docs, *Memory layout*).
+const ALIVE_BIT: u32 = 1 << 31;
+
+/// Largest representable cluster size (vertex count).
+pub(crate) const MAX_CLUSTER_SIZE: u32 = ALIVE_BIT - 1;
+
 /// The record half of a cluster (everything but the parent pointer — see
 /// the module docs, *Memory layout*).
 #[derive(Clone, Copy, Debug, Default)]
 struct ClusterBody {
     kind: ClusterKind,
     children: AVec<ClusterId, MAX_CHILDREN>,
-    size: u32,
-    alive: bool,
+    /// Size in the low 31 bits, liveness in [`ALIVE_BIT`].
+    size_alive: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<ClusterBody>() == 64);
+
+impl ClusterBody {
+    #[inline]
+    fn size(&self) -> u32 {
+        self.size_alive & !ALIVE_BIT
+    }
+
+    #[inline]
+    fn alive(&self) -> bool {
+        self.size_alive & ALIVE_BIT != 0
+    }
 }
 
 /// A by-value view of one RC tree node, assembled from the arena's parallel
@@ -212,15 +240,15 @@ impl ClusterArena {
         if matches!(kind, ClusterKind::Root { .. }) {
             self.num_roots += 1;
         }
-        let size = children
+        let size: u32 = children
             .iter()
-            .map(|ch| self.bodies[ch as usize].size)
+            .map(|ch| self.bodies[ch as usize].size())
             .sum();
+        debug_assert!(size <= MAX_CLUSTER_SIZE, "cluster size {size} overflows");
         let body = ClusterBody {
             kind,
             children,
-            size,
-            alive: true,
+            size_alive: size | ALIVE_BIT,
         };
         if let Some(id) = self.free.pop() {
             let i = id as usize;
@@ -240,11 +268,11 @@ impl ClusterArena {
     /// children that were already re-parented are left alone.
     pub fn free(&mut self, id: ClusterId) {
         let i = id as usize;
-        debug_assert!(self.bodies[i].alive, "double free of cluster {id}");
+        debug_assert!(self.bodies[i].alive(), "double free of cluster {id}");
         if matches!(self.bodies[i].kind, ClusterKind::Root { .. }) {
             self.num_roots -= 1;
         }
-        self.bodies[i].alive = false;
+        self.bodies[i].size_alive &= !ALIVE_BIT;
         self.parents[i] = NONE_CLUSTER;
         let children = self.bodies[i].children;
         for ch in children.iter() {
@@ -305,19 +333,21 @@ impl ClusterArena {
     /// Number of original vertices in the cluster.
     #[inline]
     pub fn size(&self, id: ClusterId) -> u32 {
-        self.bodies[id as usize].size
+        self.bodies[id as usize].size()
     }
 
     /// Overrides a cluster's size (leaf vertices: heads 1, phantoms 0).
     #[inline]
     pub fn set_size(&mut self, id: ClusterId, size: u32) {
-        self.bodies[id as usize].size = size;
+        assert!(size <= MAX_CLUSTER_SIZE, "cluster size {size} overflows");
+        let b = &mut self.bodies[id as usize];
+        b.size_alive = (b.size_alive & ALIVE_BIT) | size;
     }
 
     /// Whether the slot holds a live cluster.
     #[inline]
     pub fn alive(&self, id: ClusterId) -> bool {
-        self.bodies[id as usize].alive
+        self.bodies[id as usize].alive()
     }
 
     /// Assembles the whole record by value (cold paths; hot paths use the
@@ -329,8 +359,8 @@ impl ClusterArena {
             kind: b.kind,
             children: b.children,
             parent: self.parents[i],
-            alive: b.alive,
-            size: b.size,
+            alive: b.alive(),
+            size: b.size(),
         }
     }
 
@@ -346,7 +376,7 @@ impl ClusterArena {
 
     /// Iterates over the ids of live clusters in ascending order.
     pub fn iter_live_ids(&self) -> impl Iterator<Item = ClusterId> + '_ {
-        (0..self.len() as ClusterId).filter(move |&id| self.bodies[id as usize].alive)
+        (0..self.len() as ClusterId).filter(move |&id| self.bodies[id as usize].alive())
     }
 }
 

@@ -62,8 +62,14 @@
 //!   array-of-structs `NodeData` dragged ~3 cache lines per touch).
 //! * `spill` — rows ≥ 2, a cold per-node `Vec` in a side array. Long-lived
 //!   spine nodes pay the indirection only in the rare rounds that reach
-//!   them; the buffer is retained across node recycling, so steady-state
-//!   churn stays allocation-free.
+//!   them. The buffer follows its node's lifetime, so retained capacity
+//!   tracks the live rows: freeing or recycling a slot drops it, a
+//!   truncation that leaves no spill row drops it, and a truncation that
+//!   leaves it under half full shrinks it to `max(kept, 4)` rows. A buffer
+//!   kept across recycling would hold the deepest lifetime any occupant of
+//!   its slot ever reached: at n = w = 2¹⁶ that retained 13× the live rows
+//!   within 8 window turnovers. [`Engine::round_rows`] counts live rows
+//!   against retained capacity.
 //!
 //! # Round-major frontier packing (rounds ≥ 2, large frontiers)
 //!
@@ -126,18 +132,28 @@
 //! `PropScratch`. Buffers are cleared by truncation (or by bumping the
 //! engine's epoch counter for the stamp-based dedup sets) and never shrunk,
 //! so once the engine has processed its largest batch, further propagations
-//! perform **zero heap allocations** in this module. `propagate` takes the
-//! scratch out of the engine while rounds run (`std::mem::take`) and puts it
-//! back when the contraction is quiescent, which keeps borrows disjoint
-//! without unsafe code. [`Engine::scratch_high_water`] exposes the combined
-//! capacity so tests can pin the steady state.
+//! perform **zero heap allocations** in this module (spill rows aside — see
+//! *Memory layout*). `propagate` takes the scratch out of the engine while
+//! rounds run (`std::mem::take`) and puts it back when the contraction is
+//! quiescent, which keeps borrows disjoint without unsafe code.
+//! [`Engine::scratch_high_water`] exposes the combined capacity so tests
+//! can pin the steady state.
+//!
+//! Construction does not ratchet the scratch: [`Engine::with_singletons`]
+//! writes the `n` isolated vertices' finalized contraction directly instead
+//! of pushing an `n`-node frontier through the round loop, so a fresh
+//! engine holds no scratch at all. A one-off batch far larger than the
+//! steady state (installing a checkpoint) can hand its scratch back with
+//! [`Engine::release_scratch`].
 
 use bimst_primitives::hash::{coin, priority};
 use bimst_primitives::monoid::{MaxW, PathMonoid};
 use bimst_primitives::par::map_into;
 use bimst_primitives::{AVec, ChunkedArena, FxHashSet, PackedRounds, WKey};
 
-use crate::cluster::{ClusterArena, ClusterId, ClusterKind, NodeId, MAX_CHILDREN, NONE_CLUSTER};
+use crate::cluster::{
+    ClusterArena, ClusterId, ClusterKind, NodeId, MAX_CHILDREN, MAX_CLUSTER_SIZE, NONE_CLUSTER,
+};
 
 /// Sentinel for "no node".
 pub const NONE_NODE: NodeId = u32::MAX;
@@ -295,7 +311,8 @@ pub struct NodeArena {
     row0: ChunkedArena<RoundState>,
     row1: ChunkedArena<RoundState>,
     /// Cold side array: round rows ≥ [`RESIDENT_ROUNDS`]. The per-node
-    /// buffer is cleared, not dropped, on recycling.
+    /// buffer follows the node's lifetime (see the module docs, *Memory
+    /// layout*).
     spill: ChunkedArena<Vec<RoundState>>,
 }
 
@@ -448,21 +465,32 @@ impl NodeArena {
         self.hot[vi].rounds_len = (i + 1) as u32;
     }
 
-    /// Shrinks node `v` to `n` round rows (no-op if already shorter).
+    /// Shrinks node `v` to `n` round rows (no-op if already shorter). The
+    /// spill buffer is dropped when no spill row is left, and shrunk to
+    /// `max(kept, 4)` rows when its capacity exceeds twice that.
     fn truncate_rows(&mut self, v: NodeId, n: usize) {
         let vi = v as usize;
         if n < self.hot[vi].rounds_len as usize {
             self.hot[vi].rounds_len = n as u32;
-            self.spill[vi].truncate(n.saturating_sub(RESIDENT_ROUNDS));
+            let keep = n.saturating_sub(RESIDENT_ROUNDS);
+            let spill = &mut self.spill[vi];
+            if keep == 0 {
+                *spill = Vec::new();
+            } else {
+                spill.truncate(keep);
+                let floor = keep.max(4);
+                if spill.capacity() > 2 * floor {
+                    spill.shrink_to(floor);
+                }
+            }
         }
     }
 
-    /// Drops all round rows of node `v`, keeping the spill buffer's
-    /// capacity so node recycling stays allocation-free.
+    /// Drops all round rows of node `v`, spill buffer included.
     fn clear_rows(&mut self, v: NodeId) {
         let vi = v as usize;
         self.hot[vi].rounds_len = 0;
-        self.spill[vi].clear();
+        self.spill[vi] = Vec::new();
     }
 }
 
@@ -587,12 +615,70 @@ impl Engine {
         }
     }
 
+    /// An engine over `n` isolated head nodes (node `v` owned by vertex
+    /// `v`), already contracted: each head finalizes at round 0 into a root
+    /// cluster whose one child is its leaf. Ids match what flagging the `n`
+    /// fresh nodes and running [`Engine::propagate`] assigns — leaf clusters
+    /// `0..n`, root clusters `n..2n` — but without pushing an `n`-node
+    /// frontier through the round loop, so the propagation scratch stays
+    /// empty (see the module docs, *Scratch lifecycle*).
+    ///
+    /// # Panics
+    ///
+    /// If `n` exceeds the largest cluster size (2³¹ − 1).
+    pub fn with_singletons(seed: u64, n: usize) -> Self {
+        assert!(
+            n <= MAX_CLUSTER_SIZE as usize,
+            "{n} vertices overflow the cluster size field"
+        );
+        let mut e = Engine::new(seed);
+        for v in 0..n as NodeId {
+            let id = e.nodes.push_slot();
+            e.init_node(id, v, true);
+            e.nodes.row_mut(id, 0).decision = Decision::Finalize;
+        }
+        for v in 0..n as NodeId {
+            let leaf = e.nodes.leaf_cluster(v);
+            let mut children = AVec::new();
+            children.push(leaf);
+            let root = e.clusters.alloc(ClusterKind::Root { rep: v }, children);
+            e.clusters.set_parent(leaf, root);
+            e.nodes.row_mut(v, 0).cluster = root;
+        }
+        e
+    }
+
     /// Combined capacity (in elements) of the propagation scratch buffers
     /// (including the round-0 frontier, whose buffer swaps in and out of the
     /// scratch). Steady-state workloads must plateau here — the
     /// zero-allocation regression test pins this after a warmup phase.
     pub fn scratch_high_water(&self) -> usize {
         self.scratch.high_water() + self.flagged0.capacity()
+    }
+
+    /// Frees every propagation scratch buffer, so [`Engine::scratch_high_water`]
+    /// reads 0. For after a one-off batch far larger than the steady state
+    /// (installing a checkpoint), whose scratch would otherwise stay
+    /// allocated for the engine's life. The next propagation regrows what
+    /// it needs; results do not depend on the scratch.
+    pub fn release_scratch(&mut self) {
+        assert!(
+            self.flagged0.is_empty(),
+            "scratch released with a batch pending"
+        );
+        self.scratch = PropScratch::default();
+        self.flagged0 = Vec::new();
+    }
+
+    /// Spill round rows (rounds ≥ 2) as `(live, retained)`: rows held by
+    /// nodes against the capacity of their spill buffers. Test and profiling
+    /// hook; `O(nodes)`.
+    #[doc(hidden)]
+    pub fn round_rows(&self) -> (usize, usize) {
+        (0..self.nodes.len()).fold((0, 0), |(live, retained), v| {
+            let s = &self.nodes.spill[v];
+            (live + s.len(), retained + s.capacity())
+        })
     }
 
     /// Allocates a node owned by original vertex `owner` and flags it.
@@ -603,17 +689,21 @@ impl Engine {
         } else {
             self.nodes.push_slot()
         };
+        self.init_node(id, owner, is_head);
+        self.flagged0.push(id);
+        id
+    }
+
+    /// Makes slot `id` — fresh, or emptied by [`Engine::free_node`] — a
+    /// live node with a fresh leaf cluster and one empty round-0 row.
+    fn init_node(&mut self, id: NodeId, owner: u32, is_head: bool) {
+        debug_assert_eq!(self.nodes.rounds_len(id), 0, "slot {id} still has rows");
         let leaf = self
             .clusters
             .alloc(ClusterKind::LeafVertex { node: id }, AVec::new());
         self.clusters.set_size(leaf, is_head as u32);
         self.nodes.init(id, owner, is_head, true, leaf);
-        // Recycled slots keep their spill buffer (cleared, not dropped)
-        // so steady-state node churn stays allocation-free.
-        self.nodes.clear_rows(id);
         self.nodes.push_row(id, RoundState::fresh());
-        self.flagged0.push(id);
-        id
     }
 
     /// Frees a node. Its round-0 adjacency must already be empty (the caller
@@ -626,8 +716,7 @@ impl Engine {
             "freeing node {v} with live edges"
         );
         // Free every cluster this node is the representative of, plus its
-        // leaf cluster. The row storage itself is kept for reuse by the
-        // next `alloc_node` on this slot.
+        // leaf cluster, then its rows (the spill buffer goes with them).
         for q in 0..self.nodes.rounds_len(v) {
             let c = self.nodes.row(v, q).cluster;
             if c != NONE_CLUSTER {
@@ -1227,12 +1316,7 @@ impl Engine {
             debug_assert_eq!(nid, id);
             let (owner, is_head) = (self.nodes.owner(id), self.nodes.is_head(id));
             if self.nodes.alive(id) {
-                let leaf = e
-                    .clusters
-                    .alloc(ClusterKind::LeafVertex { node: id }, AVec::new());
-                e.clusters.set_size(leaf, is_head as u32);
-                e.nodes.init(id, owner, is_head, true, leaf);
-                e.nodes.push_row(id, RoundState::fresh());
+                e.init_node(id, owner, is_head);
                 e.flagged0.push(id);
             } else {
                 e.nodes.init(id, owner, is_head, false, NONE_CLUSTER);

@@ -113,16 +113,13 @@ impl RcForest {
     /// allocation once, at construction, instead of as a latency spike
     /// mid-stream. The hint only pre-sizes; it is not a limit.
     pub fn with_edge_capacity(n: usize, seed: u64, edge_capacity: usize) -> Self {
-        let mut engine = Engine::new(seed);
-        let mut heads = Vec::with_capacity(n);
+        // Vertex `v`'s head is node `v`.
+        let engine = Engine::with_singletons(seed, n);
+        let heads: Vec<NodeId> = (0..n as NodeId).collect();
         let mut spine = ChunkedArena::new();
-        for v in 0..n {
-            let h = engine.alloc_node(v as u32, true);
-            debug_assert_eq!(h as usize, spine.len());
-            heads.push(h);
+        for _ in 0..n {
             spine.push(SpineInfo::empty());
         }
-        engine.propagate();
         RcForest {
             engine,
             n,
@@ -405,6 +402,12 @@ impl RcForest {
         &self.engine
     }
 
+    /// Frees the engine's propagation scratch (see
+    /// [`Engine::release_scratch`]).
+    pub fn release_scratch(&mut self) {
+        self.engine.release_scratch();
+    }
+
     /// Verifies change propagation against a from-scratch rebuild of the
     /// current base forest. Expensive; tests and benches only.
     pub fn verify_against_scratch(&self) -> Result<(), String> {
@@ -427,6 +430,36 @@ mod tests {
         assert_eq!(f.num_edges(), 0);
         assert!(!f.connected(0, 1));
         assert!(f.connected(2, 2));
+    }
+
+    /// Direct singleton construction writes exactly the contraction that
+    /// flagging every head and propagating builds — cluster ids included,
+    /// which replica and recovery bit-identity rest on — and leaves no
+    /// propagation scratch behind.
+    #[test]
+    fn construction_matches_propagated_singletons() {
+        let chunk = bimst_primitives::soa::CHUNK;
+        for n in [0, 1, 2048, 2049, chunk + 1] {
+            let f = RcForest::new(n, 31);
+            let e = f.engine();
+            let rebuilt = e.rebuild_from_scratch();
+            e.same_contraction(&rebuilt).unwrap();
+            e.check_cluster_invariants().unwrap();
+            rebuilt.check_cluster_invariants().unwrap();
+            assert_eq!(f.num_components(), n);
+            assert_eq!(e.scratch_high_water(), 0, "n = {n}");
+            for v in 0..n as VertexId {
+                let leaf = f.leaf_cluster(f.head(v));
+                assert_eq!(leaf, rebuilt.nodes.leaf_cluster(v), "n = {n}, leaf of {v}");
+                assert_eq!(
+                    f.root_cluster_of(v),
+                    rebuilt.root_from(leaf),
+                    "n = {n}, root of {v}"
+                );
+                assert_eq!(f.component_size(v), 1);
+            }
+            assert_eq!(e.clusters.len(), rebuilt.clusters.len());
+        }
     }
 
     #[test]

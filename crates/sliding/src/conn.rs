@@ -100,6 +100,9 @@ impl WindowCheckpoint for SwConn {
         // (e.g. a fully-expired window).
         self.t = self.t.max(t);
         self.expire_before(tw);
+        // The install was one window-sized batch; steady batches are far
+        // smaller, so do not keep its scratch for the process's life.
+        self.msf.release_scratch();
     }
 }
 
@@ -117,6 +120,7 @@ impl WindowCheckpoint for SwConnEager {
         // Eager checkpoints only hold unexpired edges (τ ≥ tw), so this
         // cuts nothing — it just installs the left endpoint.
         self.expire_before(tw);
+        self.msf.release_scratch();
     }
 }
 
@@ -625,6 +629,9 @@ mod tests {
         assert_eq!(lazy2.window(), lazy.window());
         assert_eq!(eager2.window(), eager.window());
         assert_eq!(eager2.num_components(), eager.num_components());
+        // The install batch's scratch is released, not kept.
+        assert_eq!(lazy2.msf().scratch_high_water(), 0);
+        assert_eq!(eager2.msf().scratch_high_water(), 0);
 
         // Continue both with the identical suffix; answers must agree.
         for round in 25..50u64 {
@@ -655,6 +662,40 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Retained spill capacity tracks the live round rows: an eager window
+    /// at n = w = 2¹¹ after 20 turnovers of 256-edge insert + expire rounds
+    /// holds at most twice the live rows (spill buffers kept across slot
+    /// recycling retained 13× the live rows on this stream).
+    #[test]
+    fn eager_round_rows_track_the_live_window() {
+        use bimst_primitives::hash::hash2;
+        let n = 1usize << 11;
+        let batch = 256u64;
+        let mut w = SwConnEager::new(n, 5);
+        for round in 0..20 * n as u64 / batch {
+            let edges: Vec<(u32, u32)> = (0..batch)
+                .map(|k| {
+                    let u = (hash2(round, 2 * k) % n as u64) as u32;
+                    let mut v = (hash2(round, 2 * k + 1) % (n as u64 - 1)) as u32;
+                    if v >= u {
+                        v += 1;
+                    }
+                    (u, v)
+                })
+                .collect();
+            w.batch_insert(&edges);
+            if w.window().1 > n as u64 {
+                w.batch_expire(batch);
+            }
+        }
+        let (live, retained) = w.msf().forest().engine().round_rows();
+        assert!(live > 0, "the window never reached a spill round");
+        assert!(
+            retained <= 2 * live,
+            "{retained} spill rows retained for {live} live"
+        );
     }
 
     /// A fully-expired window checkpoints to an empty edge set with
