@@ -437,10 +437,9 @@ impl<T: Copy + Default + PartialEq> ExpGraph<T> {
 
 /// A marked cluster's body (kind + children), gathered into the packed
 /// scratch by the bottom-up marking walk so the top-down expansion never
-/// returns to the cluster record array for marked clusters — the same
-/// "pack the frontier once, sweep the pack" dataflow as the round-major
-/// contraction loop (`bimst-rctree::contract`, *Round-major frontier
-/// packing*). The gather shares the marking chase's pass over the arena,
+/// returns to the cluster record array for marked clusters ("pack the
+/// frontier once, sweep the pack"). The gather shares the marking chase's
+/// pass over the arena,
 /// and every marked probe during expansion becomes one hash lookup that
 /// yields membership *and* the body, where the unpacked walk paid a hash
 /// probe plus a cold record load per marked cluster.

@@ -40,7 +40,7 @@ pub use avec::AVec;
 pub use fxmap::{FxHashMap, FxHashSet};
 pub use hash::{coin, hash2, hash3, mix64};
 pub use monoid::{FoldKind, FoldValue, Hops, MaxW, MinW, Pair, PathMonoid, SumW};
-pub use soa::{ChunkedArena, EpochSet, EpochSlotMap, PackedRounds};
+pub use soa::{ChunkedArena, EpochSet, EpochSlotMap};
 pub use weight::{EdgeId, WKey, Weight, NEG_INF};
 
 /// A vertex identifier. The substrate addresses vertices densely, `0..n`.

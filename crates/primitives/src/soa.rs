@@ -287,11 +287,6 @@ impl EpochSlotMap {
         }
     }
 
-    /// Current domain bound (exclusive).
-    pub fn domain(&self) -> usize {
-        self.slot.len()
-    }
-
     /// Forces the epoch counter (wraparound boundary tests only).
     #[doc(hidden)]
     pub fn force_epoch_for_tests(&mut self, epoch: u32) {
@@ -311,136 +306,6 @@ impl EpochSlotMap {
         debug_assert!(i < self.slot.len(), "id {i} outside slot-map domain");
         let s = self.slot[i];
         ((s >> 32) as u32 == self.epoch).then_some(s as u32)
-    }
-}
-
-/// A frontier-packed gather buffer: the **round-major** view of a sparse
-/// working set over a dense id space.
-///
-/// The contraction round loop processes round `r` over a *frontier* — a
-/// small, data-dependent subset of the node-id space. Stored node-major
-/// (one row per node, indexed by node id), every row touch in the round is
-/// a random access that pulls one cold cache line per node; stored
-/// **round-major** — the frontier's round-`r` rows gathered into one dense
-/// array — the round's repeated row reads (a row is probed ~4–7× per
-/// round: neighborhood building, decisions reading each neighbor's degree,
-/// the dying/surviving partition, the plan phases) hit a compact packed
-/// array instead. The gather pays the one cold load per row the first
-/// touch would have paid anyway; every re-touch after that costs a probe
-/// of the index table (8 ids per cache line) plus a packed-row read.
-///
-/// Built from this module's own primitives: the `id → packed index` side
-/// is an [`EpochSlotMap`] (reset per round is O(1), probe and write are a
-/// single memory access), and the packed rows live in a [`ChunkedArena`]
-/// (growth never relocates, `clear` keeps chunks), so [`PackedRounds::begin`]
-/// is O(1) and steady-state rounds allocate nothing once the pack has seen
-/// its largest frontier.
-///
-/// # Coherence contract
-///
-/// The pack is a *cache*, never the store of record: the backing arena
-/// stays authoritative. Callers that mutate a backing row inside a packed
-/// round must write the arena **and** either update the packed copy
-/// ([`PackedRounds::get_mut`]) or re-copy it ([`PackedRounds::refresh`])
-/// before the next packed read of that id. Reads of ids that were never
-/// gathered must fall back to the arena ([`PackedRounds::get`] returns
-/// `None`), which keeps a coverage bug a performance bug, not a
-/// correctness bug.
-#[derive(Debug, Default)]
-pub struct PackedRounds<T> {
-    idx: EpochSlotMap,
-    rows: ChunkedArena<T>,
-}
-
-impl<T: Clone + Default> PackedRounds<T> {
-    /// An empty pack over an empty domain.
-    pub fn new() -> Self {
-        PackedRounds {
-            idx: EpochSlotMap::new(),
-            rows: ChunkedArena::new(),
-        }
-    }
-
-    /// Starts a new round: forgets every entry (O(1) — epoch bump plus a
-    /// length reset) and ensures ids `0..domain` are addressable.
-    pub fn begin(&mut self, domain: usize) {
-        self.idx.reset(domain);
-        self.rows.clear();
-    }
-
-    /// Number of packed entries this round.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether no entries are packed this round.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// The packed row of `id`, if `id` was gathered this round. Ids beyond
-    /// the current domain (including before any [`PackedRounds::begin`])
-    /// are misses, not errors — the arena-fallback read discipline relies
-    /// on that.
-    #[inline]
-    pub fn get(&self, id: u32) -> Option<&T> {
-        if id as usize >= self.idx.domain() {
-            return None;
-        }
-        let i = self.idx.get(id as usize)?;
-        Some(&self.rows[i as usize])
-    }
-
-    /// Mutable access to the packed row of `id`, if gathered this round.
-    /// Callers owe the arena the same write (see *Coherence contract*).
-    #[inline]
-    pub fn get_mut(&mut self, id: u32) -> Option<&mut T> {
-        if id as usize >= self.idx.domain() {
-            return None;
-        }
-        let i = self.idx.get(id as usize)?;
-        Some(&mut self.rows[i as usize])
-    }
-
-    /// Gathers `id` if absent, computing the row from the backing store;
-    /// returns its packed index. Present ids cost one index-table probe
-    /// and never re-read the store. Unlike the read/refresh side, `id`
-    /// must be inside the domain of the last [`PackedRounds::begin`] —
-    /// gathering into an inactive pack is a caller bug, not a miss.
-    #[inline]
-    pub fn insert_with(&mut self, id: u32, row: impl FnOnce() -> T) -> usize {
-        if let Some(i) = self.idx.get(id as usize) {
-            return i as usize;
-        }
-        let i = self.rows.push(row());
-        self.idx.set(id as usize, i as u32);
-        i
-    }
-
-    /// Re-copies the packed row of `id` from the backing store's value
-    /// after an arena write. Returns whether `id` was packed (absent ids
-    /// — including ids beyond the current domain, as after an inactive
-    /// `begin(0)` — are a no-op: the arena fallback already serves them
-    /// correctly).
-    #[inline]
-    pub fn refresh(&mut self, id: u32, row: T) -> bool {
-        if id as usize >= self.idx.domain() {
-            return false;
-        }
-        match self.idx.get(id as usize) {
-            Some(i) => {
-                self.rows[i as usize] = row;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Packed-row capacity in elements (the steady-state scratch metric;
-    /// the index table is excluded — it is sized by the id-space bound,
-    /// like every epoch-stamped table).
-    pub fn high_water(&self) -> usize {
-        self.rows.chunks() * CHUNK
     }
 }
 

@@ -11,7 +11,7 @@
 //!    including across the u32 epoch wraparound, where one re-zero is the
 //!    documented exception.
 
-use bimst_primitives::soa::{ChunkedArena, EpochSet, EpochSlotMap, PackedRounds, CHUNK};
+use bimst_primitives::soa::{ChunkedArena, EpochSet, EpochSlotMap, CHUNK};
 use proptest::prelude::*;
 
 proptest! {
@@ -143,55 +143,6 @@ fn epoch_slot_map_survives_epoch_wraparound() {
     assert_eq!(m.get(6), None, "pre-wrap value aliased across the boundary");
     m.set(2, 99);
     assert_eq!(m.get(2), Some(99));
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// `PackedRounds` is a round-scoped cache over a backing array: gathers
-    /// return the backing value exactly once per round, repeated gathers of
-    /// the same id never re-read the store, `begin` forgets everything in
-    /// O(1), and `refresh` makes a packed copy track a backing write.
-    #[test]
-    fn packed_rounds_gather_refresh_round_cycle(
-        domain in 1usize..5_000,
-        touches in proptest::collection::vec(0usize..5_000, 1..96),
-        rounds in 1usize..16,
-    ) {
-        let mut backing: Vec<u64> = (0..domain as u64).map(|i| i * 3 + 1).collect();
-        let mut pack: PackedRounds<u64> = PackedRounds::new();
-        for round in 0..rounds {
-            pack.begin(domain);
-            prop_assert!(pack.is_empty(), "round {round} began non-empty");
-            let mut gathers = 0usize;
-            let mut seen: Vec<usize> = Vec::new();
-            for &t in &touches {
-                let id = t % domain;
-                pack.insert_with(id as u32, || {
-                    gathers += 1;
-                    backing[id]
-                });
-                if !seen.contains(&id) {
-                    seen.push(id);
-                }
-                prop_assert_eq!(pack.get(id as u32), Some(&backing[id]));
-            }
-            // One backing read per distinct id — the re-touches were served
-            // from the pack.
-            prop_assert_eq!(gathers, seen.len());
-            prop_assert_eq!(pack.len(), seen.len());
-            // A backing write plus refresh keeps the copy coherent; an
-            // unpacked id is a no-op refresh and stays a pack miss.
-            let v = seen[0];
-            backing[v] += 100;
-            prop_assert!(pack.refresh(v as u32, backing[v]));
-            prop_assert_eq!(pack.get(v as u32), Some(&backing[v]));
-            if let Some(miss) = (0..domain).find(|i| !seen.contains(i)) {
-                prop_assert!(!pack.refresh(miss as u32, 0));
-                prop_assert!(pack.get(miss as u32).is_none());
-            }
-        }
-    }
 }
 
 /// A `Vec`-backed arena would fail the stability property at its first

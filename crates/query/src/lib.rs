@@ -4,17 +4,12 @@
 //! PRs 1–2 made the *write* path (batch insert) fast; this crate is the
 //! read half. The sequential query surface ([`BatchMsf::connected`],
 //! [`BatchMsf::path_max`], `SwConn::is_connected`, …) answers one query per
-//! `O(lg n)` root walk. A serving workload asks queries in *batches*, and a
-//! batch admits exactly the shared-work tricks the paper's write path uses:
+//! `O(lg n)` root walk. A serving workload asks queries in *batches*.
+//! Connectivity and component-size batches keep one root walk per query,
+//! run in parallel over the batch above the grain size: deduplicating a
+//! batch's endpoints first saved nothing measurable end to end. Path
+//! batches admit the shared-work tricks the paper's write path uses:
 //!
-//! * **Grouped root walks.** A batch of connectivity / component-size
-//!   queries touches far fewer *distinct* vertices than queries. The
-//!   executor deduplicates the endpoints, resolves each distinct vertex's
-//!   root cluster once (in parallel, over the sorted vertex list, so
-//!   neighboring walks share cache lines instead of re-chasing pointers per
-//!   query), and answers every query by binary search of the compact
-//!   sorted `vertex → root` array — cache-resident at batch scale, where a
-//!   dense table over the id space would pay a cold line per probe.
 //! * **Shared compressed path trees.** A chunk of path-max queries is
 //!   answered from **one** compressed path tree over the chunk's distinct
 //!   endpoints — the CPT preserves *all pairwise* heaviest-path edges
@@ -98,10 +93,9 @@ use bimst_core::cpt::{fold_path_tree_with, CptScratch};
 use bimst_core::{BatchMsf, Cpt};
 use bimst_msf::{ForestPathFold, ForestPathMax, KruskalPathMax, OfflinePathFold};
 use bimst_primitives::monoid::{MaxW, Pair, PathMonoid};
-use bimst_primitives::{par, FxHashMap, VertexId, WKey, GRAIN};
-use bimst_rctree::{ClusterId, RcForest};
+use bimst_primitives::{par, FxHashMap, VertexId, WKey};
+use bimst_rctree::RcForest;
 use bimst_sliding::{SwConn, SwConnEager, TenantSet};
-use rayon::prelude::*;
 
 /// A shared, thread-safe view of a [`BatchMsf`] at one version.
 ///
@@ -436,31 +430,11 @@ fn par_each<T: Send, F: Fn(&mut T) + Sync>(items: &mut [T], f: &F) {
     }
 }
 
-/// Below this many queries the connectivity-style plans skip grouping and
-/// run the per-query loop directly (identical answers, none of the batch
-/// setup). Root walks are a few dependent loads; sorting/deduping a
-/// handful of endpoints costs more than it saves.
-const GROUPED_MIN: usize = 32;
-
-/// Minimum *average component size* (`n / #components`, an O(1) statistic)
-/// for the grouped root-walk plan. Walk depth grows with component size;
-/// below this the forest is mostly isolated vertices and tiny trees, walks
-/// are one or two loads, and the grouped plan's sort/dedup/binary-search
-/// overhead (~70 ns/query measured on the n = 1M sliding-window bench)
-/// cannot be repaid — so those batches take the ungrouped plan: the direct
-/// per-query walk, still parallelized over query chunks. All plans return
-/// identical answers; this only picks the cheapest way to compute them.
-const GROUPED_MIN_AVG_COMPONENT: usize = 8;
-
 /// Cached handles for the planner's process-wide metrics (on
 /// [`bimst_obs::global`]): which plan each batch took and how big the
 /// batches are. Observe-only — recorded once per *batch*, never per query,
 /// after the plan decision is already made.
 struct QueryObs {
-    /// `query_plan_grouped`: batches answered by the grouped root-walk plan.
-    grouped: bimst_obs::Counter,
-    /// `query_plan_direct`: batches answered by the direct per-query plan.
-    direct: bimst_obs::Counter,
     /// `query_batch_size`: queries per batch, across all batch entry points.
     batch_size: bimst_obs::Histogram,
     /// `query_pathmax_chunks`: CPT chunks built by the path-max and fold
@@ -478,8 +452,6 @@ fn qobs() -> &'static QueryObs {
     OBS.get_or_init(|| {
         let rec = bimst_obs::global();
         QueryObs {
-            grouped: rec.counter("query_plan_grouped"),
-            direct: rec.counter("query_plan_direct"),
             batch_size: rec.histogram("query_batch_size"),
             pathmax_chunks: rec.counter("query_pathmax_chunks"),
             plan_linear: rec.counter("query_plan_linear"),
@@ -489,14 +461,11 @@ fn qobs() -> &'static QueryObs {
 
 /// Reusable batch-query executor.
 ///
-/// Owns the intermediates the batch plans reuse — the sorted
-/// distinct-vertex list, the parallel root array, one CPT workspace per
-/// path chunk, and the two linear passes' buffers. Steady-state
-/// connectivity-style batches allocate only their output vectors
-/// (mirroring the write path's scratch discipline). The CPT path-max plan
-/// additionally builds a fresh per-chunk
-/// [`ForestPathMax`] oracle (binary-lifting tables sized by the chunk, not
-/// the structure); the linear path-max plan reuses its sort, union-find
+/// Owns the intermediates the batch plans reuse — one CPT workspace per
+/// path chunk, and the two linear passes' buffers. Connectivity and
+/// component-size batches allocate only their output vectors. The CPT
+/// path-max plan additionally builds a fresh per-chunk [`ForestPathMax`]
+/// oracle (binary-lifting tables sized by the chunk, not the structure); the linear path-max plan reuses its sort, union-find
 /// and list buffers and allocates nothing at steady state; the linear fold
 /// plan reuses its untyped buffers and allocates only its `M`-typed
 /// per-vertex fold buffer. Every entry point returns a fresh answer
@@ -504,10 +473,6 @@ fn qobs() -> &'static QueryObs {
 /// is *inside* each call.
 #[derive(Default)]
 pub struct QueryBatch {
-    /// Distinct queried vertices, sorted.
-    verts: Vec<VertexId>,
-    /// Root cluster per distinct vertex (parallel to `verts`).
-    roots: Vec<ClusterId>,
     /// Per-chunk scratch for the path-max / lazy-window plans.
     path_ws: Vec<PathChunkScratch>,
     /// Path-max answers reused by the windowed-connectivity and
@@ -527,93 +492,28 @@ impl QueryBatch {
         Self::default()
     }
 
-    /// Resolves the root cluster of every distinct vertex currently in
-    /// `self.verts` (unsorted, duplicates allowed): sort, dedup, then one
-    /// parallel walk per distinct vertex. The shared-work core of the
-    /// connectivity-style plans. Lookups afterwards go through
-    /// [`QueryBatch::cached_root`] — a binary search of the compact sorted
-    /// array, which stays cache-resident at batch scale where a dense
-    /// `vertex → root` table over the whole id space would pay a cold DRAM
-    /// line per probe (the PR 2 lesson: fewer cold lines per touch, not
-    /// fewer instructions).
-    fn cache_roots(&mut self, f: &RcForest) {
-        if self.verts.len() > GRAIN {
-            self.verts.par_sort_unstable();
-        } else {
-            self.verts.sort_unstable();
-        }
-        self.verts.dedup();
-        par::map_into(&self.verts, &mut self.roots, |&v| f.root_cluster_of(v));
-    }
-
-    /// Root of a vertex resolved by [`QueryBatch::cache_roots`].
-    #[inline]
-    fn cached_root(&self, v: VertexId) -> ClusterId {
-        let i = self
-            .verts
-            .binary_search(&v)
-            .expect("root cached for queried vertex");
-        self.roots[i]
-    }
-
-    /// Whether the grouped root-walk plan pays for itself on this batch
-    /// (see [`GROUPED_MIN`] / [`GROUPED_MIN_AVG_COMPONENT`]).
-    fn use_grouped(h: ReadHandle<'_>, nqueries: usize) -> bool {
-        nqueries >= GROUPED_MIN
-            && h.msf.num_vertices() >= GROUPED_MIN_AVG_COMPONENT * h.msf.num_components()
-    }
-
     /// Batched [`BatchMsf::connected`]: `out[i]` answers `queries[i]`.
-    ///
-    /// Grouped plan: each distinct endpoint's root is resolved once (in
-    /// parallel above the grain size, in sorted order so neighboring walks
-    /// share cache lines); answers are root comparisons — `O(d lg n +
-    /// q lg d)` for `q` queries over `d` distinct endpoints, vs `O(q lg n)`
-    /// sequentially. Shallow forests and tiny batches take the ungrouped
-    /// plan instead (direct walks, parallel over queries).
+    /// One root walk per endpoint, parallel over queries above the grain
+    /// size.
     pub fn batch_connected(
         &mut self,
         h: ReadHandle<'_>,
         queries: &[(VertexId, VertexId)],
     ) -> Vec<bool> {
         let f = h.msf.forest();
-        let o = qobs();
-        o.batch_size.record(queries.len() as u64);
+        qobs().batch_size.record(queries.len() as u64);
         let mut out = Vec::new();
-        if !Self::use_grouped(h, queries.len()) {
-            o.direct.inc();
-            par::map_into(queries, &mut out, |&(u, v)| f.connected(u, v));
-            return out;
-        }
-        o.grouped.inc();
-        self.verts.clear();
-        self.verts.extend(queries.iter().flat_map(|&(u, v)| [u, v]));
-        self.cache_roots(f);
-        let me = &*self;
-        par::map_into(queries, &mut out, |&(u, v)| {
-            me.cached_root(u) == me.cached_root(v)
-        });
+        par::map_into(queries, &mut out, |&(u, v)| f.connected(u, v));
         out
     }
 
     /// Batched [`BatchMsf::component_size`]: `out[i]` answers `vs[i]`.
-    /// Plan selection as in [`QueryBatch::batch_connected`].
+    /// One root walk per query, parallel over queries above the grain size.
     pub fn batch_component_size(&mut self, h: ReadHandle<'_>, vs: &[VertexId]) -> Vec<usize> {
         let f = h.msf.forest();
-        let o = qobs();
-        o.batch_size.record(vs.len() as u64);
+        qobs().batch_size.record(vs.len() as u64);
         let mut out = Vec::new();
-        if !Self::use_grouped(h, vs.len()) {
-            o.direct.inc();
-            par::map_into(vs, &mut out, |&v| f.component_size(v));
-            return out;
-        }
-        o.grouped.inc();
-        self.verts.clear();
-        self.verts.extend_from_slice(vs);
-        self.cache_roots(f);
-        let me = &*self;
-        par::map_into(vs, &mut out, |&v| f.cluster_size(me.cached_root(v)));
+        par::map_into(vs, &mut out, |&v| f.component_size(v));
         out
     }
 
@@ -868,8 +768,9 @@ impl QueryBatch {
     /// the structure's current window.
     ///
     /// Lazy windows route through the path-max plan and apply the
-    /// recent-edge test; eager windows route through the grouped root
-    /// walks. Results are bit-identical to the per-query loop either way.
+    /// recent-edge test; eager windows route through
+    /// [`QueryBatch::batch_connected`]'s root walks. Results are
+    /// bit-identical to the per-query loop either way.
     pub fn batch_window_connected<W: WindowConnectivity>(
         &mut self,
         w: &W,
@@ -928,7 +829,7 @@ impl QueryBatch {
     /// Generalized recent-edge test: `out[i]` answers `queries[i]` against
     /// the window suffix `[cutoffs[i], t)` rather than the structure's own
     /// window. This is the multi-tenant primitive — one shared path-max
-    /// plan (grouped endpoints, shared CPTs) answers a *mixed* batch from
+    /// plan (linear pass or shared CPTs) answers a *mixed* batch from
     /// many tenants, and each tenant's cutoff is applied as a final O(1)
     /// per-query filter, never re-walking the shared work.
     ///
@@ -1039,11 +940,6 @@ mod tests {
         let chunks = q.path_ws.len();
         q.batch_path_max(h, &pairs);
         assert_eq!(q.path_ws.len(), chunks, "chunk scratch must be reused");
-        // Connectivity scratch survives too.
-        q.batch_connected(h, &pairs);
-        let cap = (q.verts.capacity(), q.roots.capacity());
-        q.batch_connected(h, &pairs);
-        assert_eq!((q.verts.capacity(), q.roots.capacity()), cap);
     }
 
     /// Runs the linear and the chunked CPT path-max plans on one batch and

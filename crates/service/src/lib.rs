@@ -678,12 +678,11 @@ impl Service {
     /// [`QueryReq::TenantConnected`] batch is answered under its own
     /// window length via a per-tenant recency cutoff (Lemma 5.1 applied
     /// per tenant). Mixed-tenant batches admitted in the same generation
-    /// share one deduped query plan.
+    /// share one path-max plan.
     ///
-    /// In-memory only: the WAL codec carries the tenant op tag, but
-    /// durable recovery of a tenant registry is future work (the WAL
-    /// refuses to create or open a tenant-tagged store), and this
-    /// constructor takes no store path so nothing about it *looks*
+    /// In-memory only: durable recovery of a tenant registry is future
+    /// work (the WAL refuses to create or open a tenant-tagged store), and
+    /// this constructor takes no store path so nothing about it *looks*
     /// durable. `cfg.sync` / `cfg.checkpoint_every` are ignored exactly
     /// as by [`Service::start`].
     pub fn tenants(n: usize, seed: u64, specs: &[TenantSpec], cfg: ServiceConfig) -> Service {

@@ -367,15 +367,15 @@ pub(crate) fn checkpoint_of<W: WindowCheckpoint>(w: &W, generation: u64) -> Chec
     }
 }
 
-/// Applies one logged write. Any other record kind is skipped; it still
-/// occupies a generation.
+/// Applies one logged write. The log holds writes only: the codec has no
+/// tag for any other op, so recovery never yields one.
 fn apply_op<W: SlidingWrite>(w: &mut W, op: &Op) {
     match op {
         Op::Insert(edges) => {
             w.batch_insert(edges);
         }
         Op::Expire(delta) => w.batch_expire(*delta),
-        _ => {}
+        op => unreachable!("bimst-service: the log holds writes only, not {op:?}"),
     }
 }
 

@@ -1,27 +1,23 @@
-//! The stable little-endian encoding of [`bimst_graphgen::Op`] — the WAL's
-//! record payload format.
+//! The stable little-endian encoding of the write ops of
+//! [`bimst_graphgen::Op`] — the WAL's record payload format.
 //!
 //! `Op` is the workspace's canonical op representation (`MixedStream`
-//! yields it, `ServiceHandle::submit_op` consumes it), so it is also the
-//! natural unit of durability. The encoding is versioned by the store's
-//! file magic, not per record; within a format version it is **stable**:
-//! one tag byte per variant, `u32`/`u64` fields little-endian, counts as
-//! `u32` prefixes. Decoding is exact — every byte must be accounted for —
-//! so a payload that passes its frame CRC but does not parse is treated by
-//! the store as corruption, not silently skipped.
+//! yields it, `ServiceHandle::submit_op` consumes it). The log holds only
+//! what changes the window, `Insert` and `Expire`; queries are never
+//! logged, so they have no encoding. The encoding is versioned by the
+//! store's file magic, not per record; within a format version it is
+//! **stable**: one tag byte per variant, `u32`/`u64` fields
+//! little-endian, counts as `u32` prefixes. Decoding is exact — every byte
+//! must be accounted for — so a payload that passes its frame CRC but does
+//! not parse (any other tag included) is treated by the store as
+//! corruption, not silently skipped.
 //!
 //! | tag | variant | payload after the tag |
 //! |---|---|---|
 //! | 0 | `Insert` | `count: u32`, then `count × (u: u32, v: u32)` |
 //! | 1 | `Expire` | `delta: u64` |
-//! | 2 | `ConnectedQueries` | as `Insert` |
-//! | 3 | `PathMaxQueries` | as `Insert` |
-//! | 4 | `ComponentSizeQueries` | `count: u32`, then `count × (v: u32)` |
-//! | 5 | `TenantConnectedQueries` | `tenant: u32`, then as `Insert` |
-//! | 6 | `PathFoldQueries` | `kind: u8` ([`FoldKind::index`]), then as `Insert` |
 
 use bimst_graphgen::Op;
-use bimst_primitives::monoid::FoldKind;
 
 /// Why a payload failed to decode as an [`Op`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,9 +28,6 @@ pub enum DecodeError {
     TrailingBytes,
     /// The leading byte is not a known op tag.
     UnknownTag(u8),
-    /// A `PathFoldQueries` payload names a fold kind this build does not
-    /// know.
-    UnknownFoldKind(u8),
 }
 
 impl std::fmt::Display for DecodeError {
@@ -43,7 +36,6 @@ impl std::fmt::Display for DecodeError {
             DecodeError::Truncated => f.write_str("bimst-wal: op payload truncated"),
             DecodeError::TrailingBytes => f.write_str("bimst-wal: trailing bytes after op"),
             DecodeError::UnknownTag(t) => write!(f, "bimst-wal: unknown op tag {t}"),
-            DecodeError::UnknownFoldKind(k) => write!(f, "bimst-wal: unknown fold kind {k}"),
         }
     }
 }
@@ -52,49 +44,19 @@ impl std::error::Error for DecodeError {}
 
 const TAG_INSERT: u8 = 0;
 const TAG_EXPIRE: u8 = 1;
-const TAG_CONNECTED: u8 = 2;
-const TAG_PATH_MAX: u8 = 3;
-const TAG_COMPONENT_SIZE: u8 = 4;
-const TAG_TENANT_CONNECTED: u8 = 5;
-const TAG_PATH_FOLD: u8 = 6;
 
 /// Appends the encoding of `op` to `out`.
 ///
 /// # Panics
 ///
-/// On an op variant this build has no encoding for (`Op` is
-/// non-exhaustive): persisting a record that recovery could not replay
-/// would be silent data loss, so the writer fails stop instead.
+/// On any op but `Insert` and `Expire`: only writes are logged, and
+/// persisting a record that recovery could not replay would be silent
+/// data loss, so the writer fails stop instead.
 pub fn encode_op(op: &Op, out: &mut Vec<u8>) {
     match op {
         Op::Insert(edges) => encode_insert(edges, out),
         Op::Expire(delta) => encode_expire(*delta, out),
-        Op::ConnectedQueries(qs) => {
-            out.push(TAG_CONNECTED);
-            encode_pairs(qs, out);
-        }
-        Op::PathMaxQueries(qs) => {
-            out.push(TAG_PATH_MAX);
-            encode_pairs(qs, out);
-        }
-        Op::ComponentSizeQueries(vs) => {
-            out.push(TAG_COMPONENT_SIZE);
-            out.extend_from_slice(&(vs.len() as u32).to_le_bytes());
-            for &v in vs {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        Op::TenantConnectedQueries(tenant, qs) => {
-            out.push(TAG_TENANT_CONNECTED);
-            out.extend_from_slice(&tenant.to_le_bytes());
-            encode_pairs(qs, out);
-        }
-        Op::PathFoldQueries(kind, qs) => {
-            out.push(TAG_PATH_FOLD);
-            out.push(kind.index() as u8);
-            encode_pairs(qs, out);
-        }
-        op => unreachable!("bimst-wal: no encoding for op variant {op:?}"),
+        op => unreachable!("bimst-wal: only writes are logged, not {op:?}"),
     }
 }
 
@@ -168,15 +130,6 @@ impl Reader<'_> {
         }
         Ok(out)
     }
-
-    fn u32s(&mut self) -> Result<Vec<u32>, DecodeError> {
-        let c = self.count(4)?;
-        let mut out = Vec::with_capacity(c);
-        for _ in 0..c {
-            out.push(self.u32()?);
-        }
-        Ok(out)
-    }
 }
 
 /// Decodes one op from exactly `buf` (no trailing bytes allowed).
@@ -185,15 +138,6 @@ pub fn decode_op(buf: &[u8]) -> Result<Op, DecodeError> {
     let op = match r.u8()? {
         TAG_INSERT => Op::Insert(r.pairs()?),
         TAG_EXPIRE => Op::Expire(r.u64()?),
-        TAG_CONNECTED => Op::ConnectedQueries(r.pairs()?),
-        TAG_PATH_MAX => Op::PathMaxQueries(r.pairs()?),
-        TAG_COMPONENT_SIZE => Op::ComponentSizeQueries(r.u32s()?),
-        TAG_TENANT_CONNECTED => Op::TenantConnectedQueries(r.u32()?, r.pairs()?),
-        TAG_PATH_FOLD => {
-            let k = r.u8()?;
-            let kind = FoldKind::from_index(k as usize).ok_or(DecodeError::UnknownFoldKind(k))?;
-            Op::PathFoldQueries(kind, r.pairs()?)
-        }
         t => return Err(DecodeError::UnknownTag(t)),
     };
     if r.pos != buf.len() {
@@ -206,12 +150,9 @@ pub fn decode_op(buf: &[u8]) -> Result<Op, DecodeError> {
 /// the torture suite.
 pub fn encoded_len(op: &Op) -> usize {
     match op {
-        Op::Insert(v) | Op::ConnectedQueries(v) | Op::PathMaxQueries(v) => 5 + 8 * v.len(),
+        Op::Insert(v) => 5 + 8 * v.len(),
         Op::Expire(_) => 9,
-        Op::ComponentSizeQueries(v) => 5 + 4 * v.len(),
-        Op::TenantConnectedQueries(_, v) => 9 + 8 * v.len(),
-        Op::PathFoldQueries(_, v) => 6 + 8 * v.len(),
-        op => unreachable!("bimst-wal: no encoding for op variant {op:?}"),
+        op => unreachable!("bimst-wal: only writes are logged, not {op:?}"),
     }
 }
 
@@ -225,16 +166,6 @@ mod tests {
             Op::Insert(vec![(0, 1), (u32::MAX, 7)]),
             Op::Expire(0),
             Op::Expire(u64::MAX),
-            Op::ConnectedQueries(vec![(3, 4)]),
-            Op::PathMaxQueries(vec![(1, 2), (2, 1), (9, 9)]),
-            Op::ComponentSizeQueries(vec![0, u32::MAX, 17]),
-            Op::ComponentSizeQueries(vec![]),
-            Op::TenantConnectedQueries(0, vec![(1, 2)]),
-            Op::TenantConnectedQueries(u32::MAX, vec![]),
-            Op::PathFoldQueries(FoldKind::Min, vec![(1, 2), (3, 4)]),
-            Op::PathFoldQueries(FoldKind::Hops, vec![]),
-            Op::PathFoldQueries(FoldKind::Max, vec![(0, u32::MAX)]),
-            Op::PathFoldQueries(FoldKind::Sum, vec![(5, 6)]),
         ]
     }
 
@@ -253,8 +184,17 @@ mod tests {
     fn rejects_malformed_payloads() {
         assert_eq!(decode_op(&[]), Err(DecodeError::Truncated));
         assert_eq!(decode_op(&[9]), Err(DecodeError::UnknownTag(9)));
-        // Tenant tag with a truncated tenant id.
-        assert_eq!(decode_op(&[5, 1, 0]), Err(DecodeError::Truncated));
+        // Only writes have tags: the bytes once used for query ops are
+        // unknown, whatever follows them.
+        for t in 2..=6u8 {
+            assert_eq!(decode_op(&[t]), Err(DecodeError::UnknownTag(t)));
+            let mut q = vec![t];
+            q.extend_from_slice(&1u32.to_le_bytes());
+            q.extend_from_slice(&[0; 8]);
+            assert_eq!(decode_op(&q), Err(DecodeError::UnknownTag(t)));
+        }
+        // Expire with a truncated delta.
+        assert_eq!(decode_op(&[1, 1, 0]), Err(DecodeError::Truncated));
         // Count promises more pairs than the bytes hold.
         let mut buf = Vec::new();
         encode_op(&Op::Insert(vec![(1, 2), (3, 4)]), &mut buf);
@@ -262,11 +202,6 @@ mod tests {
             decode_op(&buf[..buf.len() - 1]),
             Err(DecodeError::Truncated)
         );
-        // Fold tag with a fold kind this build does not know.
-        assert_eq!(decode_op(&[6]), Err(DecodeError::Truncated));
-        let mut fold = vec![6u8, 9]; // kind 9 does not exist
-        fold.extend_from_slice(&0u32.to_le_bytes());
-        assert_eq!(decode_op(&fold), Err(DecodeError::UnknownFoldKind(9)));
         // Oversized count must fail before allocating.
         let mut huge = vec![0u8]; // Insert tag
         huge.extend_from_slice(&u32::MAX.to_le_bytes());

@@ -3,18 +3,19 @@
 //! The ROADMAP's durability tentpole: `bimst-service` keeps the entire
 //! sliding window in RAM, so before this crate a process crash lost every
 //! admitted edge. `bimst-wal` gives the service's single-writer admission
-//! path an append-only, CRC32-framed binary log of admitted ops
-//! ([`bimst_graphgen::Op`] is the canonical op enum; [`codec`] gives it a
-//! stable little-endian encoding), periodic compacted checkpoints, and a
-//! recovery scan that rebuilds **exactly** the admitted-op prefix that
-//! survived — torn final records are discarded, never misparsed.
+//! path an append-only, CRC32-framed binary log of admitted writes
+//! ([`bimst_graphgen::Op`] is the canonical op enum; [`codec`] gives its
+//! two write variants, `Insert` and `Expire`, a stable little-endian
+//! encoding), periodic compacted checkpoints, and a recovery scan that
+//! rebuilds **exactly** the admitted-write prefix that survived — torn
+//! final records are discarded, never misparsed.
 //!
 //! Three layers, bottom up:
 //!
 //! * `frame` (crate-private): `[len][crc32][payload]` records; reading
 //!   stops at the first frame that cannot be proven complete and intact.
-//! * [`codec`]: the stable op encoding (one tag byte, little-endian
-//!   fields, exact — no trailing bytes).
+//! * [`codec`]: the stable write encoding (one tag byte, little-endian
+//!   fields, exact — no trailing bytes; queries are never logged).
 //! * [`Store`]: a directory of `meta` + `wal-<g>.seg` segments +
 //!   `ckpt-<g>.ckpt` checkpoints. One record per applied write group, so
 //!   segment name + record index = generation. Checkpoints are written

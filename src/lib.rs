@@ -15,8 +15,8 @@
 //! assert!(msf.connected(0, 2));
 //!
 //! // Batched reads: a snapshot handle plus a reusable executor. Results
-//! // are bit-identical to the per-query loop, computed with shared root
-//! // walks / shared compressed path trees, in parallel for large batches.
+//! // are bit-identical to the per-query loop, computed with root walks /
+//! // shared compressed path trees, in parallel for large batches.
 //! let mut q = QueryBatch::new();
 //! let h = ReadHandle::new(&msf);
 //! assert_eq!(q.batch_connected(h, &[(0, 2), (0, 3)]), vec![true, false]);

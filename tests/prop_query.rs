@@ -292,7 +292,9 @@ proptest! {
 /// Large single-shot cross-check: one big query batch spanning many
 /// components and both path-plan regimes (the linear Kruskal-order plan,
 /// which a batch this size takes on this forest, and the small-batch
-/// per-query walks), against the loops.
+/// per-query walks), against the loops. Connectivity and component size
+/// are checked on the same batch, over a forest whose average component
+/// holds at least 8 vertices, so root walks run deep.
 #[test]
 fn large_batch_matches_loop_on_er_graph() {
     let _serial = serial();
@@ -313,11 +315,15 @@ fn large_batch_matches_loop_on_er_graph() {
         .collect();
     let mut q = QueryBatch::new();
     let h = ReadHandle::new(&msf);
+    assert!(n >= 8 * msf.num_components(), "forest too fragmented");
     let conn = q.batch_connected(h, &pairs);
     let pm = q.batch_path_max(h, &pairs);
+    let vs: Vec<u32> = pairs.iter().map(|&(u, _)| u).collect();
+    let sizes = q.batch_component_size(h, &vs);
     for (i, &(u, v)) in pairs.iter().enumerate() {
         assert_eq!(conn[i], msf.connected(u, v));
         assert_eq!(pm[i], msf.path_max(u, v));
+        assert_eq!(sizes[i], msf.component_size(u));
     }
     // And the small-batch regime on the same structure.
     let small = &pairs[..7];

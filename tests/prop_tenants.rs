@@ -170,10 +170,10 @@ proptest! {
         }
     }
 
-    /// A *mixed-tenant* batch through the shared grouped plan
+    /// A *mixed-tenant* batch through the shared path-max plan
     /// (`batch_tenant_connected`) is bit-identical to the per-tenant naive
-    /// replicas — the queries of all tenants share one deduped root/CPT
-    /// pass, with the per-tenant cutoffs applied only as the final filter.
+    /// replicas — the queries of all tenants share one path-max pass, with
+    /// the per-tenant cutoffs applied only as the final filter.
     #[test]
     fn mixed_tenant_plans_match_naive_replicas((cfg, specs, seed) in tenant_cfg()) {
         let n = cfg.n as usize;
@@ -201,7 +201,7 @@ proptest! {
                 _ => {
                     round += 1;
                     // Interleave the tenants within one batch so the
-                    // grouped plan really mixes cutoffs rather than running
+                    // shared plan really mixes cutoffs rather than running
                     // per-tenant segments.
                     let mixed: Vec<(u32, u32, u32)> = query_pairs(seed, round, cfg.n, 12)
                         .into_iter()

@@ -1,17 +1,18 @@
-//! Property tests for the WAL op codec (`bimst-wal`): every op a
+//! Property tests for the WAL op codec (`bimst-wal`): every write op a
 //! [`MixedStream`] can emit round-trips through the stable little-endian
-//! encoding bit-exactly, and damaged encodings — truncations, byte flips
-//! — are *rejected or changed*, never silently decoded back to the
-//! original op. (Frame-level CRC torture lives in `crates/wal/tests/`;
+//! encoding bit-exactly, and damaged encodings — truncations, byte flips,
+//! a tag that names no write — are *rejected or changed*, never silently
+//! decoded back to the original op. (Frame-level CRC torture lives in `crates/wal/tests/`;
 //! this file pins the payload codec itself.)
 
 use bimst_repro::graphgen::{MixedConfig, MixedStream, MixedTopology, Op};
-use bimst_repro::wal::{decode_op, encode_op, encoded_len};
+use bimst_repro::wal::{decode_op, encode_op, encoded_len, DecodeError};
 use proptest::prelude::*;
 
-/// A deterministic op mix covering all six variants, with empty query
-/// batches (`query_batch == 0`) and insert-only streams (`window == 0`)
-/// reachable shapes.
+/// The writes of a deterministic op mix — what the log holds: inserts of
+/// 1–5 edges and expiries, with insert-only streams (`window == 0`) a
+/// reachable shape. The stream's queries are dropped, as the writer never
+/// logs them.
 fn ops(seed: u64, shape: usize, count: usize) -> Vec<Op> {
     let topology = [
         MixedTopology::ErdosRenyi,
@@ -27,14 +28,19 @@ fn ops(seed: u64, shape: usize, count: usize) -> Vec<Op> {
         window: [0, 6, 64][shape % 3], // 0: no Expire ever
         tenants: (shape % 3) as u32,   // 0: untagged; >0: tenant-tagged batches
     };
-    MixedStream::new(cfg, seed).take(count).collect()
+    MixedStream::new(cfg, seed)
+        .filter(|op| matches!(op, Op::Insert(_) | Op::Expire(_)))
+        .take(count)
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// decode(encode(op)) == op, and `encoded_len` agrees with the bytes
-    /// actually produced (the store uses it for size arithmetic).
+    /// actually produced (the store uses it for size arithmetic). The same
+    /// payload under any tag in 2..=6 — the bytes that once named query
+    /// ops — decodes as `UnknownTag`, which recovery treats as corruption.
     #[test]
     fn op_codec_round_trips(seed in 0u64..1 << 48, shape in 0usize..64) {
         let mut buf = Vec::new();
@@ -43,6 +49,10 @@ proptest! {
             encode_op(&op, &mut buf);
             prop_assert_eq!(buf.len(), encoded_len(&op));
             prop_assert_eq!(decode_op(&buf).unwrap(), op);
+            for t in 2..=6u8 {
+                buf[0] = t;
+                prop_assert_eq!(decode_op(&buf), Err(DecodeError::UnknownTag(t)));
+            }
         }
     }
 
