@@ -316,21 +316,6 @@ impl RcForest {
         self.engine.clusters.size(self.root_cluster_of(v)) as usize
     }
 
-    /// The root cluster above `c` — a pure chase over the dense parent
-    /// array. Grouped query batches (`bimst-query`) resolve each distinct
-    /// leaf once through this instead of re-walking per query.
-    pub fn root_from(&self, c: ClusterId) -> ClusterId {
-        self.engine.root_from(c)
-    }
-
-    /// Number of original vertices under a **root** cluster (phantoms are
-    /// not counted). Pairs with [`RcForest::root_from`] /
-    /// [`RcForest::root_cluster_of`] so a query batch can turn cached roots
-    /// into component sizes with one dense-array read each.
-    pub fn cluster_size(&self, c: ClusterId) -> usize {
-        self.engine.clusters.size(c) as usize
-    }
-
     // ------------------------------------------------------------------
     // RC tree access (for the compressed path tree in `bimst-core`)
     // ------------------------------------------------------------------

@@ -90,7 +90,7 @@ use bimst_graphgen::Op;
 use bimst_primitives::{FoldKind, FoldValue, VertexId, WKey};
 use bimst_query::WindowConnectivity;
 use bimst_sliding::{SlidingWrite, SwConn, SwConnEager, TenantSet, TenantSpec};
-use bimst_wal::{Meta, Recovery, Store};
+use bimst_wal::{Meta, Recovery, Store, Write};
 
 mod reader;
 mod replica;
@@ -488,7 +488,7 @@ impl ServiceHandle {
     /// appended on the new side of the window, positions assigned in
     /// admission order.
     pub fn insert(&self, edges: Vec<(VertexId, VertexId)>) -> Result<(), ServiceClosed> {
-        self.submit(Req::Insert(edges))
+        self.submit(Req::Write(Write::Insert(edges)))
     }
 
     /// [`ServiceHandle::insert`] without blocking: under a full queue the
@@ -497,23 +497,23 @@ impl ServiceHandle {
         &self,
         edges: Vec<(VertexId, VertexId)>,
     ) -> Result<(), TrySubmitError<Vec<(VertexId, VertexId)>>> {
-        self.try_submit(Req::Insert(edges), |r| match r {
-            Req::Insert(v) => v,
-            _ => unreachable!("try_insert sent Req::Insert"),
+        self.try_submit(Req::Write(Write::Insert(edges)), |r| match r {
+            Req::Write(Write::Insert(v)) => v,
+            _ => unreachable!("try_insert sent an insert"),
         })
     }
 
     /// Admits an expiration of the `delta` oldest stream positions
     /// (blocking under backpressure).
     pub fn expire(&self, delta: u64) -> Result<(), ServiceClosed> {
-        self.submit(Req::Expire(delta))
+        self.submit(Req::Write(Write::Expire(delta)))
     }
 
     /// [`ServiceHandle::expire`] without blocking.
     pub fn try_expire(&self, delta: u64) -> Result<(), TrySubmitError<u64>> {
-        self.try_submit(Req::Expire(delta), |r| match r {
-            Req::Expire(d) => d,
-            _ => unreachable!("try_expire sent Req::Expire"),
+        self.try_submit(Req::Write(Write::Expire(delta)), |r| match r {
+            Req::Write(Write::Expire(d)) => d,
+            _ => unreachable!("try_expire sent an expire"),
         })
     }
 
@@ -590,7 +590,9 @@ impl ServiceHandle {
 
     /// Adapter from a `bimst_graphgen` mixed-workload op
     /// ([`bimst_graphgen::MixedStream`] is an iterator of these): writes
-    /// are admitted fire-and-forget, query ops return a ticket.
+    /// are admitted fire-and-forget, query ops return a ticket. This is
+    /// the one place a generator op enters the runtime; past it a write
+    /// is the log's [`bimst_wal::Write`] and a query a [`QueryReq`].
     ///
     /// # Panics
     ///
@@ -768,7 +770,7 @@ impl Service {
                 dur: Some(dur),
                 ..Run::new(q, from.generation, cfg.readers, rec)
             };
-            shard::open_window(&meta, from.checkpoint.as_ref(), &from.tail, run)
+            shard::open_window(&meta, &from, run)
         })
     }
 

@@ -42,9 +42,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-use bimst_graphgen::Op;
 use bimst_primitives::VertexId;
-use bimst_wal::{Checkpoint, Meta, Store, SyncPolicy};
+use bimst_wal::{Checkpoint, Meta, Recovery, Store, SyncPolicy, Write};
 
 use crate::shard::{self, DurCtl, Queue, Req, Run, Step};
 use crate::{
@@ -105,17 +104,13 @@ impl Shared {
 
     /// Queues one write group on every live replica, then publishes its
     /// generation. A replica whose writer is gone leaves the fan-out.
-    fn publish(&self, op: &Op) {
+    fn publish(&self, w: &Write) {
         let mut fan = self.lock();
         for slot in fan.iter_mut() {
-            let sent = match (slot.as_ref(), op) {
-                (None, _) => continue,
-                (Some(h), Op::Insert(edges)) => h.insert(edges.clone()),
-                (Some(h), Op::Expire(delta)) => h.expire(*delta),
-                (_, op) => unreachable!("bimst-service: a write group is never {op:?}"),
-            };
-            if sent.is_err() {
-                *slot = None;
+            if let Some(h) = slot {
+                if h.submit(Req::Write(w.clone())).is_err() {
+                    *slot = None;
+                }
             }
         }
         // After the sends: a router that reads this generation and then
@@ -202,10 +197,6 @@ fn admission_main(mut q: Queue, shared: Arc<Shared>, mut dur: Option<DurCtl>) {
     }
 }
 
-/// Where a replica's window starts: its generation, a checkpoint, and the
-/// log tail to replay on top.
-type Origin = Arc<(u64, Option<Checkpoint>, Vec<Op>)>;
-
 /// One replica slot.
 struct Replica {
     /// The replica (`None` once killed).
@@ -221,14 +212,13 @@ fn spawn_replica(
     i: usize,
     meta: Meta,
     cfg: &ReplicaSetConfig,
-    start: impl FnOnce() -> Option<Origin> + Send + 'static,
+    start: impl FnOnce() -> Option<Arc<Recovery>> + Send + 'static,
 ) -> Replica {
     let applied = Arc::new(AtomicU64::new(0));
     let (readers, published) = (cfg.readers, applied.clone());
     let name = format!("bimst-replica-{i}");
     let svc = Service::thread(&name, cfg.queue_cap, move |rx, rec| {
-        let Some(origin) = start() else { return };
-        let (generation, ckpt, tail) = &*origin;
+        let Some(from) = start() else { return };
         // One message per log record. No edge budget: admission capped each
         // record, and applying every queued one at once pays the batch
         // bound once.
@@ -236,9 +226,9 @@ fn spawn_replica(
         let run = Run {
             applied: published,
             per_write: true,
-            ..Run::new(q, *generation, readers, rec)
+            ..Run::new(q, from.generation, readers, rec)
         };
-        shard::open_window(&meta, ckpt.as_ref(), tail, run);
+        shard::open_window(&meta, &from, run);
     });
     Replica {
         svc: Some(svc),
@@ -331,11 +321,15 @@ impl ReplicaSet {
     /// resumes at the recovered generation.
     pub fn recover(path: impl AsRef<Path>, cfg: ReplicaSetConfig) -> io::Result<ReplicaSet> {
         let (store, meta, rec) = Store::open(&path)?;
-        let origin = Arc::new((rec.generation, rec.checkpoint, rec.tail));
-        Ok(ReplicaSet::boot(meta, Some(store), origin, cfg))
+        Ok(ReplicaSet::boot(meta, Some(store), Arc::new(rec), cfg))
     }
 
-    fn boot(meta: Meta, store: Option<Store>, origin: Origin, cfg: ReplicaSetConfig) -> ReplicaSet {
+    fn boot(
+        meta: Meta,
+        store: Option<Store>,
+        origin: Arc<Recovery>,
+        cfg: ReplicaSetConfig,
+    ) -> ReplicaSet {
         let rec = bimst_obs::Recorder::new();
         // The `wal_*` metrics land on the set's own recorder.
         let dur = store.map(|store| DurCtl::new(store, cfg.sync, CHECKPOINT_EVERY, &rec));
@@ -349,7 +343,7 @@ impl ReplicaSet {
         let shared = Arc::new(Shared {
             fan: Mutex::new(fan.collect()),
             moved: Condvar::new(),
-            gen: AtomicU64::new(origin.0),
+            gen: AtomicU64::new(origin.generation),
         });
         let (admit_tx, admit_rx) = std::sync::mpsc::sync_channel(cfg.queue_cap.max(1));
         let merge = dur.as_ref().is_none_or(DurCtl::merges);
@@ -517,7 +511,11 @@ impl ReplicaSet {
         }
         let r = spawn_replica(i, self.meta, &self.cfg, move || {
             let ck = ck_rx.recv().ok()?;
-            Some(Arc::new((ck.generation, Some(ck), Vec::new())))
+            Some(Arc::new(Recovery {
+                generation: ck.generation,
+                checkpoint: Some(ck),
+                tail: vec![],
+            }))
         });
         fan[i] = r.svc.as_ref().map(Service::handle);
         drop(fan);

@@ -22,6 +22,12 @@
 //! replica is a [`writer_main`] thread of its own, fed one record per
 //! write. Either way the generation counts WAL records.
 //!
+//! One record type carries a write the whole way: the log's
+//! [`bimst_wal::Write`]. The queue holds it, a write group merges into
+//! it, [`DurCtl`] appends it, [`Core`] applies it, a replica set sends it
+//! on, and recovery replays it. Only `ServiceHandle::submit_op` sees the
+//! workload generator's `Op`.
+//!
 //! Sequential semantics: the state after processing the queue is identical
 //! to applying every admitted op one at a time in admission order, and
 //! every query is answered from exactly the state at its admission point.
@@ -37,11 +43,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
-use bimst_graphgen::Op;
-use bimst_primitives::VertexId;
 use bimst_query::QueryBatch;
 use bimst_sliding::{SlidingWrite, SwConn, SwConnEager, WindowCheckpoint};
-use bimst_wal::{Checkpoint, Meta, Store, SyncPolicy};
+use bimst_wal::{Checkpoint, Meta, Recovery, Store, SyncPolicy, Write};
 
 use crate::reader::{answer_range, Kind, Partial, Plan, ReaderPool, ServeTask, Snapshot};
 use crate::{Answered, QueryReq, ServeWindow};
@@ -51,13 +55,11 @@ use crate::{Answered, QueryReq, ServeWindow};
 pub(crate) type RunEntry = (QueryReq, Sender<Answered>, Option<std::time::Instant>);
 
 /// An admitted operation (see `ServiceHandle` for the client-side view).
-/// A replica set's admission thread sends one `Insert` / `Expire` per log
-/// record to every replica.
+/// A replica set's admission thread sends one `Write` per log record to
+/// every replica.
 pub(crate) enum Req {
-    /// Append edges on the new side of the window.
-    Insert(Vec<(VertexId, VertexId)>),
-    /// Expire the Δ oldest stream positions.
-    Expire(u64),
+    /// A write, in the log's own record type.
+    Write(Write),
     /// Answer a query batch at the admission generation.
     Query {
         /// The batch.
@@ -79,9 +81,9 @@ pub(crate) enum Req {
 
 /// What one [`Queue::next`] call yields.
 pub(crate) enum Step {
-    /// One write group: the merged `Op::Insert` or `Op::Expire`, and how
-    /// many queued writes it folds.
-    Write(Op, u64),
+    /// One write group: the merged write (one log record), and how many
+    /// queued writes it folds.
+    Write(Write, u64),
     /// A coalesced query run, left in the caller's run buffer.
     Serve,
     /// A barrier to resolve at the current generation.
@@ -139,14 +141,14 @@ impl Queue {
             None => self.pull(true)?,
         };
         Some(match first {
-            Req::Insert(mut edges) => {
+            Req::Write(Write::Insert(mut edges)) => {
                 // Positions concatenate, so one batch_insert of the merged
                 // run equals the per-op inserts — but pays the
                 // O(ℓ lg(1 + n/ℓ)) batch bound once.
                 let mut ops = 1;
                 while self.merge && edges.len() < self.budget {
                     match self.pull(false) {
-                        Some(Req::Insert(more)) => {
+                        Some(Req::Write(Write::Insert(more))) => {
                             edges.extend_from_slice(&more);
                             ops += 1;
                         }
@@ -156,14 +158,14 @@ impl Queue {
                         }
                     }
                 }
-                Step::Write(Op::Insert(edges), ops)
+                Step::Write(Write::Insert(edges), ops)
             }
-            Req::Expire(mut delta) => {
+            Req::Write(Write::Expire(mut delta)) => {
                 // Deltas add.
                 let mut ops = 1;
                 while self.merge {
                     match self.pull(false) {
-                        Some(Req::Expire(more)) => {
+                        Some(Req::Write(Write::Expire(more))) => {
                             delta = delta.saturating_add(more);
                             ops += 1;
                         }
@@ -173,7 +175,7 @@ impl Queue {
                         }
                     }
                 }
-                Step::Write(Op::Expire(delta), ops)
+                Step::Write(Write::Expire(delta), ops)
             }
             Req::Query { req, resp, at } => {
                 run.push((req, resp, at));
@@ -312,9 +314,9 @@ impl DurCtl {
     /// Logs one write group. WAL IO failure is fail-stop: a writer that
     /// cannot log must not apply, or acked-and-answered state would be
     /// silently undurable.
-    pub(crate) fn log(&mut self, op: &Op) {
+    pub(crate) fn log(&mut self, w: &Write) {
         self.store
-            .append_op(op)
+            .append(w)
             .expect("bimst-service: WAL append failed");
         if self.sync != SyncPolicy::None {
             self.store.sync().expect("bimst-service: WAL fsync failed");
@@ -367,15 +369,13 @@ pub(crate) fn checkpoint_of<W: WindowCheckpoint>(w: &W, generation: u64) -> Chec
     }
 }
 
-/// Applies one logged write. The log holds writes only: the codec has no
-/// tag for any other op, so recovery never yields one.
-fn apply_op<W: SlidingWrite>(w: &mut W, op: &Op) {
+/// Applies one write group or logged record.
+fn apply_op<W: SlidingWrite>(w: &mut W, op: &Write) {
     match op {
-        Op::Insert(edges) => {
+        Write::Insert(edges) => {
             w.batch_insert(edges);
         }
-        Op::Expire(delta) => w.batch_expire(*delta),
-        op => unreachable!("bimst-service: the log holds writes only, not {op:?}"),
+        Write::Expire(delta) => w.batch_expire(*delta),
     }
 }
 
@@ -409,22 +409,22 @@ impl Run {
 
 /// Builds the window `meta` describes at a recovered position (the
 /// checkpoint, then the log tail on top) and runs the writer loop on it.
-pub(crate) fn open_window(meta: &Meta, ckpt: Option<&Checkpoint>, tail: &[Op], run: Run) {
-    fn rebuild<W: WindowCheckpoint>(mut w: W, ckpt: Option<&Checkpoint>, tail: &[Op]) -> W {
-        if let Some(ck) = ckpt {
+pub(crate) fn open_window(meta: &Meta, from: &Recovery, run: Run) {
+    fn rebuild<W: WindowCheckpoint>(mut w: W, from: &Recovery) -> W {
+        if let Some(ck) = &from.checkpoint {
             w.restore(&ck.edges, ck.tw, ck.t);
         }
-        for op in tail {
+        for op in &from.tail {
             apply_op(&mut w, op);
         }
         w
     }
     let (n, seed) = (meta.n as usize, meta.seed);
     if meta.eager {
-        let w = rebuild(SwConnEager::new(n, seed), ckpt, tail);
+        let w = rebuild(SwConnEager::new(n, seed), from);
         writer_main(w, Some(checkpoint_of), run);
     } else {
-        let w = rebuild(SwConn::new(n, seed), ckpt, tail);
+        let w = rebuild(SwConn::new(n, seed), from);
         writer_main(w, Some(checkpoint_of), run);
     }
 }
@@ -621,14 +621,13 @@ impl<W: ServeWindow> Core<W> {
     /// Applies one write group that folds `ops` queued writes and covers
     /// `records` log records: one for a `Service` group, one per write for
     /// a replica's.
-    pub(crate) fn apply(&mut self, op: &Op, ops: u64, records: u64) {
+    pub(crate) fn apply(&mut self, op: &Write, ops: u64, records: u64) {
         apply_op(&mut self.w, op);
         self.generation += records;
         self.obs.groups.add(records);
-        if matches!(op, Op::Insert(_)) {
-            self.obs.ops_insert.add(ops);
-        } else {
-            self.obs.ops_expire.add(ops);
+        match op {
+            Write::Insert(_) => self.obs.ops_insert.add(ops),
+            Write::Expire(_) => self.obs.ops_expire.add(ops),
         }
         self.obs.merge_width.record(ops);
         self.obs.generation.set(self.generation);
@@ -809,15 +808,16 @@ mod tests {
             })
             .unwrap();
         };
-        tx.send(Req::Insert(vec![(0, 1)])).unwrap();
-        tx.send(Req::Insert(vec![(1, 2), (2, 3)])).unwrap();
-        tx.send(Req::Insert(vec![(3, 4)])).unwrap(); // over the budget of 3
-        tx.send(Req::Expire(1)).unwrap();
-        tx.send(Req::Expire(2)).unwrap();
+        tx.send(Req::Write(Write::Insert(vec![(0, 1)]))).unwrap();
+        tx.send(Req::Write(Write::Insert(vec![(1, 2), (2, 3)])))
+            .unwrap();
+        tx.send(Req::Write(Write::Insert(vec![(3, 4)]))).unwrap(); // over the budget of 3
+        tx.send(Req::Write(Write::Expire(1))).unwrap();
+        tx.send(Req::Write(Write::Expire(2))).unwrap();
         query(&tx);
         tx.send(Req::Barrier(btx)).unwrap();
         query(&tx);
-        tx.send(Req::Insert(vec![(4, 5)])).unwrap();
+        tx.send(Req::Write(Write::Insert(vec![(4, 5)]))).unwrap();
         drop(tx);
 
         let mut q = Queue::new(rx, true, 3);
@@ -845,17 +845,17 @@ mod tests {
 
         let (tx, rx) = channel();
         for d in [1, 2] {
-            tx.send(Req::Expire(d)).unwrap();
+            tx.send(Req::Write(Write::Expire(d))).unwrap();
         }
         drop(tx);
         let mut q = Queue::new(rx, false, 3);
         assert!(matches!(
             q.next(0, &mut run),
-            Some(Step::Write(Op::Expire(1), 1))
+            Some(Step::Write(Write::Expire(1), 1))
         ));
         assert!(matches!(
             q.next(0, &mut run),
-            Some(Step::Write(Op::Expire(2), 1))
+            Some(Step::Write(Write::Expire(2), 1))
         ));
         assert!(q.next(0, &mut run).is_none());
     }

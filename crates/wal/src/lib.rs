@@ -4,11 +4,11 @@
 //! sliding window in RAM, so before this crate a process crash lost every
 //! admitted edge. `bimst-wal` gives the service's single-writer admission
 //! path an append-only, CRC32-framed binary log of admitted writes
-//! ([`bimst_graphgen::Op`] is the canonical op enum; [`codec`] gives its
-//! two write variants, `Insert` and `Expire`, a stable little-endian
-//! encoding), periodic compacted checkpoints, and a recovery scan that
-//! rebuilds **exactly** the admitted-write prefix that survived — torn
-//! final records are discarded, never misparsed.
+//! (the two-arm [`Write`] record, `Insert` or `Expire`, which [`codec`]
+//! gives a stable little-endian encoding), periodic compacted
+//! checkpoints, and a recovery scan that rebuilds **exactly** the
+//! admitted-write prefix that survived — torn final records are
+//! discarded, never misparsed.
 //!
 //! Three layers, bottom up:
 //!
@@ -37,5 +37,5 @@ pub mod codec;
 mod frame;
 mod store;
 
-pub use codec::{decode_op, encode_op, encoded_len, DecodeError};
+pub use codec::{decode, encode, encoded_len, DecodeError, Write};
 pub use store::{recover_dir, Checkpoint, Meta, Recovery, Store, SyncPolicy, FILE_HEADER};

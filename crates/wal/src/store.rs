@@ -31,9 +31,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
-use bimst_graphgen::Op;
-
-use crate::codec;
+use crate::codec::{self, Write};
 use crate::frame::{write_frame, Frames};
 
 /// Bytes of file-magic overhead at the head of every store file.
@@ -149,15 +147,14 @@ pub struct Checkpoint {
     pub edges: Vec<(u64, u32, u32)>,
 }
 
-/// What a recovery scan found: the state to rebuild and the ops to replay
-/// on top of it. The default is a fresh store's: nothing to rebuild.
+/// What a recovery scan found: the state to rebuild and the writes to
+/// replay on top of it. The default is a fresh store's: nothing to rebuild.
 #[derive(Debug, Default)]
 pub struct Recovery {
     /// Newest fully-valid checkpoint, if any.
     pub checkpoint: Option<Checkpoint>,
-    /// Intact records after the checkpoint, in generation order. The
-    /// service only logs writes, but the scan returns whatever decodes.
-    pub tail: Vec<Op>,
+    /// Intact records after the checkpoint, in generation order.
+    pub tail: Vec<Write>,
     /// Generation to resume at: checkpoint generation + `tail.len()`.
     pub generation: u64,
 }
@@ -297,7 +294,7 @@ fn decode_ckpt(payload: &[u8]) -> Option<Checkpoint> {
 struct Scan {
     meta: Meta,
     checkpoint: Option<Checkpoint>,
-    tail: Vec<Op>,
+    tail: Vec<Write>,
     generation: u64,
     /// Segment appends resume into: (start generation, path, valid bytes).
     resume: Option<(u64, PathBuf, u64)>,
@@ -375,9 +372,9 @@ fn scan(dir: &Path) -> io::Result<Scan> {
             let mut frames = Frames::new(data);
             loop {
                 let before = frames.valid_len();
-                match frames.next_frame().map(codec::decode_op) {
-                    Some(Ok(op)) => {
-                        tail.push(op);
+                match frames.next_frame().map(codec::decode) {
+                    Some(Ok(w)) => {
+                        tail.push(w);
                         generation += 1;
                     }
                     // CRC-valid but undecodable payload: corruption; the
@@ -584,27 +581,9 @@ impl Store {
     }
 
     /// Appends one record (no fsync — see [`Store::sync`]).
-    pub fn append_op(&mut self, op: &Op) -> io::Result<()> {
+    pub fn append(&mut self, w: &Write) -> io::Result<()> {
         self.payload.clear();
-        codec::encode_op(op, &mut self.payload);
-        self.write_record()
-    }
-
-    /// Appends one `Insert` record from the writer's merged group buffer.
-    pub fn append_insert(&mut self, edges: &[(u32, u32)]) -> io::Result<()> {
-        self.payload.clear();
-        codec::encode_insert(edges, &mut self.payload);
-        self.write_record()
-    }
-
-    /// Appends one `Expire` record.
-    pub fn append_expire(&mut self, delta: u64) -> io::Result<()> {
-        self.payload.clear();
-        codec::encode_expire(delta, &mut self.payload);
-        self.write_record()
-    }
-
-    fn write_record(&mut self) -> io::Result<()> {
+        codec::encode(w, &mut self.payload);
         self.frame.clear();
         write_frame(&mut self.frame, &self.payload);
         if let Some(o) = &self.obs {
@@ -708,12 +687,12 @@ mod tests {
             "double create must refuse"
         );
         let ops = vec![
-            Op::Insert(vec![(0, 1), (1, 2)]),
-            Op::Expire(1),
-            Op::Insert(vec![(2, 3)]),
+            Write::Insert(vec![(0, 1), (1, 2)]),
+            Write::Expire(1),
+            Write::Insert(vec![(2, 3)]),
         ];
-        for op in &ops {
-            store.append_op(op).unwrap();
+        for w in &ops {
+            store.append(w).unwrap();
         }
         store.sync().unwrap();
         drop(store);
@@ -725,12 +704,12 @@ mod tests {
         assert_eq!(rec.generation, 3);
 
         // Appends resume the same record sequence.
-        store.append_expire(2).unwrap();
+        store.append(&Write::Expire(2)).unwrap();
         store.sync().unwrap();
         drop(store);
         let (_, rec2) = recover_dir(&dir).unwrap();
         assert_eq!(rec2.generation, 4);
-        assert_eq!(rec2.tail[3], Op::Expire(2));
+        assert_eq!(rec2.tail[3], Write::Expire(2));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -744,8 +723,8 @@ mod tests {
             tenants: false,
         };
         let mut store = Store::create(&dir, &meta).unwrap();
-        store.append_insert(&[(0, 1)]).unwrap();
-        store.append_insert(&[(1, 2)]).unwrap();
+        store.append(&Write::Insert(vec![(0, 1)])).unwrap();
+        store.append(&Write::Insert(vec![(1, 2)])).unwrap();
         let ck = Checkpoint {
             generation: 2,
             tw: 0,
@@ -753,13 +732,13 @@ mod tests {
             edges: vec![(0, 0, 1), (1, 1, 2)],
         };
         store.checkpoint(&ck).unwrap();
-        store.append_expire(1).unwrap();
+        store.append(&Write::Expire(1)).unwrap();
         store.sync().unwrap();
         drop(store);
 
         let (_, rec) = recover_dir(&dir).unwrap();
         assert_eq!(rec.checkpoint, Some(ck));
-        assert_eq!(rec.tail, vec![Op::Expire(1)]);
+        assert_eq!(rec.tail, vec![Write::Expire(1)]);
         assert_eq!(rec.generation, 3);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -775,7 +754,7 @@ mod tests {
         };
         let mut store = Store::create(&dir, &meta).unwrap();
         for g in 1..=4u64 {
-            store.append_insert(&[(0, g as u32)]).unwrap();
+            store.append(&Write::Insert(vec![(0, g as u32)])).unwrap();
             store
                 .checkpoint(&Checkpoint {
                     generation: g,
@@ -800,7 +779,7 @@ mod tests {
         fs::remove_file(dir.join(ckpt_name(4))).unwrap();
         let (_, rec) = recover_dir(&dir).unwrap();
         assert_eq!(rec.checkpoint.as_ref().unwrap().generation, 3);
-        assert_eq!(rec.tail, vec![Op::Insert(vec![(0, 4)])]);
+        assert_eq!(rec.tail, vec![Write::Insert(vec![(0, 4)])]);
         assert_eq!(rec.generation, 4);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -815,7 +794,7 @@ mod tests {
             tenants: false,
         };
         let mut store = Store::create(&dir, &meta).unwrap();
-        store.append_insert(&[(0, 1)]).unwrap();
+        store.append(&Write::Insert(vec![(0, 1)])).unwrap();
         store.sync().unwrap();
         drop(store);
         // Simulate a crash mid-checkpoint: a half-written tmp file.
@@ -857,9 +836,9 @@ mod tests {
             tenants: false,
         };
         let mut store = Store::create(&dir, &meta).unwrap();
-        let ops = [Op::Insert(vec![(0, 1), (2, 3)]), Op::Expire(7)];
+        let ops = [Write::Insert(vec![(0, 1), (2, 3)]), Write::Expire(7)];
         for op in &ops {
-            store.append_op(op).unwrap();
+            store.append(op).unwrap();
         }
         store.sync().unwrap();
         drop(store);
@@ -940,7 +919,7 @@ mod tests {
             tenants: false,
         };
         let mut store = Store::create(&dir, &meta).unwrap();
-        store.append_insert(&[(0, 1)]).unwrap();
+        store.append(&Write::Insert(vec![(0, 1)])).unwrap();
         store.sync().unwrap();
         drop(store);
 

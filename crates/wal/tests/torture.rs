@@ -22,7 +22,7 @@
 
 use bimst_graphgen::{MixedConfig, MixedStream, MixedTopology, Op};
 use bimst_sliding::{SwConnEager, WindowCheckpoint};
-use bimst_wal::{recover_dir, Checkpoint, Meta, Recovery, Store};
+use bimst_wal::{recover_dir, Checkpoint, Meta, Recovery, Store, Write};
 use std::fs::{self, OpenOptions};
 use std::path::{Path, PathBuf};
 
@@ -46,8 +46,9 @@ fn copy_dir(src: &Path, dst: &Path) {
     }
 }
 
-/// A deterministic write-only op script (queries carry no durable state).
-fn script(n: u32, ops: usize, seed: u64) -> Vec<Op> {
+/// A deterministic write script: the writes of a mixed op stream
+/// (queries carry no durable state).
+fn script(n: u32, ops: usize, seed: u64) -> Vec<Write> {
     let cfg = MixedConfig {
         n,
         topology: MixedTopology::ErdosRenyi,
@@ -58,23 +59,26 @@ fn script(n: u32, ops: usize, seed: u64) -> Vec<Op> {
         tenants: 0,
     };
     MixedStream::new(cfg, seed)
-        .filter(|op| matches!(op, Op::Insert(_) | Op::Expire(_)))
+        .filter_map(|op| match op {
+            Op::Insert(edges) => Some(Write::Insert(edges)),
+            Op::Expire(delta) => Some(Write::Expire(delta)),
+            _ => None,
+        })
         .take(ops)
         .collect()
 }
 
-fn apply(w: &mut SwConnEager, op: &Op) {
+fn apply(w: &mut SwConnEager, op: &Write) {
     match op {
-        Op::Insert(edges) => {
+        Write::Insert(edges) => {
             w.batch_insert(edges);
         }
-        Op::Expire(delta) => w.batch_expire(*delta),
-        _ => unreachable!("write-only script"),
+        Write::Expire(delta) => w.batch_expire(*delta),
     }
 }
 
 /// The uninterrupted run: `prefix` ops applied one at a time.
-fn replay_prefix(n: usize, seed: u64, ops: &[Op], prefix: usize) -> SwConnEager {
+fn replay_prefix(n: usize, seed: u64, ops: &[Write], prefix: usize) -> SwConnEager {
     let mut w = SwConnEager::new(n, seed);
     for op in &ops[..prefix] {
         apply(&mut w, op);
@@ -113,7 +117,7 @@ fn fingerprint(w: &SwConnEager, n: u32) -> (Vec<bool>, Vec<usize>, (u64, u64)) {
 /// Writes the whole script into a fresh store at `dir` with a checkpoint
 /// every `ckpt_every` ops (0 = never), syncing each record so the pristine
 /// image contains every byte the crash families then destroy.
-fn run_store(dir: &Path, n: u32, seed: u64, ops: &[Op], ckpt_every: usize) -> SwConnEager {
+fn run_store(dir: &Path, n: u32, seed: u64, ops: &[Write], ckpt_every: usize) -> SwConnEager {
     let meta = Meta {
         n: n as u64,
         seed,
@@ -123,7 +127,7 @@ fn run_store(dir: &Path, n: u32, seed: u64, ops: &[Op], ckpt_every: usize) -> Sw
     let mut store = Store::create(dir, &meta).unwrap();
     let mut w = SwConnEager::new(n as usize, seed);
     for (i, op) in ops.iter().enumerate() {
-        store.append_op(op).unwrap();
+        store.append(op).unwrap();
         store.sync().unwrap();
         apply(&mut w, op);
         let generation = i as u64 + 1;
@@ -146,7 +150,7 @@ fn run_store(dir: &Path, n: u32, seed: u64, ops: &[Op], ckpt_every: usize) -> Sw
 /// The invariant every crash family asserts: recovering the (damaged)
 /// copy yields some prefix length `g ≤ ops.len()`, and the rebuilt window
 /// fingerprints identically to the uninterrupted run of that prefix.
-fn assert_prefix_equivalent(dir: &Path, n: u32, seed: u64, ops: &[Op], what: &str) -> u64 {
+fn assert_prefix_equivalent(dir: &Path, n: u32, seed: u64, ops: &[Write], what: &str) -> u64 {
     let (meta, rec) = recover_dir(dir).unwrap_or_else(|e| panic!("{what}: recovery failed: {e}"));
     assert!(
         rec.generation <= ops.len() as u64,

@@ -1,19 +1,19 @@
-//! Property tests for the WAL op codec (`bimst-wal`): every write op a
+//! Property tests for the WAL record codec (`bimst-wal`): every write a
 //! [`MixedStream`] can emit round-trips through the stable little-endian
 //! encoding bit-exactly, and damaged encodings — truncations, byte flips,
 //! a tag that names no write — are *rejected or changed*, never silently
-//! decoded back to the original op. (Frame-level CRC torture lives in `crates/wal/tests/`;
-//! this file pins the payload codec itself.)
+//! decoded back to the original record. (Frame-level CRC torture lives in
+//! `crates/wal/tests/`; this file pins the payload codec itself.)
 
 use bimst_repro::graphgen::{MixedConfig, MixedStream, MixedTopology, Op};
-use bimst_repro::wal::{decode_op, encode_op, encoded_len, DecodeError};
+use bimst_repro::wal::{decode, encode, encoded_len, DecodeError, Write};
 use proptest::prelude::*;
 
 /// The writes of a deterministic op mix — what the log holds: inserts of
 /// 1–5 edges and expiries, with insert-only streams (`window == 0`) a
 /// reachable shape. The stream's queries are dropped, as the writer never
 /// logs them.
-fn ops(seed: u64, shape: usize, count: usize) -> Vec<Op> {
+fn ops(seed: u64, shape: usize, count: usize) -> Vec<Write> {
     let topology = [
         MixedTopology::ErdosRenyi,
         MixedTopology::PowerLaw,
@@ -29,7 +29,11 @@ fn ops(seed: u64, shape: usize, count: usize) -> Vec<Op> {
         tenants: (shape % 3) as u32,   // 0: untagged; >0: tenant-tagged batches
     };
     MixedStream::new(cfg, seed)
-        .filter(|op| matches!(op, Op::Insert(_) | Op::Expire(_)))
+        .filter_map(|op| match op {
+            Op::Insert(edges) => Some(Write::Insert(edges)),
+            Op::Expire(delta) => Some(Write::Expire(delta)),
+            _ => None,
+        })
         .take(count)
         .collect()
 }
@@ -46,12 +50,12 @@ proptest! {
         let mut buf = Vec::new();
         for op in ops(seed, shape, 24) {
             buf.clear();
-            encode_op(&op, &mut buf);
+            encode(&op, &mut buf);
             prop_assert_eq!(buf.len(), encoded_len(&op));
-            prop_assert_eq!(decode_op(&buf).unwrap(), op);
+            prop_assert_eq!(decode(&buf).unwrap(), op);
             for t in 2..=6u8 {
                 buf[0] = t;
-                prop_assert_eq!(decode_op(&buf), Err(DecodeError::UnknownTag(t)));
+                prop_assert_eq!(decode(&buf), Err(DecodeError::UnknownTag(t)));
             }
         }
     }
@@ -64,15 +68,15 @@ proptest! {
         let mut buf = Vec::new();
         for op in ops(seed, shape, 12) {
             buf.clear();
-            encode_op(&op, &mut buf);
+            encode(&op, &mut buf);
             for cut in 0..buf.len() {
                 prop_assert!(
-                    decode_op(&buf[..cut]).is_err(),
+                    decode(&buf[..cut]).is_err(),
                     "prefix of {} bytes decoded", cut
                 );
             }
             buf.push(0);
-            prop_assert!(decode_op(&buf).is_err(), "trailing byte accepted");
+            prop_assert!(decode(&buf).is_err(), "trailing byte accepted");
         }
     }
 
@@ -85,10 +89,10 @@ proptest! {
         let mut buf = Vec::new();
         for op in ops(seed, shape, 8) {
             buf.clear();
-            encode_op(&op, &mut buf);
+            encode(&op, &mut buf);
             for at in 0..buf.len() {
                 buf[at] ^= 0x01;
-                if let Ok(got) = decode_op(&buf) {
+                if let Ok(got) = decode(&buf) {
                     prop_assert_ne!(&got, &op, "flip at {} invisible", at);
                 }
                 buf[at] ^= 0x01;

@@ -11,7 +11,7 @@
 use bimst_repro::graphgen::{MixedConfig, MixedStream, MixedTopology, Op};
 use bimst_repro::service::{QueryReq, Service, ServiceConfig, SyncPolicy};
 use bimst_repro::sliding::{SlidingWrite, SwConn, SwConnEager};
-use bimst_repro::wal::recover_dir;
+use bimst_repro::wal::{recover_dir, Write};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -27,9 +27,10 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A deterministic write-only script (queries are driven separately so
-/// the op index ↔ generation correspondence stays exact).
-fn script(n: u32, seed: u64, len: usize) -> Vec<Op> {
+/// A deterministic write script: the writes of a mixed op stream
+/// (queries are driven separately so the op index ↔ generation
+/// correspondence stays exact).
+fn script(n: u32, seed: u64, len: usize) -> Vec<Write> {
     let cfg = MixedConfig {
         n,
         topology: MixedTopology::ErdosRenyi,
@@ -40,17 +41,20 @@ fn script(n: u32, seed: u64, len: usize) -> Vec<Op> {
         tenants: 0,
     };
     MixedStream::new(cfg, seed)
-        .filter(|op| matches!(op, Op::Insert(_) | Op::Expire(_)))
+        .filter_map(|op| match op {
+            Op::Insert(edges) => Some(Write::Insert(edges)),
+            Op::Expire(delta) => Some(Write::Expire(delta)),
+            _ => None,
+        })
         .take(len)
         .collect()
 }
 
-fn drive(svc: &Service, ops: &[Op]) {
+fn drive(svc: &Service, ops: &[Write]) {
     for op in ops {
         match op {
-            Op::Insert(edges) => svc.insert(edges.clone()).unwrap(),
-            Op::Expire(delta) => svc.expire(*delta).unwrap(),
-            _ => unreachable!("write-only script"),
+            Write::Insert(edges) => svc.insert(edges.clone()).unwrap(),
+            Write::Expire(delta) => svc.expire(*delta).unwrap(),
         }
     }
 }
@@ -59,12 +63,11 @@ fn drive(svc: &Service, ops: &[Op]) {
 /// own write group — one WAL record per op under every policy, which is
 /// what lets the torn-log test translate a recovered generation back into
 /// an op index.
-fn drive_synced(svc: &Service, ops: &[Op]) {
+fn drive_synced(svc: &Service, ops: &[Write]) {
     for op in ops {
         match op {
-            Op::Insert(edges) => svc.insert(edges.clone()).unwrap(),
-            Op::Expire(delta) => svc.expire(*delta).unwrap(),
-            _ => unreachable!("write-only script"),
+            Write::Insert(edges) => svc.insert(edges.clone()).unwrap(),
+            Write::Expire(delta) => svc.expire(*delta).unwrap(),
         }
         svc.barrier().unwrap().wait().unwrap();
     }
@@ -109,22 +112,21 @@ fn answers(svc: &Service, n: u32) -> Probe {
 
 /// The definition of correctness: the whole script applied one op at a
 /// time to the plain sequential structure.
-fn sequential_answers(n: u32, seed: u64, ops: &[Op], eager: bool) -> Probe {
+fn sequential_answers(n: u32, seed: u64, ops: &[Write], eager: bool) -> Probe {
     fn go<W: SlidingWrite>(
         mut w: W,
         n: u32,
-        ops: &[Op],
+        ops: &[Write],
         conn: impl Fn(&W, u32, u32) -> bool,
         pm: impl Fn(&W, u32, u32) -> Option<bimst_repro::primitives::WKey>,
         cs: impl Fn(&W, u32) -> usize,
     ) -> Probe {
         for op in ops {
             match op {
-                Op::Insert(edges) => {
+                Write::Insert(edges) => {
                     w.batch_insert(edges);
                 }
-                Op::Expire(delta) => w.batch_expire(*delta),
-                _ => unreachable!(),
+                Write::Expire(delta) => w.batch_expire(*delta),
             }
         }
         let pairs: Vec<(u32, u32)> = (0..n).map(|u| (u, (u + 1) % n)).collect();
