@@ -71,9 +71,8 @@ fn main() {
     println!("µs/mark tracks lg(1+n/ℓ) (Theorem 3.2)");
 
     // The recorder-backed view of the same run: the tree build above went
-    // through the contraction engine, whose structured `engine_*` metrics
-    // replace eyeballing the `BIMST_PROP_STATS` eprintln stream (that env
-    // var still switches on the per-round human dump).
+    // through the contraction engine, which records its per-round
+    // frontier as the structured `engine_*` metrics.
     let snap = bimst_obs::global().snapshot();
     if let Some(rounds) = snap.counter("engine_rounds") {
         println!("\nengine metrics (bimst-obs global recorder):");

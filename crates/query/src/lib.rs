@@ -7,29 +7,33 @@
 //! `O(lg n)` root walk. A serving workload asks queries in *batches*.
 //! Connectivity and component-size batches keep one root walk per query,
 //! run in parallel over the batch above the grain size: deduplicating a
-//! batch's endpoints first saved nothing measurable end to end. Path
-//! batches admit the shared-work tricks the paper's write path uses:
+//! batch's endpoints first saved nothing measurable end to end.
 //!
-//! * **Shared compressed path trees.** A chunk of path-max queries is
-//!   answered from **one** compressed path tree over the chunk's distinct
-//!   endpoints — the CPT preserves *all pairwise* heaviest-path edges
-//!   (Theorem 3.1), so a single `O(ℓ lg(1 + n/ℓ))` expansion plus a static
-//!   [`ForestPathMax`] oracle replaces `ℓ` independent 2-mark CPT walks.
-//!   This is the paper's own structure doing double duty as a query
-//!   accelerator. The same chunking serves [`PathMonoid`] folds
-//!   ([`QueryBatch::batch_path_fold`]) on batches the linear rule below
-//!   rejects: the chunk's tree is built as a `Pair<MaxW, M>` *fold tree*
-//!   ([`fold_path_tree_with`]), whose edges carry their segment's heaviest
-//!   key and its fold of `M`, and a generic [`ForestPathFold`] oracle
-//!   combines the segments of each query.
+//! Every other batch is *path-shaped*: path-max, lazy-window and
+//! cutoff connectivity, and every [`PathMonoid`] fold are one fold along
+//! MSF paths followed by the recent-edge test (Lemma 5.1) on the path's
+//! heaviest key. One private plan answers them all, from one of two
+//! sources of the fold:
+//!
+//! * **Shared compressed path trees.** A chunk of queries is answered from
+//!   **one** compressed path tree over the chunk's distinct endpoints — the
+//!   CPT preserves *all pairwise* heaviest-path edges (Theorem 3.1), so a
+//!   single `O(ℓ lg(1 + n/ℓ))` expansion plus a static [`ForestPathFold`]
+//!   oracle over its edges replaces `ℓ` independent 2-mark CPT walks. This
+//!   is the paper's own structure doing double duty as a query
+//!   accelerator. Max-summary monoids (path-max, connectivity, `MaxW`)
+//!   build the tree over `MaxW`; every other monoid `M` builds it over
+//!   `Pair<MaxW, M>` ([`fold_path_tree_with`]), whose edges carry their
+//!   segment's heaviest key — the recency witness — and its fold of `M`.
+//!   Chunks of fewer than 16 queries build one 2-mark tree per query
+//!   instead.
 //! * **A linear plan for batches that cover the forest.** The CPT bound
 //!   `O(m lg(1 + n/m))` for `m` marks is `Θ(n)` once a batch's endpoints
 //!   cover the forest, and then one pass over the whole forest is cheaper
 //!   than a CPT per chunk. Every batch of `q ≥ 16` queries with
 //!   `n ≤ 8 · m · lg(1 + n/m)` for `m = 2q` takes a linear pass over the
 //!   MSF's real edges, whatever its monoid:
-//!   - max-summary batches (path-max, lazy window connectivity, `MaxW`
-//!     folds, tenant cutoffs) take one union pass in key order
+//!   - max-summary batches take one union pass in key order
 //!     ([`KruskalPathMax`]): the heaviest edge of a path is the union that
 //!     first connects its endpoints. After an `O(n)` radix sort it costs
 //!     `O(n α(n) + q lg q)`;
@@ -91,7 +95,7 @@
 
 use bimst_core::cpt::{fold_path_tree_with, CptScratch};
 use bimst_core::{BatchMsf, Cpt};
-use bimst_msf::{ForestPathFold, ForestPathMax, KruskalPathMax, OfflinePathFold};
+use bimst_msf::{ForestPathFold, KruskalPathMax, OfflinePathFold};
 use bimst_primitives::monoid::{MaxW, Pair, PathMonoid};
 use bimst_primitives::{par, FxHashMap, VertexId, WKey};
 use bimst_rctree::RcForest;
@@ -118,26 +122,6 @@ impl<'a> ReadHandle<'a> {
     /// The underlying structure.
     pub fn msf(&self) -> &'a BatchMsf {
         self.msf
-    }
-
-    /// Single-query convenience: [`BatchMsf::connected`].
-    pub fn connected(&self, u: VertexId, v: VertexId) -> bool {
-        self.msf.connected(u, v)
-    }
-
-    /// Single-query convenience: [`BatchMsf::path_max`].
-    pub fn path_max(&self, u: VertexId, v: VertexId) -> Option<WKey> {
-        self.msf.path_max(u, v)
-    }
-
-    /// Single-query convenience: [`BatchMsf::path_fold`].
-    pub fn path_fold<M: PathMonoid>(&self, u: VertexId, v: VertexId) -> Option<M::Value> {
-        self.msf.path_fold::<M>(u, v)
-    }
-
-    /// Single-query convenience: [`BatchMsf::component_size`].
-    pub fn component_size(&self, v: VertexId) -> usize {
-        self.msf.component_size(v)
     }
 }
 
@@ -199,7 +183,7 @@ impl WindowConnectivity for SwConnEager {
 
 /// A [`TenantSet`] reads as its *shared* structure (lazy, window ℓ_max);
 /// per-tenant cutoffs ride in via [`WindowConnectivity::tenant_cutoff`] and
-/// the `*_at` plans.
+/// [`QueryBatch::batch_connected_at`].
 impl WindowConnectivity for TenantSet {
     fn msf(&self) -> &BatchMsf {
         self.shared().msf()
@@ -215,11 +199,10 @@ impl WindowConnectivity for TenantSet {
     }
 }
 
-/// The canonical cutoff argument of the batch cores. Every public path /
-/// fold / window variant is a thin wrapper that picks one of these and
-/// delegates; the cores apply `get(i)` as the recent-edge threshold of
-/// query `i`. `None` compares ids against 0, which every edge passes, so
-/// the unfiltered plans share the filtered code path with no extra branch.
+/// The cutoff argument of the path plan: it applies `get(i)` as the
+/// recent-edge threshold of query `i`. `None` compares ids against 0,
+/// which every edge passes, so the unfiltered batches share the filtered
+/// code path with no extra branch.
 #[derive(Clone, Copy)]
 enum Cutoffs<'c> {
     /// No recency filter (plain structure queries).
@@ -230,7 +213,7 @@ enum Cutoffs<'c> {
     Per(&'c [u64]),
 }
 
-impl<'c> Cutoffs<'c> {
+impl Cutoffs<'_> {
     /// The threshold applied to query `i`.
     #[inline]
     fn get(&self, i: usize) -> u64 {
@@ -240,53 +223,48 @@ impl<'c> Cutoffs<'c> {
             Cutoffs::Per(cs) => cs[i],
         }
     }
-
-    /// The thresholds of the queries in `r`.
-    fn slice(self, r: std::ops::Range<usize>) -> Cutoffs<'c> {
-        match self {
-            Cutoffs::Per(cs) => Cutoffs::Per(&cs[r]),
-            other => other,
-        }
-    }
 }
 
-/// Queries per chunk of [`QueryBatch::batch_path_max`]: each chunk is
-/// answered from one shared CPT over its distinct endpoints. Fixed (not a
-/// function of thread count) so the work partition — and therefore every
-/// intermediate — is deterministic; answers are value-deterministic either
-/// way. 512 queries ≈ ≤1024 marks keeps the chunk's CPT and oracle
-/// cache-resident while leaving enough chunks to parallelize over on
-/// realistic batch sizes.
+/// Queries per chunk of the CPT plan: each chunk is answered from one
+/// shared CPT over its distinct endpoints. Fixed (not a function of thread
+/// count) so the work partition — and therefore every intermediate — is
+/// deterministic; answers are value-deterministic either way. 512 queries
+/// ≈ ≤1024 marks keeps the chunk's CPT and oracle cache-resident while
+/// leaving enough chunks to parallelize over on realistic batch sizes.
 const PATH_CHUNK: usize = 512;
 
-/// Per-chunk scratch for the path-max plan: a CPT workspace plus the
-/// relabeling and edge buffers feeding the static oracle. Lives in
-/// [`QueryBatch`] so steady-state batches reuse capacity chunk-for-chunk.
+/// Per-chunk scratch for the CPT plan: a CPT workspace plus the marks and
+/// relabeling feeding the static oracle. Lives in [`QueryBatch`] so
+/// steady-state batches reuse capacity chunk-for-chunk. The tree and the
+/// oracle are typed by the tree monoid, so they are per-chunk allocations.
 #[derive(Default)]
 struct PathChunkScratch {
     marks: Vec<VertexId>,
     cpt_ws: CptScratch,
-    cpt: Cpt,
     /// CPT vertex → dense label. A small hash map, not a slot table: it
     /// holds `O(chunk)` entries probed a few times each, and per-chunk
     /// O(n) tables would multiply by the chunk count (the PR 2 lesson:
     /// compact-and-warm beats hash-free-but-cold at small ℓ).
     label: FxHashMap<VertexId, u32>,
-    edges: Vec<(u32, u32, WKey)>,
 }
 
 /// Below this many queries a chunk skips the shared CPT and answers each
 /// query with its own 2-mark CPT on the reused scratch — the sequential
 /// algorithm minus its allocations. The shared tree + oracle only amortize
-/// once a chunk carries enough queries to split their setup cost.
+/// once a chunk carries enough queries to split their setup cost. Kept on
+/// a paired row (CHANGES.md; 10 alternating 10-s `serve_small` pairs,
+/// whose path-max and fold batches hold one query each, 2-core VM):
+/// answering those from the shared tree instead costs 1.28× on
+/// `fold_p50_us` (31.9 → 40.9 µs) and 1.08× on `pathmax_p50_us`
+/// (29.8 → 32.1 µs), worse in 10 of 10 pairs on both.
 const SHARED_CPT_MIN: usize = 16;
 
-/// Work constant of the path-max plan choice: the linear Kruskal-order
-/// pass (`O(n)` over the whole forest) is taken when
-/// `n ≤ LINEAR_C · m · lg(1 + n/m)` for a batch of `m = 2q` endpoint marks,
-/// i.e. when the shared CPTs' `O(m lg(1 + n/m))` expansion would cost at
-/// least a `1/LINEAR_C` share of touching every vertex. Fixed from the
-/// measured crossover (see the crate docs).
+/// Work constant of the plan choice: the linear pass (`O(n)` over the
+/// whole forest) is taken when `n ≤ LINEAR_C · m · lg(1 + n/m)` for a
+/// batch of `m = 2q` endpoint marks, i.e. when the shared CPTs'
+/// `O(m lg(1 + n/m))` expansion would cost at least a `1/LINEAR_C` share of
+/// touching every vertex. Fixed from the measured crossover (see the crate
+/// docs).
 const LINEAR_C: f64 = 8.0;
 
 impl PathChunkScratch {
@@ -294,39 +272,38 @@ impl PathChunkScratch {
     /// (the label map is excluded, as in [`CptScratch::high_water`]).
     #[cfg(test)]
     fn high_water(&self) -> usize {
-        self.marks.capacity()
-            + self.cpt_ws.high_water()
-            + self.cpt.vertices.capacity()
-            + self.cpt.edges.capacity()
-            + self.edges.capacity()
+        self.marks.capacity() + self.cpt_ws.high_water()
     }
 
-    /// The prologue `run` and `run_fold` share: builds one path tree of `M`
-    /// into `tree` over the chunk's distinct `u ≠ v` endpoints and labels
-    /// its vertices densely (every mark is in the tree, isolated ones as
-    /// singletons, so lookups are total). Returns `false`, every answer
-    /// written, for a chunk of `u == v` pairs only, or for a chunk below
-    /// [`SHARED_CPT_MIN`]: that one answers each query from its own 2-mark
-    /// tree on the reused scratch, `out[i] = answer(i, fold)`.
-    fn shared_tree<M: PathMonoid, V>(
+    /// Answers one chunk from path trees of `T`: `out[i]` (same length as
+    /// `queries`) is `answer(i, fold)` for the fold of `T` over
+    /// `queries[i]`'s path, `None` when disconnected or `u == v`.
+    ///
+    /// One tree over the chunk's distinct `u ≠ v` endpoints
+    /// ([`fold_path_tree_with`]) is labeled densely (every mark is in the
+    /// tree, isolated ones as singletons, so lookups are total), and a
+    /// [`ForestPathFold::from_values`] oracle over its compressed edges
+    /// combines the segments of each query. Chunks below
+    /// [`SHARED_CPT_MIN`] build one 2-mark tree per query instead.
+    fn run<T: PathMonoid, V>(
         &mut self,
         f: &RcForest,
         queries: &[(VertexId, VertexId)],
-        tree: &mut Cpt<M::Value>,
         out: &mut [Option<V>],
-        answer: impl Fn(usize, M::Value) -> Option<V>,
-    ) -> bool {
+        answer: impl Fn(usize, T::Value) -> Option<V>,
+    ) {
+        let mut tree = Cpt::default();
         if queries.len() < SHARED_CPT_MIN {
             for (i, (slot, &(u, v))) in out.iter_mut().zip(queries).enumerate() {
                 *slot = if u == v {
                     None
                 } else {
-                    fold_path_tree_with::<M>(f, &[u, v], &mut self.cpt_ws, tree);
+                    fold_path_tree_with::<T>(f, &[u, v], &mut self.cpt_ws, &mut tree);
                     debug_assert!(tree.edges.len() <= 1);
                     tree.edges.first().and_then(|e| answer(i, e.key))
                 };
             }
-            return false;
+            return;
         }
         self.marks.clear();
         for &(u, v) in queries {
@@ -335,80 +312,22 @@ impl PathChunkScratch {
                 self.marks.push(v);
             }
         }
-        if self.marks.is_empty() {
-            out.fill_with(|| None);
-            return false;
-        }
         self.marks.sort_unstable();
         self.marks.dedup();
-        fold_path_tree_with::<M>(f, &self.marks, &mut self.cpt_ws, tree);
+        fold_path_tree_with::<T>(f, &self.marks, &mut self.cpt_ws, &mut tree);
         self.label.clear();
         for (i, &v) in tree.vertices.iter().enumerate() {
             self.label.insert(v, i as u32);
         }
-        true
-    }
-
-    /// Answers `queries` into `out` (same length) from one shared CPT plus
-    /// a static path-max oracle over its compressed edges.
-    fn run(&mut self, f: &RcForest, queries: &[(VertexId, VertexId)], out: &mut [Option<WKey>]) {
-        let mut cpt = std::mem::take(&mut self.cpt);
-        if self.shared_tree::<MaxW, _>(f, queries, &mut cpt, out, |_, k| Some(k)) {
-            self.edges.clear();
-            self.edges.extend(
-                cpt.edges
-                    .iter()
-                    .map(|e| (self.label[&e.u], self.label[&e.v], e.key)),
-            );
-            let pm = ForestPathMax::new(cpt.vertices.len(), &self.edges);
-            for (slot, &(u, v)) in out.iter_mut().zip(queries) {
-                *slot = if u == v {
-                    None
-                } else {
-                    pm.query(self.label[&u], self.label[&v])
-                };
-            }
-        }
-        self.cpt = cpt;
-    }
-
-    /// Answers a *non-max* fold chunk, cutoff-filtered: `out[i]` is the
-    /// fold of `M` over `queries[i]`'s path if its heaviest edge passes
-    /// `cut.get(i)`, else `None`.
-    ///
-    /// One fold tree of `Pair<MaxW, M>` over the chunk's endpoints
-    /// ([`fold_path_tree_with`]) labels every compressed edge with its
-    /// segment's heaviest key — the Lemma 5.1 recency witness — and its
-    /// fold of `M`; a [`ForestPathFold::from_values`] oracle over those
-    /// labels combines the segments of each query. Chunks below
-    /// [`SHARED_CPT_MIN`] build one 2-mark fold tree per query instead.
-    fn run_fold<M: PathMonoid>(
-        &mut self,
-        f: &RcForest,
-        queries: &[(VertexId, VertexId)],
-        cut: Cutoffs<'_>,
-        out: &mut [Option<M::Value>],
-    ) {
-        let answer = |i, (mk, val): (WKey, M::Value)| (mk.id >= cut.get(i)).then_some(val);
-        // The labels are `M`-typed and so cannot live in the (untyped)
-        // scratch; this per-chunk allocation mirrors the per-chunk oracle
-        // build in `run`.
-        let mut tree = Cpt::default();
-        if !self.shared_tree::<Pair<MaxW, M>, _>(f, queries, &mut tree, out, answer) {
-            return;
-        }
-        let edges: Vec<_> = tree
-            .edges
-            .iter()
+        let edges: Vec<_> = (tree.edges.iter())
             .map(|e| (self.label[&e.u], self.label[&e.v], e.key))
             .collect();
-        let pf = ForestPathFold::<Pair<MaxW, M>>::from_values(tree.vertices.len(), &edges);
+        let oracle = ForestPathFold::<T>::from_values(tree.vertices.len(), &edges);
         for (i, (slot, &(u, v))) in out.iter_mut().zip(queries).enumerate() {
             *slot = if u == v {
                 None
             } else {
-                pf.query(self.label[&u], self.label[&v])
-                    .and_then(|x| answer(i, x))
+                (oracle.query(self.label[&u], self.label[&v])).and_then(|x| answer(i, x))
             };
         }
     }
@@ -437,8 +356,8 @@ fn par_each<T: Send, F: Fn(&mut T) + Sync>(items: &mut [T], f: &F) {
 struct QueryObs {
     /// `query_batch_size`: queries per batch, across all batch entry points.
     batch_size: bimst_obs::Histogram,
-    /// `query_pathmax_chunks`: CPT chunks built by the path-max and fold
-    /// plans (the linear plan builds none).
+    /// `query_pathmax_chunks`: chunks built by the CPT plan (the linear
+    /// plan builds none).
     pathmax_chunks: bimst_obs::Counter,
     /// `query_plan_linear`: batches answered by a linear plan — the
     /// Kruskal-order pass for max-summary batches, the offline path-fold
@@ -464,25 +383,25 @@ fn qobs() -> &'static QueryObs {
 /// Owns the intermediates the batch plans reuse — one CPT workspace per
 /// path chunk, and the two linear passes' buffers. Connectivity and
 /// component-size batches allocate only their output vectors. The CPT
-/// path-max plan additionally builds a fresh per-chunk [`ForestPathMax`]
-/// oracle (binary-lifting tables sized by the chunk, not the structure); the linear path-max plan reuses its sort, union-find
-/// and list buffers and allocates nothing at steady state; the linear fold
-/// plan reuses its untyped buffers and allocates only its `M`-typed
-/// per-vertex fold buffer. Every entry point returns a fresh answer
-/// vector. One `QueryBatch` serves one thread of control; the parallelism
-/// is *inside* each call.
+/// plan additionally builds each chunk's tree and a fresh
+/// [`ForestPathFold`] oracle over it (binary-lifting tables sized by the
+/// chunk, not the structure); the linear path-max pass reuses its sort,
+/// union-find and list buffers and allocates nothing at steady state; the
+/// linear fold pass reuses its untyped buffers and allocates only its
+/// `M`-typed per-vertex fold buffer. Every entry point returns a fresh
+/// answer vector. One `QueryBatch` serves one thread of control; the
+/// parallelism is *inside* each call.
 #[derive(Default)]
 pub struct QueryBatch {
-    /// Per-chunk scratch for the path-max / lazy-window plans.
+    /// Per-chunk scratch for the CPT plan.
     path_ws: Vec<PathChunkScratch>,
-    /// Path-max answers reused by the windowed-connectivity and
-    /// max-summary fold cores.
+    /// Path-max answers of the linear max-summary pass.
     pm_buf: Vec<Option<WKey>>,
     /// Sort, union-find and pending-list buffers of the linear path-max
-    /// plan.
+    /// pass.
     linear: KruskalPathMax,
     /// Adjacency, sweep, union-find and list buffers of the linear fold
-    /// plan.
+    /// pass.
     fold: OfflinePathFold,
 }
 
@@ -520,7 +439,7 @@ impl QueryBatch {
     /// Batched [`BatchMsf::path_max`]: `out[i]` answers `queries[i]`
     /// (`None` when disconnected or `u == v`).
     ///
-    /// Batches that cover the forest take the linear Kruskal-order plan
+    /// Batches that cover the forest take the linear Kruskal-order pass
     /// (see the crate docs). Otherwise queries are cut into fixed chunks
     /// (`PATH_CHUNK` = 512); each chunk is answered from one compressed
     /// path tree over its distinct endpoints plus a static path-max
@@ -533,33 +452,12 @@ impl QueryBatch {
         self.fold_core::<MaxW>(h, queries, Cutoffs::None)
     }
 
-    /// The path-max plan every max-summary fold and every
-    /// windowed-connectivity core builds on: `out[i]` is the heaviest key
-    /// on `queries[i]`'s MSF path. Picks the linear Kruskal-order pass
-    /// when the batch covers the forest ([`QueryBatch::use_linear`]),
-    /// else the chunked shared-CPT plan; both answer identically.
-    fn path_max_plan_into(
-        &mut self,
-        h: ReadHandle<'_>,
-        queries: &[(VertexId, VertexId)],
-        out: &mut Vec<Option<WKey>>,
-    ) {
-        let o = qobs();
-        o.batch_size.record(queries.len() as u64);
-        if Self::use_linear(h.msf.num_vertices(), queries.len()) {
-            o.plan_linear.inc();
-            self.linear_plan_into(h, queries, out);
-        } else {
-            self.cpt_plan_into(h, queries, out);
-        }
-    }
-
     /// Whether a linear pass (Kruskal-order for max-summary batches, the
     /// offline path-fold sweep for other folds) beats the chunked CPT plan
     /// on a batch of `nqueries` over `n` vertices: the CPT plan's
     /// `O(m lg(1 + n/m))` for `m = 2·nqueries` marks reaches the pass's
     /// `O(n)` once the marks cover the forest (see [`LINEAR_C`]). Batches
-    /// below [`SHARED_CPT_MIN`] keep the per-query walks and fold trees.
+    /// below [`SHARED_CPT_MIN`] keep the per-query trees.
     fn use_linear(n: usize, nqueries: usize) -> bool {
         if nqueries < SHARED_CPT_MIN {
             return false;
@@ -568,140 +466,100 @@ impl QueryBatch {
         n <= LINEAR_C * m * (1.0 + n / m).log2()
     }
 
-    /// The linear plan: one sequential union pass over the MSF's real
-    /// edges in key order ([`KruskalPathMax`]), reusing its buffers.
-    fn linear_plan_into(
-        &mut self,
-        h: ReadHandle<'_>,
-        queries: &[(VertexId, VertexId)],
-        out: &mut Vec<Option<WKey>>,
-    ) {
-        out.resize(queries.len(), None); // `run` overwrites every slot
-        let edges = h.msf.iter_msf_edges().map(|(_, u, v, k)| (u, v, k));
-        self.linear.run(h.msf.num_vertices(), edges, queries, out);
-    }
-
-    /// The shared-CPT plan (chunked, parallel, scratch-reusing): each
-    /// [`PATH_CHUNK`] of queries is answered from one compressed path tree
-    /// over its distinct endpoints plus a static path-max oracle.
-    fn cpt_plan_into(
-        &mut self,
-        h: ReadHandle<'_>,
-        queries: &[(VertexId, VertexId)],
-        out: &mut Vec<Option<WKey>>,
-    ) {
-        let f = h.msf.forest();
-        self.par_chunks(queries, Cutoffs::None, out, |ws, q, _, o| ws.run(f, q, o));
-    }
-
-    /// The chunk driver of the CPT plans: cuts `queries` into
-    /// [`PATH_CHUNK`]s and runs `chunk` on each in parallel, with the
-    /// chunk's reused scratch, queries, cutoffs and window of `out` (cleared
-    /// and resized to the batch first).
-    fn par_chunks<V: Send + Clone>(
-        &mut self,
-        queries: &[(VertexId, VertexId)],
-        cutoffs: Cutoffs<'_>,
-        out: &mut Vec<Option<V>>,
-        chunk: impl Fn(&mut PathChunkScratch, &[(VertexId, VertexId)], Cutoffs<'_>, &mut [Option<V>])
-            + Sync,
-    ) {
-        out.clear();
-        out.resize(queries.len(), None);
-        let nchunks = queries.len().div_ceil(PATH_CHUNK);
-        qobs().pathmax_chunks.add(nchunks as u64);
-        if self.path_ws.len() < nchunks {
-            self.path_ws.resize_with(nchunks, Default::default);
-        }
-        let mut items: Vec<_> = self.path_ws[..nchunks]
-            .iter_mut()
-            .zip(out.chunks_mut(PATH_CHUNK))
-            .zip(queries.chunks(PATH_CHUNK))
-            .enumerate()
-            .map(|(i, ((ws, o), q))| {
-                let start = i * PATH_CHUNK;
-                (ws, o, q, cutoffs.slice(start..start + q.len()))
-            })
-            .collect();
-        par_each(&mut items, &|(ws, o, q, c)| chunk(ws, q, *c, o));
-    }
-
-    /// The canonical fold core: answer `i` is the fold of `M` over
-    /// `queries[i]`'s MSF path, filtered by the recent-edge test at
-    /// `cutoffs.get(i)` ([`Cutoffs::None`] disables the filter). Every
-    /// public path-fold and path-max entry point calls it.
-    ///
-    /// Max-summary monoids ([`PathMonoid::MAX_SUMMARY`]) are answered by
-    /// the path-max plan (linear or shared-CPT) plus
-    /// [`PathMonoid::summarize`] — for [`MaxW`] that monomorphizes to
-    /// exactly the path-max plan. Other monoids take the same plan rule
-    /// ([`QueryBatch::use_linear`]): batches that cover the forest take the
-    /// offline path-fold pass ([`QueryBatch::linear_fold_into`]), the rest
-    /// the CPT chunking ([`QueryBatch::cpt_fold_into`]). Both fold
-    /// `Pair<MaxW, M>`, whose max half is the recency witness.
+    /// The fold core every path-shaped entry point calls: records the
+    /// batch and picks the plan ([`QueryBatch::use_linear`]) for
+    /// [`QueryBatch::plan`].
     fn fold_core<M: PathMonoid>(
         &mut self,
         h: ReadHandle<'_>,
         queries: &[(VertexId, VertexId)],
         cutoffs: Cutoffs<'_>,
     ) -> Vec<Option<M::Value>> {
-        let mut out = Vec::new();
-        if M::MAX_SUMMARY {
-            let mut pm = std::mem::take(&mut self.pm_buf);
-            self.path_max_plan_into(h, queries, &mut pm);
-            out.extend(
-                pm.iter()
-                    .enumerate()
-                    .map(|(i, k)| k.filter(|k| k.id >= cutoffs.get(i)).map(M::summarize)),
-            );
-            self.pm_buf = pm;
-            return out;
-        }
         let o = qobs();
         o.batch_size.record(queries.len() as u64);
-        if Self::use_linear(h.msf.num_vertices(), queries.len()) {
+        let linear = Self::use_linear(h.msf.num_vertices(), queries.len());
+        if linear {
             o.plan_linear.inc();
-            self.linear_fold_into::<M>(h, queries, cutoffs, &mut out);
-        } else {
-            self.cpt_fold_into::<M>(h, queries, cutoffs, &mut out);
+        }
+        self.plan::<M>(h, queries, cutoffs, linear)
+    }
+
+    /// The one plan of every path-shaped batch: answer `i` is the fold of
+    /// `M` over `queries[i]`'s MSF path, kept when the path's heaviest key
+    /// passes the recent-edge test at `cutoffs.get(i)`, `None` otherwise
+    /// and when disconnected or `u == v`. Three routes, identical answers:
+    ///
+    /// * `linear`, max-summary `M` ([`PathMonoid::MAX_SUMMARY`]): the
+    ///   Kruskal-order pass ([`KruskalPathMax`]) plus
+    ///   [`PathMonoid::summarize`];
+    /// * `linear`, any other `M`: the offline fold pass
+    ///   ([`OfflinePathFold`]) over `Pair<MaxW, M>`, whose max half is the
+    ///   recency witness;
+    /// * otherwise the CPT plan, over trees of `MaxW` for max-summary `M`
+    ///   and of `Pair<MaxW, M>` for the rest.
+    fn plan<M: PathMonoid>(
+        &mut self,
+        h: ReadHandle<'_>,
+        queries: &[(VertexId, VertexId)],
+        cutoffs: Cutoffs<'_>,
+        linear: bool,
+    ) -> Vec<Option<M::Value>> {
+        let mut out = vec![None; queries.len()];
+        let n = h.msf.num_vertices();
+        let edges = || h.msf.iter_msf_edges().map(|(_, u, v, k)| (u, v, k));
+        let fresh = |i: usize, k: WKey| k.id >= cutoffs.get(i);
+        match (linear, M::MAX_SUMMARY) {
+            (true, true) => {
+                let pm = &mut self.pm_buf;
+                pm.resize(queries.len(), None); // `run` overwrites every slot
+                self.linear.run(n, edges(), queries, pm);
+                for (i, (slot, &k)) in out.iter_mut().zip(pm.iter()).enumerate() {
+                    *slot = k.filter(|&k| fresh(i, k)).map(M::summarize);
+                }
+            }
+            (true, false) => self
+                .fold
+                .run::<Pair<MaxW, M>>(n, edges(), queries, |i, (mk, val)| {
+                    if fresh(i, mk) {
+                        out[i] = Some(val);
+                    }
+                }),
+            (false, true) => self.cpt_plan::<MaxW, _>(h, queries, &mut out, |i, k| {
+                fresh(i, k).then(|| M::summarize(k))
+            }),
+            (false, false) => {
+                self.cpt_plan::<Pair<MaxW, M>, _>(h, queries, &mut out, |i, (mk, val)| {
+                    fresh(i, mk).then_some(val)
+                })
+            }
         }
         out
     }
 
-    /// The linear fold plan: one offline path-fold pass over the MSF's
-    /// real edges ([`OfflinePathFold`]), folding `Pair<MaxW, M>` and
-    /// keeping each answer whose heaviest edge passes its cutoff.
-    fn linear_fold_into<M: PathMonoid>(
+    /// The CPT plan: cuts `queries` into [`PATH_CHUNK`]s and answers each
+    /// in parallel, on its reused scratch, from path trees of `T`
+    /// ([`PathChunkScratch::run`]); `answer` sees batch indices.
+    fn cpt_plan<T: PathMonoid, V: Send>(
         &mut self,
         h: ReadHandle<'_>,
         queries: &[(VertexId, VertexId)],
-        cutoffs: Cutoffs<'_>,
-        out: &mut Vec<Option<M::Value>>,
-    ) {
-        out.clear();
-        out.resize(queries.len(), None);
-        let edges = h.msf.iter_msf_edges().map(|(_, u, v, k)| (u, v, k));
-        self.fold
-            .run::<Pair<MaxW, M>>(h.msf.num_vertices(), edges, queries, |i, (mk, val)| {
-                if mk.id >= cutoffs.get(i) {
-                    out[i] = Some(val);
-                }
-            });
-    }
-
-    /// The shared-CPT fold plan: each [`PATH_CHUNK`] of queries is folded
-    /// by [`PathChunkScratch::run_fold`] (chunks below [`SHARED_CPT_MIN`]
-    /// build a 2-mark fold tree per query).
-    fn cpt_fold_into<M: PathMonoid>(
-        &mut self,
-        h: ReadHandle<'_>,
-        queries: &[(VertexId, VertexId)],
-        cutoffs: Cutoffs<'_>,
-        out: &mut Vec<Option<M::Value>>,
+        out: &mut [Option<V>],
+        answer: impl Fn(usize, T::Value) -> Option<V> + Sync,
     ) {
         let f = h.msf.forest();
-        self.par_chunks(queries, cutoffs, out, |ws, q, c, o| {
-            ws.run_fold::<M>(f, q, c, o)
+        let nchunks = queries.len().div_ceil(PATH_CHUNK);
+        qobs().pathmax_chunks.add(nchunks as u64);
+        if self.path_ws.len() < nchunks {
+            self.path_ws.resize_with(nchunks, Default::default);
+        }
+        let mut items: Vec<_> = (self.path_ws.iter_mut())
+            .zip(out.chunks_mut(PATH_CHUNK))
+            .zip(queries.chunks(PATH_CHUNK))
+            .enumerate()
+            .collect();
+        par_each(&mut items, &|(c, ((ws, o), q))| {
+            let base = *c * PATH_CHUNK;
+            ws.run::<T, V>(f, q, o, |i, x| answer(base + i, x))
         });
     }
 
@@ -709,13 +567,13 @@ impl QueryBatch {
     /// the MSF path of `queries[i]` (`None` when disconnected or `u == v`).
     ///
     /// `batch_path_fold::<MaxW>` is bit-identical to
-    /// [`QueryBatch::batch_path_max`]; see the private `fold_core` for
-    /// how non-max monoids pick the linear or the chunked CPT plan. Caveat
-    /// for [`bimst_primitives::monoid::SumW`]: the CPT plan and the
-    /// per-query fold trees associate `f64` addition in RC-tree order and
-    /// the linear plan in path-compression order, so answers can differ by
-    /// rounding unless weights are integer-valued (recency weights are, as
-    /// are all committed oracles' weights).
+    /// [`QueryBatch::batch_path_max`]; see the private `plan` for how
+    /// monoids pick the linear or the chunked CPT plan. Caveat for
+    /// [`bimst_primitives::monoid::SumW`]: the CPT plan and the per-query
+    /// fold trees associate `f64` addition in RC-tree order and the linear
+    /// plan in path-compression order, so answers can differ by rounding
+    /// unless weights are integer-valued (recency weights are, as are all
+    /// committed oracles' weights).
     pub fn batch_path_fold<M: PathMonoid>(
         &mut self,
         h: ReadHandle<'_>,
@@ -746,23 +604,6 @@ impl QueryBatch {
         self.fold_core::<M>(h, queries, cut)
     }
 
-    /// Batched fold restricted to per-query window suffixes: `out[i]`
-    /// folds `M` over `queries[i]`'s path in the window starting at
-    /// `cutoffs[i]`, `None` if disconnected there. The fold analogue of
-    /// [`QueryBatch::batch_connected_at`] (and the multi-tenant fold
-    /// primitive): one shared plan, per-tenant cutoffs applied as the
-    /// final O(1) filter on the heaviest-key witness.
-    pub fn batch_path_fold_at<M: PathMonoid, W: WindowConnectivity>(
-        &mut self,
-        w: &W,
-        queries: &[(VertexId, VertexId)],
-        cutoffs: &[u64],
-    ) -> Vec<Option<M::Value>> {
-        Self::assert_cutoffs_fresh(w, queries, cutoffs);
-        let h = ReadHandle::new(WindowConnectivity::msf(w));
-        self.fold_core::<M>(h, queries, Cutoffs::Per(cutoffs))
-    }
-
     /// Batched window connectivity (`SwConn::is_connected` /
     /// `SwConnEager::is_connected`): `out[i]` answers `queries[i]` against
     /// the structure's current window.
@@ -776,103 +617,60 @@ impl QueryBatch {
         w: &W,
         queries: &[(VertexId, VertexId)],
     ) -> Vec<bool> {
+        let h = ReadHandle::new(WindowConnectivity::msf(w));
         if w.lazy_expiry() {
-            self.window_filtered_core(w, queries, Cutoffs::Uniform(w.window_start()))
+            let pm = self.fold_core::<MaxW>(h, queries, Cutoffs::Uniform(w.window_start()));
+            reached(queries, &pm)
         } else {
             // `batch_connected` already answers `u == v` as true (equal
             // roots), exactly like the eager structure's root comparison.
-            self.batch_connected(ReadHandle::new(WindowConnectivity::msf(w)), queries)
+            self.batch_connected(h, queries)
         }
-    }
-
-    /// The canonical windowed-connectivity core: the path-max plan plus
-    /// the recent-edge test at `cutoffs.get(i)`; `u == v` answers `true`
-    /// (a vertex is connected to itself in any window). Serves
-    /// [`QueryBatch::batch_window_connected`] (lazy side) and
-    /// [`QueryBatch::batch_connected_at`].
-    fn window_filtered_core<W: WindowConnectivity>(
-        &mut self,
-        w: &W,
-        queries: &[(VertexId, VertexId)],
-        cutoffs: Cutoffs<'_>,
-    ) -> Vec<bool> {
-        let h = ReadHandle::new(WindowConnectivity::msf(w));
-        let mut pm = std::mem::take(&mut self.pm_buf);
-        self.path_max_plan_into(h, queries, &mut pm);
-        let out = queries
-            .iter()
-            .zip(&pm)
-            .enumerate()
-            .map(|(i, (&(u, v), k))| u == v || k.is_some_and(|k| k.id >= cutoffs.get(i)))
-            .collect();
-        self.pm_buf = pm;
-        out
-    }
-
-    /// Asserts one cutoff per query, each at or above the window start
-    /// (satisfied by construction for [`TenantSet`] cutoffs): a stale
-    /// cutoff below `TW` would silently answer from expired edges, so it
-    /// fails loudly instead, in every build profile. O(q) per batch.
-    fn assert_cutoffs_fresh<W: WindowConnectivity>(
-        w: &W,
-        queries: &[(VertexId, VertexId)],
-        cutoffs: &[u64],
-    ) {
-        assert_eq!(queries.len(), cutoffs.len(), "one cutoff per query");
-        assert!(
-            cutoffs.iter().all(|&c| c >= w.window_start()),
-            "stale cutoff below the window start {}",
-            w.window_start()
-        );
     }
 
     /// Generalized recent-edge test: `out[i]` answers `queries[i]` against
     /// the window suffix `[cutoffs[i], t)` rather than the structure's own
     /// window. This is the multi-tenant primitive — one shared path-max
     /// plan (linear pass or shared CPTs) answers a *mixed* batch from
-    /// many tenants, and each tenant's cutoff is applied as a final O(1)
-    /// per-query filter, never re-walking the shared work.
+    /// many tenants (cutoffs from [`WindowConnectivity::tenant_cutoff`]),
+    /// and each tenant's cutoff is applied as a final O(1) per-query
+    /// filter, never re-walking the shared work.
     ///
     /// Correct under both expiry disciplines for any `cutoff ≥ TW`: the
     /// retained MSF is the incremental MSF of a superset window, and
     /// Lemma 5.1 filters it to any suffix.
+    ///
+    /// # Panics
+    ///
+    /// Unless there is one cutoff per query, each at or above the window
+    /// start (satisfied by construction for [`TenantSet`] cutoffs): a
+    /// stale cutoff below `TW` would silently answer from expired edges,
+    /// so it fails loudly instead, in every build profile.
     pub fn batch_connected_at<W: WindowConnectivity>(
         &mut self,
         w: &W,
         queries: &[(VertexId, VertexId)],
         cutoffs: &[u64],
     ) -> Vec<bool> {
-        Self::assert_cutoffs_fresh(w, queries, cutoffs);
-        self.window_filtered_core(w, queries, Cutoffs::Per(cutoffs))
+        assert_eq!(queries.len(), cutoffs.len(), "one cutoff per query");
+        assert!(
+            cutoffs.iter().all(|&c| c >= w.window_start()),
+            "stale cutoff below the window start {}",
+            w.window_start()
+        );
+        let h = ReadHandle::new(WindowConnectivity::msf(w));
+        let pm = self.fold_core::<MaxW>(h, queries, Cutoffs::Per(cutoffs));
+        reached(queries, &pm)
     }
+}
 
-    /// A mixed multi-tenant connectivity batch: `queries[i]` is
-    /// `(tenant, u, v)` and the answer is connectivity in that tenant's
-    /// window. Each query takes its tenant's cutoff
-    /// ([`WindowConnectivity::tenant_cutoff`]), and **one** merged
-    /// [`QueryBatch::batch_connected_at`] plan answers the whole batch,
-    /// bit-identical to the sequential `TenantSet::is_connected` loop.
-    ///
-    /// # Panics
-    ///
-    /// On a tenant id the structure does not serve (fail stop).
-    pub fn batch_tenant_connected<W: WindowConnectivity>(
-        &mut self,
-        w: &W,
-        queries: &[(u32, VertexId, VertexId)],
-    ) -> Vec<bool> {
-        let (pairs, cutoffs): (Vec<_>, Vec<_>) = queries
-            .iter()
-            .map(|&(tenant, u, v)| {
-                let cut = w.tenant_cutoff(tenant);
-                (
-                    (u, v),
-                    cut.unwrap_or_else(|| panic!("bimst-query: unknown tenant id {tenant}")),
-                )
-            })
-            .unzip();
-        self.batch_connected_at(w, &pairs, &cutoffs)
-    }
+/// Window connectivity from the cutoff-filtered path-max answers `pm`:
+/// `u == v` answers `true` (a vertex is connected to itself in any
+/// window), any other pair whether its path survived the filter.
+fn reached(queries: &[(VertexId, VertexId)], pm: &[Option<WKey>]) -> Vec<bool> {
+    (queries.iter().zip(pm))
+        .map(|(&(u, v), k)| u == v || k.is_some())
+        .collect()
 }
 
 // `ReadHandle` must be shareable across worker threads; this is a
@@ -942,22 +740,43 @@ mod tests {
         assert_eq!(q.path_ws.len(), chunks, "chunk scratch must be reused");
     }
 
-    /// Runs the linear and the chunked CPT path-max plans on one batch and
-    /// checks both against the per-query [`BatchMsf::path_max`]; then does
-    /// the same for the two fold plans of `MinW`, `SumW` and `Hops`, each
-    /// under a uniform and a per-query cutoff, against the binary-lifting
-    /// referee [`oracle`]. `SumW` compares exactly only on integer-valued
-    /// weights, which every fixture uses.
+    /// Runs [`QueryBatch::plan`] on `pairs` both ways — the linear pass
+    /// and the CPT plan on the whole batch — and the CPT plan once more on
+    /// each pair as a one-query batch, the route below [`SHARED_CPT_MIN`].
+    /// All three must return `want`.
+    fn assert_routes<M: PathMonoid>(
+        q: &mut QueryBatch,
+        h: ReadHandle<'_>,
+        pairs: &[(u32, u32)],
+        cut: Cutoffs<'_>,
+        want: &[Option<M::Value>],
+        what: &str,
+    ) {
+        assert_eq!(q.plan::<M>(h, pairs, cut, true), want, "linear {what}");
+        assert_eq!(q.plan::<M>(h, pairs, cut, false), want, "CPT {what}");
+        for (i, pair) in pairs.iter().enumerate() {
+            let one = match cut {
+                Cutoffs::Per(cs) => Cutoffs::Per(&cs[i..=i]),
+                other => other,
+            };
+            let got = q.plan::<M>(h, std::slice::from_ref(pair), one, false);
+            assert_eq!(got, [want[i]], "per-query CPT {what}, pair {pair:?}");
+        }
+    }
+
+    /// Checks every route of [`QueryBatch::plan`] ([`assert_routes`]) for
+    /// path-max against the per-query [`BatchMsf::path_max`]; then does the
+    /// same for the folds of `MaxW`, `MinW`, `SumW` and `Hops`, each under a
+    /// uniform and a per-query cutoff, against the binary-lifting referee
+    /// [`oracle`]. `SumW` compares exactly only on integer-valued weights,
+    /// which every fixture uses.
     fn assert_plans_agree(msf: &BatchMsf, pairs: &[(u32, u32)]) {
         use bimst_primitives::monoid::{Hops, MinW, SumW};
         let h = ReadHandle::new(msf);
         let mut q = QueryBatch::new();
-        let (mut linear, mut cpt) = (Vec::new(), Vec::new());
-        q.linear_plan_into(h, pairs, &mut linear);
-        q.cpt_plan_into(h, pairs, &mut cpt);
         let want: Vec<Option<WKey>> = pairs.iter().map(|&(u, v)| msf.path_max(u, v)).collect();
-        assert_eq!(linear, want, "linear plan");
-        assert_eq!(cpt, want, "CPT plan");
+        assert_routes::<MaxW>(&mut q, h, pairs, Cutoffs::None, &want, "path-max");
+        assert_fold_plans_agree::<MaxW>(&mut q, msf, pairs);
         assert_fold_plans_agree::<MinW>(&mut q, msf, pairs);
         assert_fold_plans_agree::<SumW>(&mut q, msf, pairs);
         assert_fold_plans_agree::<Hops>(&mut q, msf, pairs);
@@ -1006,11 +825,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, p)| p.and_then(|(mk, val)| (mk.id >= cut.get(i)).then_some(val)))
                 .collect();
-            let (mut linear, mut cpt) = (Vec::new(), Vec::new());
-            q.linear_fold_into::<M>(h, pairs, cut, &mut linear);
-            q.cpt_fold_into::<M>(h, pairs, cut, &mut cpt);
-            assert_eq!(linear, want, "linear fold plan");
-            assert_eq!(cpt, want, "CPT fold plan");
+            assert_routes::<M>(q, h, pairs, cut, &want, "fold plan");
         }
     }
 
@@ -1267,6 +1082,21 @@ mod tests {
         }
     }
 
+    /// The fold of `M` at per-query `cutoffs` on `w`'s structure, through
+    /// [`QueryBatch::plan`]; both plans must agree.
+    fn fold_at<M: PathMonoid, W: WindowConnectivity>(
+        q: &mut QueryBatch,
+        w: &W,
+        queries: &[(u32, u32)],
+        cutoffs: &[u64],
+    ) -> Vec<Option<M::Value>> {
+        let h = ReadHandle::new(WindowConnectivity::msf(w));
+        let linear = q.plan::<M>(h, queries, Cutoffs::Per(cutoffs), true);
+        let cpt = q.plan::<M>(h, queries, Cutoffs::Per(cutoffs), false);
+        assert_eq!(linear, cpt, "linear and CPT plans disagree at cutoffs");
+        linear
+    }
+
     #[test]
     fn fold_cutoff_and_window_plans_agree_with_connectivity() {
         use bimst_primitives::monoid::Hops;
@@ -1287,9 +1117,9 @@ mod tests {
         // the window path whenever its oldest edge is unexpired).
         for cut in 0..=4u64 {
             let cutoffs = vec![cut; queries.len()];
-            let fl = q.batch_path_fold_at::<Hops, _>(&lazy, &queries, &cutoffs);
+            let fl = fold_at::<Hops, _>(&mut q, &lazy, &queries, &cutoffs);
             let conn = q.batch_connected_at(&lazy, &queries, &cutoffs);
-            let pm = q.batch_path_fold_at::<MaxW, _>(&lazy, &queries, &cutoffs);
+            let pm = fold_at::<MaxW, _>(&mut q, &lazy, &queries, &cutoffs);
             for (((&(u, v), f), &c), k) in queries.iter().zip(&fl).zip(&conn).zip(&pm) {
                 assert_eq!(f.is_some(), c && u != v, "cutoff {cut} ({u},{v})");
                 assert_eq!(f.is_some(), k.is_some(), "cutoff {cut} ({u},{v})");
@@ -1398,7 +1228,7 @@ mod tests {
                 .collect();
             assert_eq!(got, expect, "cutoff {cut}");
             // Max fold at the cutoff: present iff connected there (u != v).
-            let pm = q.batch_path_fold_at::<MaxW, _>(&lazy, &queries, &cutoffs);
+            let pm = fold_at::<MaxW, _>(&mut q, &lazy, &queries, &cutoffs);
             for ((&(u, v), k), &conn) in queries.iter().zip(&pm).zip(&got) {
                 assert_eq!(k.is_some(), conn && u != v, "cutoff {cut} ({u},{v})");
             }
@@ -1442,21 +1272,17 @@ mod tests {
             let mixed: Vec<(u32, u32, u32)> = (0..10u32)
                 .flat_map(|u| (0..10u32).map(move |v| ((u + v) % 3, u, v)))
                 .collect();
-            let got = q.batch_tenant_connected(&ts, &mixed);
+            let (pairs, cutoffs): (Vec<_>, Vec<_>) = mixed
+                .iter()
+                .map(|&(ten, u, v)| ((u, v), ts.cutoff(ten).unwrap()))
+                .unzip();
+            let got = q.batch_connected_at(&ts, &pairs, &cutoffs);
             let expect: Vec<bool> = mixed
                 .iter()
                 .map(|&(ten, u, v)| ts.is_connected(ten, u, v))
                 .collect();
             assert_eq!(got, expect, "round {round}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown tenant id")]
-    fn tenant_batch_on_single_window_fails_stop() {
-        let mut lazy = SwConn::new(4, 1);
-        lazy.batch_insert(&[(0, 1)]);
-        QueryBatch::new().batch_tenant_connected(&lazy, &[(0, 0, 1)]);
     }
 
     #[test]

@@ -125,16 +125,6 @@ pub const NONE_NODE: NodeId = u32::MAX;
 /// fit in cache regardless of order.
 const SORT_GRAIN: usize = 2048;
 
-/// Whether `BIMST_PROP_STATS=1` asks for per-round frontier statistics on
-/// stderr (the human-readable dump). The same numbers — and more — are
-/// always recorded on the process-wide `bimst_obs::global()` recorder as
-/// the `engine_*` metrics (see [`cobs`]); the env var only controls the
-/// eprintln rendering.
-fn prop_stats() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("BIMST_PROP_STATS").is_some_and(|v| v == "1"))
-}
-
 /// Initial frontier size below which `propagate` skips its span timer:
 /// single-edge batches finish in about a microsecond, where even two
 /// monotonic clock reads would be measurable against the paired-baseline
@@ -847,19 +837,10 @@ impl Engine {
                 debug_assert!(self.dirty.is_empty(), "dirty nodes left unresolved");
                 break;
             }
-            // Structured round stats (always on; relaxed atomic adds)...
+            // Structured round stats (always on; relaxed atomic adds).
             let o = cobs();
             o.rounds.inc();
             o.frontier.record(ws.set.len() as u64);
-            // ...and the opt-in human-readable rendering of the same.
-            if prop_stats() {
-                eprintln!(
-                    "round {r}: set={} dirty={} cur={}",
-                    ws.set.len(),
-                    self.dirty.len(),
-                    ws.cur.len()
-                );
-            }
             self.process_round(r, &mut ws);
             std::mem::swap(&mut ws.cur, &mut ws.next);
             r += 1;

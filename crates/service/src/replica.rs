@@ -712,9 +712,6 @@ mod tests {
     #[test]
     fn metrics_expose_replica_lag() {
         bimst_obs::set_enabled(true);
-        if !bimst_obs::enabled() {
-            return; // no-op obs build: nothing to observe
-        }
         let set = ReplicaSet::eager(
             50,
             5,
@@ -817,9 +814,6 @@ mod tests {
     #[test]
     fn durable_set_reports_wal_metrics() {
         bimst_obs::set_enabled(true);
-        if !bimst_obs::enabled() {
-            return; // no-op obs build: nothing to observe
-        }
         let dir = tmpdir("walobs");
         let set = ReplicaSet::lazy_durable(&dir, 16, 4, ReplicaSetConfig::default()).unwrap();
         for _ in 0..3 {
@@ -931,9 +925,6 @@ mod tests {
     #[test]
     fn set_snapshot_folds_the_global_recorder_once() {
         bimst_obs::set_enabled(true);
-        if !bimst_obs::enabled() {
-            return; // no-op obs build: nothing to observe
-        }
         let set = ReplicaSet::eager(64, 2, ReplicaSetConfig::default());
         set.insert(ring(64)).unwrap();
         set.expire(10).unwrap();

@@ -354,7 +354,6 @@ pub(crate) fn meta(n: usize, seed: u64, eager: bool) -> Meta {
         n: n as u64,
         seed,
         eager,
-        tenants: false,
     }
 }
 

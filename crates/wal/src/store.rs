@@ -82,21 +82,13 @@ pub struct Meta {
     /// `true` for eager expiry (`SwConnEager`), `false` for lazy
     /// (`SwConn`).
     pub eager: bool,
-    /// `true` when the store is (or would be) tagged as backing a
-    /// multi-tenant window set. Durable recovery of a tenant registry
-    /// (its tenant windows and expiry floor) is future work, so the tag
-    /// exists only to fail loudly: [`Store::create`] refuses to create a
-    /// tenant-tagged store and every recovery entry point refuses to open
-    /// one, instead of silently rebuilding a single-window structure under
-    /// a registry that was never logged.
-    pub tenants: bool,
 }
 
 impl Meta {
     /// Checks this (stored) identity against a caller-supplied
     /// expectation. `Err` names every disagreeing field, so a recovery
     /// pointed at the wrong directory reports *what* is wrong (vertex
-    /// count, seed, expiry discipline, tenant tag) rather than silently
+    /// count, seed, expiry discipline) rather than silently
     /// rebuilding a structure the caller's config does not describe.
     pub fn matches(&self, expect: &Meta) -> Result<(), String> {
         let disc = |eager: bool| if eager { "eager" } else { "lazy" };
@@ -115,12 +107,6 @@ impl Meta {
                 "discipline {} != expected {}",
                 disc(self.eager),
                 disc(expect.eager)
-            ));
-        }
-        if self.tenants != expect.tenants {
-            bad.push(format!(
-                "tenant tag {} != expected {}",
-                self.tenants, expect.tenants
             ));
         }
         if bad.is_empty() {
@@ -200,15 +186,6 @@ fn corrupt(what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("bimst-wal: {what}"))
 }
 
-fn tenants_unsupported() -> io::Error {
-    io::Error::new(
-        io::ErrorKind::Unsupported,
-        "bimst-wal: tenant-tagged store: durable recovery of a tenant \
-         registry (tenant windows, expiry floor) is not \
-         implemented — serve tenant window sets in-memory",
-    )
-}
-
 /// Reads the single framed payload of a magic-headed file; `None` when the
 /// file is missing, torn, or fails its CRC (log files degrade gracefully).
 fn read_framed(path: &Path, magic: &[u8; FILE_HEADER]) -> Option<Vec<u8>> {
@@ -230,25 +207,40 @@ fn encode_meta(meta: &Meta, out: &mut Vec<u8>) {
     out.extend_from_slice(&meta.n.to_le_bytes());
     out.extend_from_slice(&meta.seed.to_le_bytes());
     out.push(meta.eager as u8);
-    out.push(meta.tenants as u8);
+    // The tenant tag: always 0, as this writer makes no tagged store.
+    out.push(0);
 }
 
-fn decode_meta(payload: &[u8]) -> Option<Meta> {
+/// Decodes a meta payload: `Ok(None)` when it is malformed, and
+/// `Unsupported` when byte 17, the tenant tag, marks it as backing a
+/// multi-tenant window set. Durable recovery of a tenant registry (its
+/// tenant windows and expiry floor) is future work, so such a store can
+/// only come from a foreign writer, and every recovery entry point
+/// refuses it instead of silently rebuilding a single-window structure
+/// under a registry that was never logged.
+fn decode_meta(payload: &[u8]) -> io::Result<Option<Meta>> {
     // 17-byte payloads predate the tenant tag; absence means untagged.
-    let tenants = match payload.len() {
+    let tagged = match payload.len() {
         17 => false,
         18 if payload[17] <= 1 => payload[17] == 1,
-        _ => return None,
+        _ => return Ok(None),
     };
     if payload[16] > 1 {
-        return None;
+        return Ok(None);
     }
-    Some(Meta {
+    if tagged {
+        return Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "bimst-wal: tenant-tagged store: durable recovery of a tenant \
+             registry (tenant windows, expiry floor) is not \
+             implemented — serve tenant window sets in-memory",
+        ));
+    }
+    Ok(Some(Meta {
         n: u64::from_le_bytes(payload[0..8].try_into().unwrap()),
         seed: u64::from_le_bytes(payload[8..16].try_into().unwrap()),
         eager: payload[16] == 1,
-        tenants,
-    })
+    }))
 }
 
 fn encode_ckpt(ck: &Checkpoint, out: &mut Vec<u8>) {
@@ -303,17 +295,13 @@ struct Scan {
 }
 
 fn scan(dir: &Path) -> io::Result<Scan> {
-    let meta = read_framed(&dir.join(META), MAGIC_META)
-        .as_deref()
-        .and_then(decode_meta)
-        .ok_or_else(|| corrupt("store meta missing or corrupt (not a WAL store?)"))?;
-    if meta.tenants {
-        // A tenant-tagged store can only come from a foreign writer:
-        // Store::create refuses to make one precisely because recovery
-        // of a tenant registry is future work. Refusing here covers every
-        // entry point (open, open_expecting, recover_dir) at once.
-        return Err(tenants_unsupported());
+    // Refusing a tenant-tagged store here covers every entry point
+    // (open, open_expecting, recover_dir) at once.
+    let meta = match read_framed(&dir.join(META), MAGIC_META) {
+        Some(payload) => decode_meta(&payload)?,
+        None => None,
     }
+    .ok_or_else(|| corrupt("store meta missing or corrupt (not a WAL store?)"))?;
 
     let mut ckpt_gens: Vec<u64> = Vec::new();
     let mut seg_gens: Vec<u64> = Vec::new();
@@ -458,13 +446,6 @@ impl Store {
     /// Creates a fresh store in `dir` (created if missing; must not
     /// already hold a store).
     pub fn create(dir: impl AsRef<Path>, meta: &Meta) -> io::Result<Store> {
-        if meta.tenants {
-            // Refuse before touching the filesystem: a caller asking for a
-            // durable tenant registry must get a loud error, not a store
-            // that silently logs only the single-window subset of its
-            // state. (See `Meta::tenants`.)
-            return Err(tenants_unsupported());
-        }
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
         if dir.join(META).exists() {
@@ -679,7 +660,6 @@ mod tests {
             n: 64,
             seed: 9,
             eager: true,
-            tenants: false,
         };
         let mut store = Store::create(&dir, &meta).unwrap();
         assert!(
@@ -720,7 +700,6 @@ mod tests {
             n: 8,
             seed: 1,
             eager: false,
-            tenants: false,
         };
         let mut store = Store::create(&dir, &meta).unwrap();
         store.append(&Write::Insert(vec![(0, 1)])).unwrap();
@@ -750,7 +729,6 @@ mod tests {
             n: 8,
             seed: 1,
             eager: true,
-            tenants: false,
         };
         let mut store = Store::create(&dir, &meta).unwrap();
         for g in 1..=4u64 {
@@ -791,7 +769,6 @@ mod tests {
             n: 4,
             seed: 2,
             eager: true,
-            tenants: false,
         };
         let mut store = Store::create(&dir, &meta).unwrap();
         store.append(&Write::Insert(vec![(0, 1)])).unwrap();
@@ -833,7 +810,6 @@ mod tests {
             n: 4,
             seed: 3,
             eager: true,
-            tenants: false,
         };
         let mut store = Store::create(&dir, &meta).unwrap();
         let ops = [Write::Insert(vec![(0, 1), (2, 3)]), Write::Expire(7)];
@@ -852,10 +828,9 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Durable tenant registries are future work, so the tag must be a
-    /// loud `Unsupported` everywhere: `create` refuses to make a tagged
-    /// store (before touching the filesystem), and every recovery entry
-    /// point refuses to open one that a foreign writer produced.
+    /// Durable tenant registries are future work, so a tenant tag (meta
+    /// byte 17 = 1) that a foreign writer produced must be a loud
+    /// `Unsupported` from every recovery entry point.
     #[test]
     fn tenant_tagged_stores_are_refused_everywhere() {
         let dir = tmpdir("tenants");
@@ -863,20 +838,20 @@ mod tests {
             n: 8,
             seed: 1,
             eager: false,
-            tenants: true,
         };
-        let err = Store::create(&dir, &meta).err().expect("tagged create");
-        assert_eq!(err.kind(), io::ErrorKind::Unsupported);
-        assert!(!dir.exists(), "refusal must leave no store behind");
-
-        // Hand-craft the tagged store create refuses to make.
+        // Hand-craft the tagged store this writer never makes.
         fs::create_dir_all(&dir).unwrap();
         let mut payload = Vec::new();
         encode_meta(&meta, &mut payload);
+        payload[17] = 1;
         let mut bytes = MAGIC_META.to_vec();
         write_frame(&mut bytes, &payload);
         fs::write(dir.join(META), &bytes).unwrap();
         let err = Store::open(&dir).err().expect("tagged open");
+        assert_eq!(err.kind(), io::ErrorKind::Unsupported);
+        let err = Store::open_expecting(&dir, &meta)
+            .err()
+            .expect("tagged open_expecting");
         assert_eq!(err.kind(), io::ErrorKind::Unsupported);
         let err = recover_dir(&dir).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::Unsupported);
@@ -891,19 +866,20 @@ mod tests {
             n: 64,
             seed: 9,
             eager: true,
-            tenants: false,
         };
         let mut payload = Vec::new();
         encode_meta(&meta, &mut payload);
         assert_eq!(payload.len(), 18);
-        assert_eq!(decode_meta(&payload), Some(meta));
-        assert_eq!(decode_meta(&payload[..17]), Some(meta), "legacy width");
+        assert_eq!(payload[17], 0, "the tenant tag is always written as 0");
+        let decode = |p: &[u8]| decode_meta(p).unwrap();
+        assert_eq!(decode(&payload), Some(meta));
+        assert_eq!(decode(&payload[..17]), Some(meta), "legacy width");
         let mut bad = payload.clone();
         bad[17] = 2;
-        assert_eq!(decode_meta(&bad), None, "non-boolean tenant byte");
+        assert_eq!(decode(&bad), None, "non-boolean tenant byte");
         bad.push(0);
-        assert_eq!(decode_meta(&bad[..16]), None);
-        assert_eq!(decode_meta(&bad), None, "over-long meta");
+        assert_eq!(decode(&bad[..16]), None);
+        assert_eq!(decode(&bad), None, "over-long meta");
     }
 
     /// `open_expecting` pins recovery to the caller's config: a store
@@ -916,7 +892,6 @@ mod tests {
             n: 64,
             seed: 9,
             eager: true,
-            tenants: false,
         };
         let mut store = Store::create(&dir, &meta).unwrap();
         store.append(&Write::Insert(vec![(0, 1)])).unwrap();
@@ -932,7 +907,6 @@ mod tests {
             n: 63,
             seed: 10,
             eager: false,
-            tenants: false,
         };
         let err = Store::open_expecting(&dir, &wrong).err().expect("mismatch");
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);

@@ -122,7 +122,6 @@ fn run_store(dir: &Path, n: u32, seed: u64, ops: &[Write], ckpt_every: usize) ->
         n: n as u64,
         seed,
         eager: true,
-        tenants: false,
     };
     let mut store = Store::create(dir, &meta).unwrap();
     let mut w = SwConnEager::new(n as usize, seed);

@@ -112,3 +112,9 @@ pub use bimst_graphgen as graphgen;
 /// JSON / Prometheus snapshot export (re-export of `bimst-obs`). Every
 /// layer above records into this subsystem.
 pub use bimst_obs as obs;
+
+/// Compiles and runs the README's `rust` blocks as doctests, so the tour
+/// cannot drift from the API it shows.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

@@ -232,7 +232,8 @@ proptest! {
     }
 
     /// Small forests under large non-max fold batches: plain `Hops` and
-    /// `MinW` folds and a cutoff `MinW` fold each take the linear fold plan
+    /// `MinW` folds and a lazy-window `MinW` fold (the window start as the
+    /// cutoff of every query) each take the linear fold plan
     /// (one `query_plan_linear` count per call, no CPT chunk), and answer
     /// exactly like the per-query loop.
     #[test]
@@ -263,10 +264,7 @@ proptest! {
                     )
                 })
                 .collect();
-            let (tw, t) = lazy.window();
-            let cutoffs: Vec<u64> = (0..nq as u64)
-                .map(|i| tw + hash2(qseed ^ 7, i) % (t - tw + 1))
-                .collect();
+            let (tw, _) = lazy.window();
             let msf = lazy.msf();
             let h = ReadHandle::new(msf);
             let before = (linear.get(), chunks.get());
@@ -274,16 +272,16 @@ proptest! {
             prop_assert_eq!(linear.get() - before.0, 1, "Hops batch on the linear plan");
             let got_min = q.batch_path_fold::<MinW>(h, &pairs);
             prop_assert_eq!(linear.get() - before.0, 2, "MinW batch on the linear plan");
-            let got_at = q.batch_path_fold_at::<MinW, _>(&lazy, &pairs, &cutoffs);
-            prop_assert_eq!(linear.get() - before.0, 3, "cutoff batch on the linear plan");
+            let got_at = q.batch_window_path_fold::<MinW, _>(&lazy, &pairs);
+            prop_assert_eq!(linear.get() - before.0, 3, "window batch on the linear plan");
             prop_assert_eq!(chunks.get(), before.1, "no CPT chunk on the linear plan");
             for (i, &(u, v)) in pairs.iter().enumerate() {
                 prop_assert_eq!(got_hops[i], msf.path_fold::<Hops>(u, v), "Hops ({},{})", u, v);
                 prop_assert_eq!(got_min[i], msf.path_fold::<MinW>(u, v), "MinW ({},{})", u, v);
                 let at = msf
                     .path_fold::<Pair<MaxW, MinW>>(u, v)
-                    .and_then(|(mk, k)| (mk.id >= cutoffs[i]).then_some(k));
-                prop_assert_eq!(got_at[i], at, "cutoff {} ({},{})", cutoffs[i], u, v);
+                    .and_then(|(mk, k)| (mk.id >= tw).then_some(k));
+                prop_assert_eq!(got_at[i], at, "window {} ({},{})", tw, u, v);
             }
         }
     }

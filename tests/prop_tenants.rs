@@ -171,7 +171,8 @@ proptest! {
     }
 
     /// A *mixed-tenant* batch through the shared path-max plan
-    /// (`batch_tenant_connected`) is bit-identical to the per-tenant naive
+    /// (`batch_connected_at`, each query at its tenant's
+    /// `TenantSet::cutoff`) is bit-identical to the per-tenant naive
     /// replicas — the queries of all tenants share one path-max pass, with
     /// the per-tenant cutoffs applied only as the final filter.
     #[test]
@@ -208,7 +209,11 @@ proptest! {
                         .enumerate()
                         .map(|(i, (u, v))| ((i % specs.len()) as u32, u, v))
                         .collect();
-                    let got = q.batch_tenant_connected(&ts, &mixed);
+                    let (pairs, cutoffs): (Vec<_>, Vec<_>) = mixed
+                        .iter()
+                        .map(|&(tenant, u, v)| ((u, v), ts.cutoff(tenant).unwrap()))
+                        .unzip();
+                    let got = q.batch_connected_at(&ts, &pairs, &cutoffs);
                     let want: Vec<bool> = mixed
                         .iter()
                         .map(|&(tenant, u, v)| naive[tenant as usize].w.is_connected(u, v))
