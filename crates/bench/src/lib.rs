@@ -7,6 +7,8 @@
 //! share: wall-clock measurement with warmup, and fixed-width table
 //! printing.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 pub mod json;

@@ -35,6 +35,8 @@
 //! assert!(msf.connected(0, 3));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod batch_msf;
 pub mod cpt;
 

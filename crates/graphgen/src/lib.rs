@@ -21,6 +21,8 @@
 //!
 //! All generators are deterministic given their seed (ChaCha8).
 
+#![forbid(unsafe_code)]
+
 use bimst_primitives::monoid::FoldKind;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;

@@ -15,6 +15,8 @@
 //! path" is a plain subtree-max aggregate over preferred paths. Links and
 //! cuts are rooted via `evert` (lazy path reversal).
 
+#![forbid(unsafe_code)]
+
 use bimst_primitives::{EdgeId, FxHashMap, WKey};
 
 const NONE: u32 = u32::MAX;

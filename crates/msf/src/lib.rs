@@ -30,6 +30,8 @@
 //! pass, [`offline::OfflinePathFold`] for any other fold in one offline
 //! path-evaluation sweep.
 
+#![forbid(unsafe_code)]
+
 pub mod boruvka;
 pub mod kkt;
 pub mod kruskal;

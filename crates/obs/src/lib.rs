@@ -40,6 +40,8 @@
 //! println!("{}", snap.to_prometheus());
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 

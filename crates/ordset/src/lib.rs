@@ -11,6 +11,8 @@
 //! `split_leq`) are join-based and fork with rayon above a grain size;
 //! point updates are the classic `O(lg n)` expected.
 
+#![forbid(unsafe_code)]
+
 use bimst_primitives::hash::hash2;
 
 /// Minimum subtree size for forking the two sides of a bulk operation.

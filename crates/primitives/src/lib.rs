@@ -12,8 +12,8 @@
 //! * [`weight`] — totally ordered edge weights with edge-id tie-breaking so
 //!   minimum spanning forests are unique, plus the `-inf` phantom weight used
 //!   by the ternarization spine.
-//! * [`par`] — work-efficient parallel building blocks: prefix sums, packing,
-//!   counting-based semisort, and grain-size helpers.
+//! * [`par`] — a parallel map into a reused buffer, sequential below
+//!   [`GRAIN`].
 //! * [`avec`] — fixed-capacity inline vectors for the degree-≤3 adjacency
 //!   lists and constant-fan-in cluster children of the ternarized substrate.
 //! * [`fxmap`] — a fast non-cryptographic hasher for the integer-id maps on

@@ -1,75 +1,11 @@
-//! Work-efficient parallel building blocks on top of rayon.
-//!
-//! These mirror the PRAM primitives the paper leans on implicitly: prefix
-//! sums (scan), packing/filtering, and semisorting (grouping records by key
-//! without a total order requirement, used in Algorithm 2 to collect edge
-//! endpoints). Everything degrades gracefully to sequential execution below
-//! [`crate::GRAIN`] elements so the primitives are also fast on tiny inputs —
-//! important because Algorithm 2 calls them on batches of size `ℓ`, which can
-//! be as small as 1.
+//! Work-efficient parallel building blocks on top of rayon. Below
+//! [`crate::GRAIN`] elements they run sequentially, so they are also fast
+//! on tiny inputs: Algorithm 2 runs on batches of size `ℓ`, which can be as
+//! small as 1.
 
 use rayon::prelude::*;
 
 use crate::GRAIN;
-
-/// Exclusive prefix sums. Returns the carry (total sum) and fills `out` such
-/// that `out[i] = sum(xs[..i])`.
-///
-/// Two-pass blocked scan: O(n) work, O(lg n) span over blocks.
-pub fn exclusive_scan(xs: &[usize], out: &mut [usize]) -> usize {
-    assert_eq!(xs.len(), out.len());
-    let n = xs.len();
-    if n == 0 {
-        return 0;
-    }
-    if n <= GRAIN {
-        let mut acc = 0usize;
-        for i in 0..n {
-            out[i] = acc;
-            acc += xs[i];
-        }
-        return acc;
-    }
-    let nblocks = n.div_ceil(GRAIN);
-    let mut block_sums = vec![0usize; nblocks];
-    xs.par_chunks(GRAIN)
-        .zip(block_sums.par_iter_mut())
-        .for_each(|(chunk, s)| *s = chunk.iter().sum());
-    // Scan the (small) block sums sequentially.
-    let mut acc = 0usize;
-    for s in block_sums.iter_mut() {
-        let v = *s;
-        *s = acc;
-        acc += v;
-    }
-    out.par_chunks_mut(GRAIN)
-        .zip(xs.par_chunks(GRAIN))
-        .zip(block_sums.par_iter())
-        .for_each(|((ochunk, xchunk), &base)| {
-            let mut a = base;
-            for (o, &x) in ochunk.iter_mut().zip(xchunk) {
-                *o = a;
-                a += x;
-            }
-        });
-    acc
-}
-
-/// Parallel filter ("pack"): returns the elements matching `pred`, in order.
-pub fn pack<T: Copy + Send + Sync, F: Fn(&T) -> bool + Sync>(xs: &[T], pred: F) -> Vec<T> {
-    if xs.len() <= GRAIN {
-        return xs.iter().copied().filter(|x| pred(x)).collect();
-    }
-    xs.par_iter().copied().filter(|x| pred(x)).collect()
-}
-
-/// Parallel map into a fresh vector.
-pub fn map<T: Sync, U: Send, F: Fn(&T) -> U + Sync>(xs: &[T], f: F) -> Vec<U> {
-    if xs.len() <= GRAIN {
-        return xs.iter().map(&f).collect();
-    }
-    xs.par_iter().map(&f).collect()
-}
 
 /// Parallel map into a **reused** vector: clears `out` and fills it with
 /// `f(x)` for every `x` of `xs`, in input order, in parallel above the
@@ -108,135 +44,16 @@ where
     unsafe { out.set_len(n) };
 }
 
-/// Semisort: groups records by a `u64` key. Returns `(keys, offsets, perm)`
-/// where the records with the `g`-th distinct key are
-/// `perm[offsets[g]..offsets[g+1]]` (indices into `xs`), and `keys[g]` is
-/// that key. Distinct keys appear in ascending order (we implement semisort
-/// with a full parallel sort — stronger than required, same work up to a log
-/// factor, and branch-predictable in practice).
-pub fn semisort_by_key<T, F>(xs: &[T], key: F) -> (Vec<u64>, Vec<usize>, Vec<u32>)
-where
-    T: Sync,
-    F: Fn(&T) -> u64 + Sync,
-{
-    let n = xs.len();
-    let mut idx: Vec<u32> = (0..n as u32).collect();
-    if n > GRAIN {
-        idx.par_sort_unstable_by_key(|&i| key(&xs[i as usize]));
-    } else {
-        idx.sort_unstable_by_key(|&i| key(&xs[i as usize]));
-    }
-    let mut keys = Vec::new();
-    let mut offsets = Vec::new();
-    let mut prev: Option<u64> = None;
-    for (pos, &i) in idx.iter().enumerate() {
-        let k = key(&xs[i as usize]);
-        if prev != Some(k) {
-            keys.push(k);
-            offsets.push(pos);
-            prev = Some(k);
-        }
-    }
-    offsets.push(n);
-    (keys, offsets, idx)
-}
-
-/// Deduplicates a slice of `u64`s in parallel (sort + adjacent-unique).
-pub fn dedup_u64s(xs: &[u64]) -> Vec<u64> {
-    let mut v = xs.to_vec();
-    if v.len() > GRAIN {
-        v.par_sort_unstable();
-    } else {
-        v.sort_unstable();
-    }
-    v.dedup();
-    v
-}
-
-/// Runs `f` on each index in `0..n`, in parallel above the grain size.
-pub fn par_for<F: Fn(usize) + Sync>(n: usize, f: F) {
-    if n <= GRAIN {
-        for i in 0..n {
-            f(i);
-        }
-    } else {
-        (0..n).into_par_iter().for_each(f);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn scan_small() {
-        let xs = [1usize, 2, 3, 4];
-        let mut out = [0usize; 4];
-        let total = exclusive_scan(&xs, &mut out);
-        assert_eq!(total, 10);
-        assert_eq!(out, [0, 1, 3, 6]);
-    }
-
-    #[test]
-    fn scan_empty() {
-        let mut out: [usize; 0] = [];
-        assert_eq!(exclusive_scan(&[], &mut out), 0);
-    }
-
-    #[test]
-    fn scan_large_matches_sequential() {
-        let n = 100_000;
-        let xs: Vec<usize> = (0..n).map(|i| (i * 7919) % 13).collect();
-        let mut out = vec![0usize; n];
-        let total = exclusive_scan(&xs, &mut out);
-        let mut acc = 0usize;
-        for i in 0..n {
-            assert_eq!(out[i], acc, "mismatch at {i}");
-            acc += xs[i];
-        }
-        assert_eq!(total, acc);
-    }
-
-    #[test]
-    fn pack_preserves_order() {
-        let xs: Vec<u32> = (0..10_000).collect();
-        let evens = pack(&xs, |x| x % 2 == 0);
-        assert_eq!(evens.len(), 5_000);
-        assert!(evens.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn semisort_groups_all_records() {
-        let xs: Vec<(u64, u32)> = (0..5_000u32).map(|i| ((i % 37) as u64, i)).collect();
-        let (keys, offsets, perm) = semisort_by_key(&xs, |x| x.0);
-        assert_eq!(keys.len(), 37);
-        assert_eq!(offsets.len(), 38);
-        assert_eq!(perm.len(), xs.len());
-        for g in 0..keys.len() {
-            for p in offsets[g]..offsets[g + 1] {
-                assert_eq!(xs[perm[p] as usize].0, keys[g]);
-            }
-        }
-        // Every record appears exactly once.
-        let mut seen = vec![false; xs.len()];
-        for &p in &perm {
-            assert!(!seen[p as usize]);
-            seen[p as usize] = true;
-        }
-    }
-
-    #[test]
-    fn dedup_sorts_and_uniques() {
-        let xs = [5u64, 1, 5, 2, 2, 9];
-        assert_eq!(dedup_u64s(&xs), vec![1, 2, 5, 9]);
-    }
-
-    #[test]
-    fn map_into_matches_map_and_reuses_capacity() {
+    fn map_into_matches_sequential_map_and_reuses_capacity() {
         let xs: Vec<u64> = (0..10_000).collect();
         let mut out: Vec<u64> = Vec::new();
         map_into(&xs, &mut out, |&x| x * 3);
-        assert_eq!(out, map(&xs, |&x| x * 3));
+        assert_eq!(out, xs.iter().map(|&x| x * 3).collect::<Vec<_>>());
         let cap = out.capacity();
         map_into(&xs, &mut out, |&x| x + 1);
         assert_eq!(out[17], 18);
@@ -245,16 +62,5 @@ mod tests {
         map_into(&xs[..5], &mut out, |&x| x);
         assert_eq!(out.len(), 5);
         assert_eq!(out.capacity(), cap);
-    }
-
-    #[test]
-    fn par_for_covers_range() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let n = 10_000;
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        par_for(n, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 }

@@ -93,6 +93,8 @@
 //! assert_eq!(pm[1], None);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use bimst_core::cpt::{fold_path_tree_with, CptScratch};
 use bimst_core::{BatchMsf, Cpt};
 use bimst_msf::{ForestPathFold, KruskalPathMax, OfflinePathFold};

@@ -372,11 +372,6 @@ impl RcForest {
         self.engine.nodes.owner(node)
     }
 
-    /// Upper bound (exclusive) on cluster ids; useful for scratch arrays.
-    pub fn cluster_id_bound(&self) -> usize {
-        self.engine.clusters.len()
-    }
-
     /// Upper bound (exclusive) on node ids; useful for scratch arrays.
     pub fn node_id_bound(&self) -> usize {
         self.engine.nodes.len()

@@ -28,6 +28,8 @@
 //! * [`naive`] — a trivially correct reference forest used by the test suite
 //!   to validate connectivity, path maxima, and structural invariants.
 
+#![forbid(unsafe_code)]
+
 pub mod cluster;
 pub mod contract;
 pub mod forest;

@@ -1,26 +1,25 @@
-//! Persistent sharded serving runtime over the sliding-window MSF
-//! structures: one writer thread owning a [`SwConn`]/[`SwConnEager`]
-//! instance and a pool of query slots, each owning a
-//! [`bimst_query::QueryBatch`] shard. Slot 0 is the writer itself; the
-//! other slots are reader threads, connected to it by channels.
+//! Persistent serving runtime over the sliding-window MSF structures: one
+//! writer thread owns a [`SwConn`]/[`SwConnEager`] instance and a
+//! [`bimst_query::QueryBatch`], and both applies writes and answers
+//! queries, in admission order.
 //!
 //! `bimst_query::ReadHandle` is a shared borrow, so the borrow checker
-//! keeps inserts out while a query batch is in flight, but only within
-//! one thread of control. Many concurrent clients need the same guarantee
-//! as a **runtime protocol**:
+//! keeps inserts out while a query batch is in flight. Because one thread
+//! does both, that guarantee holds for many concurrent clients as well:
+//! they only reach the writer through its queue.
 //!
 //! ```text
 //!                    bounded op queue (backpressure)
 //!   clients ──────────────┐
-//!    insert / expire      │            ┌──────────────────────────────┐
-//!    query batches     ┌──▼─────────┐  │  generation g snapshot       │
-//!    (tickets)         │   writer   │──┼──► reader 1 (QueryBatch)     │
-//!                      │   thread   │──┼──► reader 2 (QueryBatch)     │
-//!                      │  owns the  │  │──► …        (QueryBatch)     │
-//!                      │ structure; │◄─┼─── partial answers (join)    │
-//!                      │  slot 0:   │  └──────────────────────────────┘
-//!                      │ QueryBatch │
-//!                      └────────────┘
+//!    insert / expire      │
+//!    query batches     ┌──▼──────────────────────────┐
+//!    (tickets)         │ writer thread               │
+//!                      │  owns the structure;        │
+//!   answers ◄──────────│  applies write groups,      │
+//!   (per ticket)       │  answers each coalesced     │
+//!                      │  plan with one QueryBatch   │
+//!                      │  call (parallel inside)     │
+//!                      └─────────────────────────────┘
 //! ```
 //!
 //! * **Group commit.** The writer drains the admission queue: consecutive
@@ -30,23 +29,18 @@
 //!   `O(ℓ lg(1 + n/ℓ))` batch bound assumes. Stream positions concatenate
 //!   and expiry deltas add, so merging never changes the structure's state
 //!   or any answer (see `bimst_sliding::SlidingWrite`).
-//! * **Generations and epoch handoff.** Every applied write group
-//!   increments a generation counter. A query batch admitted at generation
-//!   *g* (i.e. after the *g*-th write group and before the *g+1*-st) is
-//!   answered from the structure *as of g*: the writer publishes a
-//!   reader-side snapshot of the structure, deals the coalesced query
-//!   ranges round-robin over the slots, answers slot 0's ranges itself,
-//!   and **does not touch the structure again until every partial answer
-//!   has been collected** (the join barrier is the epoch retire): many
-//!   readers XOR one writer, restated across the channel boundary. A plan
-//!   shorter than 64 queries is one range, so a lone small batch is
-//!   answered on the writer without a channel hop.
+//! * **Generations.** Every applied write group increments a generation
+//!   counter. A query batch admitted at generation *g* (i.e. after the
+//!   *g*-th write group and before the *g+1*-st) is answered from the
+//!   structure *as of g*: the writer answers it before it applies the next
+//!   group.
 //! * **Query coalescing.** Each batch of a queued run joins a *plan*, one
 //!   per query kind (fold kinds share one; every tenant batch joins one
-//!   cutoff plan), at a recorded `(plan, offset)`. A plan is one shared-work batch (one root pass, one
-//!   set of shared CPT chunks) range-split across the slots; answers
-//!   are split back at the recorded offsets, bit-identical to the
-//!   per-query loop, so coalescing and sharding are invisible to clients.
+//!   cutoff plan), at a recorded `(plan, offset)`. The writer answers a
+//!   plan with one shared-work batch call (one root pass, one set of
+//!   shared CPT chunks), which runs its own parallelism, and splits the
+//!   answers back at the recorded offsets, bit-identical to the per-query
+//!   loop, so coalescing is invisible to clients.
 //! * **Backpressure.** The admission queue is bounded
 //!   ([`ServiceConfig::queue_cap`]): [`ServiceHandle::insert`] blocks when
 //!   the service is behind, [`ServiceHandle::try_insert`] returns the op
@@ -54,10 +48,9 @@
 //!   load. A submission that returns `Ok` is **admitted**: it will be
 //!   applied (writes) or answered (queries) even across shutdown.
 //! * **Drain-ordered shutdown.** [`Service::shutdown`] stops admission and
-//!   joins the writer, which (1) keeps processing the queue in admission
-//!   order until every handle is dropped and the queue is empty, (2)
-//!   retires the reader pool, and only then (3) drops the structure. Every
-//!   admitted query's ticket resolves.
+//!   joins the writer, which keeps processing the queue in admission order
+//!   until every handle is dropped and the queue is empty, and only then
+//!   drops the structure. Every admitted query's ticket resolves.
 //!
 //! Pick `bimst-service` when ops originate on more than one thread or you
 //! need admission-order semantics under mixed read/write traffic; drive a
@@ -81,6 +74,8 @@
 //! svc.shutdown();
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::io;
 use std::path::Path;
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
@@ -92,7 +87,7 @@ use bimst_query::WindowConnectivity;
 use bimst_sliding::{SlidingWrite, SwConn, SwConnEager, TenantSet, TenantSpec};
 use bimst_wal::{Meta, Recovery, Store, Write};
 
-mod reader;
+mod plan;
 mod replica;
 mod shard;
 
@@ -102,23 +97,21 @@ pub use bimst_wal::SyncPolicy;
 pub use replica::{ReplicaSet, ReplicaSetConfig};
 
 /// What a window structure must provide to be served: the write surface
-/// (`bimst_sliding::SlidingWrite`, driven by the writer thread) and the
-/// read surface (`bimst_query::WindowConnectivity`, consumed by the reader
-/// pool through snapshots — hence `Sync`). Blanket-implemented; both
-/// [`SwConn`] and [`SwConnEager`] qualify.
-pub trait ServeWindow: SlidingWrite + WindowConnectivity + Send + Sync + 'static {}
+/// (`bimst_sliding::SlidingWrite`) and the read surface
+/// (`bimst_query::WindowConnectivity`), both driven by the writer thread
+/// it moves to (hence `Send`). Blanket-implemented; both [`SwConn`] and
+/// [`SwConnEager`] qualify.
+pub trait ServeWindow: SlidingWrite + WindowConnectivity + Send + 'static {}
 
-impl<W: SlidingWrite + WindowConnectivity + Send + Sync + 'static> ServeWindow for W {}
+impl<W: SlidingWrite + WindowConnectivity + Send + 'static> ServeWindow for W {}
 
 /// Shape of a [`Service`].
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceConfig {
-    /// Threads answering queries, the writer included; `readers − 1`
-    /// reader threads are spawned, so `1` spawns none. Each slot owns a
-    /// `QueryBatch` whose scratch persists across generations; coalesced
-    /// query plans are split across the slots in contiguous ranges of at
-    /// least 64 queries, so a shorter plan never leaves the writer.
-    /// Clamped to ≥ 1.
+    /// Has no effect: the writer answers every query plan itself, and the
+    /// batch algorithms parallelize inside each plan. Kept so existing
+    /// struct literals still build; it is removed together with its uses
+    /// in the benchmark (ROADMAP direction 6(d)).
     pub readers: usize,
     /// Capacity of the bounded admission queue (ops, not edges). Clamped
     /// to ≥ 1. Blocking submits park when full; `try_*` submits return
@@ -294,21 +287,6 @@ impl QueryResp {
         match self {
             QueryResp::PathFold(a) => Some(a),
             _ => None,
-        }
-    }
-
-    /// Splices `more` in at offset `at`, dropping whatever followed:
-    /// partials arrive in range order, so `at == 0` restarts a reused
-    /// buffer.
-    fn put(&mut self, at: usize, more: QueryResp) {
-        match (self, more) {
-            (QueryResp::WindowConnected(a), QueryResp::WindowConnected(b)) => {
-                drop(a.splice(at.., b))
-            }
-            (QueryResp::PathMax(a), QueryResp::PathMax(b)) => drop(a.splice(at.., b)),
-            (QueryResp::ComponentSize(a), QueryResp::ComponentSize(b)) => drop(a.splice(at.., b)),
-            (QueryResp::PathFold(a), QueryResp::PathFold(b)) => drop(a.splice(at.., b)),
-            _ => unreachable!("answers of two kinds in one plan"),
         }
     }
 
@@ -631,7 +609,7 @@ impl Service {
     pub fn start<W: ServeWindow>(w: W, cfg: ServiceConfig) -> Service {
         Service::thread("bimst-serve-writer", cfg.queue_cap, move |rx, rec| {
             let q = Queue::new(rx, true, cfg.write_budget);
-            shard::writer_main(w, None, Run::new(q, 0, cfg.readers, rec))
+            shard::writer_main(w, None, Run::new(q, 0, rec))
         })
     }
 
@@ -768,7 +746,7 @@ impl Service {
             let q = Queue::new(rx, dur.merges(), cfg.write_budget);
             let run = Run {
                 dur: Some(dur),
-                ..Run::new(q, from.generation, cfg.readers, rec)
+                ..Run::new(q, from.generation, rec)
             };
             shard::open_window(&meta, &from, run)
         })
@@ -780,8 +758,8 @@ impl Service {
     }
 
     /// Stops admission from this `Service` and blocks until the writer has
-    /// drained: every admitted write applied, every admitted query
-    /// answered, readers retired — in that order. If other
+    /// drained: every admitted write applied and every admitted query
+    /// answered. If other
     /// [`ServiceHandle`] clones are still alive, the writer keeps serving
     /// them and `shutdown` blocks until they are dropped too (admission
     /// guarantees survive shutdown races; nothing acked is ever lost).
@@ -809,64 +787,60 @@ impl std::ops::Deref for Service {
 mod tests {
     use super::*;
 
-    fn cfg(readers: usize) -> ServiceConfig {
+    fn cfg() -> ServiceConfig {
         ServiceConfig {
-            readers,
             queue_cap: 64,
             write_budget: 1 << 12,
             ..ServiceConfig::default()
         }
     }
 
-    /// Answers must match a sequentially driven structure, for both expiry
-    /// disciplines and several reader counts.
+    /// Answers must match a sequentially driven structure.
     #[test]
     fn serves_like_the_sequential_structure() {
-        for readers in [1, 3] {
-            let svc = Service::eager(10, 5, cfg(readers));
-            let mut seq = SwConnEager::new(10, 5);
+        let svc = Service::eager(10, 5, cfg());
+        let mut seq = SwConnEager::new(10, 5);
 
-            svc.insert(vec![(0, 1), (1, 2), (3, 4)]).unwrap();
-            seq.batch_insert(&[(0, 1), (1, 2), (3, 4)]);
-            let t1 = svc
-                .query(QueryReq::WindowConnected(vec![(0, 2), (0, 3), (3, 4)]))
-                .unwrap();
+        svc.insert(vec![(0, 1), (1, 2), (3, 4)]).unwrap();
+        seq.batch_insert(&[(0, 1), (1, 2), (3, 4)]);
+        let t1 = svc
+            .query(QueryReq::WindowConnected(vec![(0, 2), (0, 3), (3, 4)]))
+            .unwrap();
 
-            svc.expire(1).unwrap();
-            seq.batch_expire(1);
-            let t2 = svc.query(QueryReq::ComponentSize(vec![0, 1, 3])).unwrap();
-            let t3 = svc.query(QueryReq::PathMax(vec![(1, 2), (0, 2)])).unwrap();
+        svc.expire(1).unwrap();
+        seq.batch_expire(1);
+        let t2 = svc.query(QueryReq::ComponentSize(vec![0, 1, 3])).unwrap();
+        let t3 = svc.query(QueryReq::PathMax(vec![(1, 2), (0, 2)])).unwrap();
 
-            let a1 = t1.wait().unwrap();
-            assert_eq!(a1.generation, 1);
-            assert_eq!(
-                a1.resp.into_window_connected().unwrap(),
-                vec![true, false, true]
-            );
+        let a1 = t1.wait().unwrap();
+        assert_eq!(a1.generation, 1);
+        assert_eq!(
+            a1.resp.into_window_connected().unwrap(),
+            vec![true, false, true]
+        );
 
-            let a2 = t2.wait().unwrap();
-            assert_eq!(a2.generation, 2);
-            assert_eq!(
-                a2.resp.into_component_size().unwrap(),
-                vec![
-                    seq.msf().component_size(0),
-                    seq.msf().component_size(1),
-                    seq.msf().component_size(3)
-                ]
-            );
+        let a2 = t2.wait().unwrap();
+        assert_eq!(a2.generation, 2);
+        assert_eq!(
+            a2.resp.into_component_size().unwrap(),
+            vec![
+                seq.msf().component_size(0),
+                seq.msf().component_size(1),
+                seq.msf().component_size(3)
+            ]
+        );
 
-            let a3 = t3.wait().unwrap();
-            assert_eq!(
-                a3.resp.into_path_max().unwrap(),
-                vec![seq.msf().path_max(1, 2), seq.msf().path_max(0, 2)]
-            );
-            svc.shutdown();
-        }
+        let a3 = t3.wait().unwrap();
+        assert_eq!(
+            a3.resp.into_path_max().unwrap(),
+            vec![seq.msf().path_max(1, 2), seq.msf().path_max(0, 2)]
+        );
+        svc.shutdown();
     }
 
     #[test]
     fn lazy_window_applies_recent_edge_test() {
-        let svc = Service::lazy(6, 9, cfg(2));
+        let svc = Service::lazy(6, 9, cfg());
         let mut seq = SwConn::new(6, 9);
         svc.insert(vec![(0, 1), (1, 2)]).unwrap();
         seq.batch_insert(&[(0, 1), (1, 2)]);
@@ -893,7 +867,7 @@ mod tests {
     /// applies the window cutoff.
     #[test]
     fn lazy_path_max_ignores_the_window_cutoff_path_fold_applies() {
-        let svc = Service::lazy(4, 9, cfg(1));
+        let svc = Service::lazy(4, 9, cfg());
         let mut seq = SwConn::new(4, 9);
         svc.insert(vec![(0, 1), (1, 2)]).unwrap();
         seq.batch_insert(&[(0, 1), (1, 2)]);
@@ -913,7 +887,7 @@ mod tests {
 
     #[test]
     fn barrier_reports_generation_after_prior_writes() {
-        let svc = Service::eager(5, 1, cfg(1));
+        let svc = Service::eager(5, 1, cfg());
         assert_eq!(svc.barrier().unwrap().wait().unwrap(), 0);
         svc.insert(vec![(0, 1)]).unwrap();
         svc.expire(1).unwrap();
@@ -926,7 +900,7 @@ mod tests {
 
     #[test]
     fn shutdown_answers_all_admitted_queries() {
-        let svc = Service::eager(50, 3, cfg(2));
+        let svc = Service::eager(50, 3, cfg());
         svc.insert((0..49).map(|v| (v, v + 1)).collect()).unwrap();
         let tickets: Vec<QueryTicket> = (0..40)
             .map(|i| {
@@ -946,7 +920,7 @@ mod tests {
     /// drop-then-shutdown.
     #[test]
     fn shutdown_completes_once_handles_are_dropped() {
-        let svc = Service::eager(4, 2, cfg(1));
+        let svc = Service::eager(4, 2, cfg());
         let h = svc.handle();
         h.insert(vec![(0, 1)]).unwrap();
         drop(h);
@@ -979,7 +953,7 @@ mod tests {
     /// errors, service dead — never strand the writer at its join barrier.
     #[test]
     fn malformed_query_fails_stop_instead_of_hanging() {
-        let svc = Service::eager(4, 2, cfg(2));
+        let svc = Service::eager(4, 2, cfg());
         svc.insert(vec![(0, 1)]).unwrap();
         let t = svc.query(QueryReq::ComponentSize(vec![900])).unwrap();
         assert!(t.wait().is_err(), "poisoned serve must resolve as closed");
@@ -987,16 +961,14 @@ mod tests {
     }
 
     /// The same fail-stop on the linear path-max plan, which a batch this
-    /// size over a forest this small takes (each slot's range holds
-    /// ≥ 64 pairs on 64 vertices): the bad id must panic whichever slot
-    /// answers it, never be answered as a disconnected pair. 256 pairs on
-    /// 2 slots split into two ranges of 128: index 10 sits in slot 0's
-    /// range, which the writer answers itself (its panic is caught before
-    /// the join), index 200 in the reader thread's.
+    /// size over a forest this small takes (256 pairs on 64 vertices): the
+    /// bad id must panic the writer wherever it sits in the batch, early
+    /// (index 10) or late (index 200), never be answered as a
+    /// disconnected pair.
     #[test]
     fn malformed_linear_plan_batch_fails_stop() {
         for bad in [10, 200] {
-            let svc = Service::eager(64, 2, cfg(2));
+            let svc = Service::eager(64, 2, cfg());
             svc.insert((0..63).map(|v| (v, v + 1)).collect()).unwrap();
             let mut pairs: Vec<(u32, u32)> = (0..256).map(|i| (i % 64, (i * 7) % 64)).collect();
             pairs[bad] = (3, 900);
@@ -1010,11 +982,11 @@ mod tests {
     }
 
     /// Every kind answers an empty batch with empty answers of its own
-    /// kind, including the first batch of a kind (whose plan no reader
-    /// has filled yet).
+    /// kind, including the first batch of a kind (whose plan has never
+    /// been answered).
     #[test]
     fn empty_batches_are_fine() {
-        let svc = Service::eager(4, 2, cfg(2));
+        let svc = Service::eager(4, 2, cfg());
         svc.insert(vec![]).unwrap();
         let fold = QueryReq::PathFold {
             kind: FoldKind::Sum,
@@ -1050,9 +1022,9 @@ mod tests {
         let pairs: Vec<(u32, u32)> = vec![(0, 3), (1, 3), (5, 7), (0, 5), (2, 2)];
         for lazy in [false, true] {
             let svc = if lazy {
-                Service::lazy(10, 3, cfg(2))
+                Service::lazy(10, 3, cfg())
             } else {
-                Service::eager(10, 3, cfg(2))
+                Service::eager(10, 3, cfg())
             };
             let mut seq = SwConnEager::new(10, 3);
             svc.insert(edges.clone()).unwrap();
@@ -1105,7 +1077,7 @@ mod tests {
             query_batch: 6,
             ..MixedConfig::serving(64)
         };
-        let svc = Service::eager(64, 7, cfg(2));
+        let svc = Service::eager(64, 7, cfg());
         let mut tickets = Vec::new();
         for op in MixedStream::with_folds(cfg_stream, 11).take(60) {
             let kind = match &op {
@@ -1147,7 +1119,7 @@ mod tests {
             window: 64,
             tenants: 0,
         };
-        let svc = Service::eager(64, 7, cfg(2));
+        let svc = Service::eager(64, 7, cfg());
         let mut tickets = Vec::new();
         for op in MixedStream::new(cfg_stream, 11).take(25) {
             if let Some(t) = svc.submit_op(op).unwrap() {
@@ -1170,42 +1142,40 @@ mod tests {
             TenantSpec { id: 1, window: 8 },
             TenantSpec { id: 2, window: 2 },
         ];
-        for readers in [1, 3] {
-            let svc = Service::tenants(32, 7, &specs, cfg(readers));
-            let mut seq = bimst_sliding::TenantSet::new(32, 7, &specs);
-            let mut x = 11u64;
-            let mut hash2 = |m: u64| {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((x >> 33) % m) as u32
-            };
-            for round in 0..10 {
-                let edges: Vec<(u32, u32)> = (0..5).map(|_| (hash2(32), hash2(32))).collect();
-                svc.insert(edges.clone()).unwrap();
-                seq.batch_insert(&edges);
-                if round % 3 == 2 {
-                    svc.expire(4).unwrap();
-                    seq.batch_expire(4);
-                }
-                // One batch per tenant, all admitted in the same
-                // generation, so they coalesce into one cutoff plan.
-                let pairs: Vec<(u32, u32)> = (0..6).map(|_| (hash2(32), hash2(32))).collect();
-                let tickets: Vec<(u32, QueryTicket)> = specs
-                    .iter()
-                    .map(|s| (s.id, svc.query_tenant(s.id, pairs.clone()).unwrap()))
-                    .collect();
-                for (id, t) in tickets {
-                    let got = t.wait().unwrap().resp.into_window_connected().unwrap();
-                    let want: Vec<bool> = pairs
-                        .iter()
-                        .map(|&(u, v)| seq.is_connected(id, u, v))
-                        .collect();
-                    assert_eq!(got, want, "tenant {id} round {round}");
-                }
+        let svc = Service::tenants(32, 7, &specs, cfg());
+        let mut seq = bimst_sliding::TenantSet::new(32, 7, &specs);
+        let mut x = 11u64;
+        let mut hash2 = |m: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((x >> 33) % m) as u32
+        };
+        for round in 0..10 {
+            let edges: Vec<(u32, u32)> = (0..5).map(|_| (hash2(32), hash2(32))).collect();
+            svc.insert(edges.clone()).unwrap();
+            seq.batch_insert(&edges);
+            if round % 3 == 2 {
+                svc.expire(4).unwrap();
+                seq.batch_expire(4);
             }
-            svc.shutdown();
+            // One batch per tenant, all admitted in the same
+            // generation, so they coalesce into one cutoff plan.
+            let pairs: Vec<(u32, u32)> = (0..6).map(|_| (hash2(32), hash2(32))).collect();
+            let tickets: Vec<(u32, QueryTicket)> = specs
+                .iter()
+                .map(|s| (s.id, svc.query_tenant(s.id, pairs.clone()).unwrap()))
+                .collect();
+            for (id, t) in tickets {
+                let got = t.wait().unwrap().resp.into_window_connected().unwrap();
+                let want: Vec<bool> = pairs
+                    .iter()
+                    .map(|&(u, v)| seq.is_connected(id, u, v))
+                    .collect();
+                assert_eq!(got, want, "tenant {id} round {round}");
+            }
         }
+        svc.shutdown();
     }
 
     /// A tenant query against a single-window service has no cutoff — it
@@ -1213,7 +1183,7 @@ mod tests {
     /// from the wrong window.
     #[test]
     fn tenant_query_on_single_window_service_fails_stop() {
-        let svc = Service::eager(8, 3, cfg(1));
+        let svc = Service::eager(8, 3, cfg());
         svc.insert(vec![(0, 1)]).unwrap();
         let t = svc.query_tenant(0, vec![(0, 1)]).unwrap();
         assert!(t.wait().is_err(), "routeless tenant query must fail stop");
@@ -1232,7 +1202,7 @@ mod tests {
             TenantSpec { id: 0, window: 64 },
             TenantSpec { id: 1, window: 4 },
         ];
-        let svc = Service::tenants(64, 7, &specs, cfg(2));
+        let svc = Service::tenants(64, 7, &specs, cfg());
         let mut tickets = Vec::new();
         for op in MixedStream::new(cfg_stream, 11).take(30) {
             if let Some(t) = svc.submit_op(op).unwrap() {
@@ -1277,7 +1247,7 @@ mod tests {
                 let c = ServiceConfig {
                     sync,
                     checkpoint_every: 3,
-                    ..cfg(2)
+                    ..cfg()
                 };
                 let svc = if eager {
                     Service::eager_durable(&dir, 16, 5, c).unwrap()
@@ -1323,7 +1293,7 @@ mod tests {
         let dir = tmpdir("chain");
         let c = ServiceConfig {
             checkpoint_every: 2,
-            ..cfg(1)
+            ..cfg()
         };
         let svc = Service::eager_durable(&dir, 8, 1, c).unwrap();
         svc.insert(vec![(0, 1)]).unwrap();
@@ -1368,7 +1338,7 @@ mod tests {
         let c = ServiceConfig {
             sync: SyncPolicy::Always,
             checkpoint_every: 0, // never: exercise the pure-tail path
-            ..cfg(1)
+            ..cfg()
         };
         let svc = Service::eager_durable(&dir, 8, 2, c).unwrap();
         for i in 0..6u32 {
@@ -1388,7 +1358,7 @@ mod tests {
     #[test]
     fn recover_expecting_checks_the_store_identity() {
         let dir = tmpdir("expecting");
-        let c = cfg(1);
+        let c = cfg();
         let svc = Service::lazy_durable(&dir, 16, 5, c).unwrap();
         svc.insert(vec![(0, 1), (1, 2)]).unwrap();
         svc.expire(1).unwrap();
@@ -1440,9 +1410,9 @@ mod tests {
     #[test]
     fn durable_create_refuses_existing_store() {
         let dir = tmpdir("refuse");
-        let svc = Service::eager_durable(&dir, 4, 0, cfg(1)).unwrap();
+        let svc = Service::eager_durable(&dir, 4, 0, cfg()).unwrap();
         svc.shutdown();
-        assert!(Service::eager_durable(&dir, 4, 0, cfg(1)).is_err());
+        assert!(Service::eager_durable(&dir, 4, 0, cfg()).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

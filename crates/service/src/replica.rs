@@ -1,12 +1,14 @@
 //! Replicated read-scaling tier: one group-committed admission log fanned
 //! out to `k` replicas, each a [`crate::Service`] writer with its own
-//! window, reader pool and recorder. It multiplies the read side of one
-//! `Service` without touching write semantics:
+//! window and recorder, which answers the queries routed to it. A set of
+//! `k` replicas runs `k + 1` threads (the admission thread and `k`
+//! writers) and serves reads on `k` of them in parallel, without touching
+//! write semantics:
 //!
 //! ```text
-//!   clients ──► admission thread ──┬─► replica 0 (Service writer + readers)
-//!    insert /    (Queue + DurCtl:  ├─► replica 1 (Service writer + readers)
-//!    expire      log, send to all, └─► replica 2 (Service writer + readers)
+//!   clients ──► admission thread ──┬─► replica 0 (Service writer)
+//!    insert /    (Queue + DurCtl:  ├─► replica 1 (Service writer)
+//!    expire      log, send to all, └─► replica 2 (Service writer)
 //!    barrier     then publish g)          ▲
 //!   clients ──► serve_at(g, query) ───────┘ once the set generation is ≥ g
 //! ```
@@ -54,11 +56,12 @@ use crate::{
 #[derive(Clone, Copy, Debug)]
 pub struct ReplicaSetConfig {
     /// Number of replicas (logical copies of the window, each with its
-    /// own writer thread and reader pool). Clamped to ≥ 1.
+    /// own writer thread). Clamped to ≥ 1.
     pub replicas: usize,
-    /// Threads answering queries *per replica*, the replica's writer
-    /// included; `readers − 1` reader threads are spawned per replica (see
-    /// [`crate::ServiceConfig::readers`]).
+    /// Has no effect: each replica's writer answers every query plan
+    /// routed to it (see [`crate::ServiceConfig::readers`]). Kept so
+    /// existing struct literals still build; it is removed together with
+    /// its uses in the benchmark (ROADMAP direction 6(d)).
     pub readers: usize,
     /// Capacity of each bounded queue: the admission queue and every
     /// replica's writer queue. Clamped to ≥ 1.
@@ -215,7 +218,7 @@ fn spawn_replica(
     start: impl FnOnce() -> Option<Arc<Recovery>> + Send + 'static,
 ) -> Replica {
     let applied = Arc::new(AtomicU64::new(0));
-    let (readers, published) = (cfg.readers, applied.clone());
+    let published = applied.clone();
     let name = format!("bimst-replica-{i}");
     let svc = Service::thread(&name, cfg.queue_cap, move |rx, rec| {
         let Some(from) = start() else { return };
@@ -226,7 +229,7 @@ fn spawn_replica(
         let run = Run {
             applied: published,
             per_write: true,
-            ..Run::new(q, from.generation, readers, rec)
+            ..Run::new(q, from.generation, rec)
         };
         shard::open_window(&meta, &from, run);
     });
@@ -558,7 +561,7 @@ impl ReplicaSet {
     /// Stops admission and drains everything, in dependency order: the
     /// admission thread logs and sends every admitted write, then closes
     /// the fan-out; each replica applies and answers everything queued,
-    /// retires its readers, and exits. Every admitted op is applied by
+    /// and exits. Every admitted op is applied by
     /// every live replica; every admitted query's ticket resolves.
     /// Dropping the set instead drains the same way, detached.
     pub fn shutdown(self) {

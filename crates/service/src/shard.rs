@@ -11,10 +11,8 @@
 //!   (and fsynced, per policy) **before** the group is applied or
 //!   published, plus the checkpoint cadence, counted in write groups.
 //! * [`Core`], the window owner: applies write groups (generation and
-//!   `service_*` accounting), serves coalesced query runs as slot 0 of its
-//!   own reader pool (it answers its share of the ranges itself and hands
-//!   the rest to `readers − 1` reader threads), and answers metrics
-//!   requests.
+//!   `service_*` accounting), answers coalesced query runs itself, one
+//!   `QueryBatch` call per plan, and answers metrics requests.
 //!
 //! A `Service` writer runs all three on one thread ([`writer_main`]). A
 //! `ReplicaSet` runs `Queue` + `DurCtl` on its admission thread, which
@@ -35,19 +33,18 @@
 //! stream positions and consecutive expirations add deltas
 //! (`bimst_sliding::SlidingWrite`'s contract), and coalescing preserves it
 //! because batch-query answers are bit-identical to the per-query loop
-//! regardless of how batches are merged or range-partitioned (the
-//! `bimst-query` determinism contract, pinned by `tests/prop_query.rs`).
+//! regardless of how batches are merged (the `bimst-query` determinism
+//! contract, pinned by `tests/prop_query.rs`).
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
 use bimst_query::QueryBatch;
 use bimst_sliding::{SlidingWrite, SwConn, SwConnEager, WindowCheckpoint};
 use bimst_wal::{Checkpoint, Meta, Recovery, Store, SyncPolicy, Write};
 
-use crate::reader::{answer_range, Kind, Partial, Plan, ReaderPool, ServeTask, Snapshot};
+use crate::plan::{Kind, Plan};
 use crate::{Answered, QueryReq, ServeWindow};
 
 /// One coalesced query: request, reply channel, admission timestamp
@@ -213,12 +210,9 @@ pub(crate) struct SvcObs {
     queue_depth: bimst_obs::Histogram,
     /// `service_merge_width_ops`: writes merged into each group commit.
     merge_width: bimst_obs::Histogram,
-    /// `service_serve_ns`: publish→serve→retire latency of each coalesced
+    /// `service_serve_ns`: merge→answer→split latency of each coalesced
     /// query run (one span per `serve`).
     serve_ns: bimst_obs::Histogram,
-    /// `service_reader_tasks`: plan ranges handed to reader threads (a
-    /// range the writer answers itself, as slot 0, is not counted).
-    reader_tasks: bimst_obs::Counter,
     /// `service_generation`: the writer's current generation.
     generation: bimst_obs::Gauge,
     /// `service_write_groups`: applied write groups (== generation
@@ -256,7 +250,6 @@ impl SvcObs {
             queue_depth: rec.histogram("service_queue_depth"),
             merge_width: rec.histogram("service_merge_width_ops"),
             serve_ns: rec.histogram("service_serve_ns"),
-            reader_tasks: rec.counter("service_reader_tasks"),
             generation: rec.gauge("service_generation"),
             groups: rec.counter("service_write_groups"),
             ops_insert: rec.counter("service_ops_insert"),
@@ -379,12 +372,11 @@ fn apply_op<W: SlidingWrite>(w: &mut W, op: &Write) {
 }
 
 /// What a writer thread runs besides its window: queue, starting
-/// generation, readers, recorder, a durable `Service`'s WAL side-car, and
-/// where it publishes its generation after every write group.
+/// generation, recorder, a durable `Service`'s WAL side-car, and where it
+/// publishes its generation after every write group.
 pub(crate) struct Run {
     pub(crate) q: Queue,
     pub(crate) generation: u64,
-    pub(crate) readers: usize,
     pub(crate) rec: bimst_obs::Recorder,
     pub(crate) dur: Option<DurCtl>,
     pub(crate) applied: Arc<AtomicU64>,
@@ -393,11 +385,10 @@ pub(crate) struct Run {
 }
 
 impl Run {
-    pub(crate) fn new(q: Queue, generation: u64, readers: usize, rec: bimst_obs::Recorder) -> Run {
+    pub(crate) fn new(q: Queue, generation: u64, rec: bimst_obs::Recorder) -> Run {
         Run {
             q,
             generation,
-            readers,
             rec,
             dur: None,
             applied: Arc::default(),
@@ -431,8 +422,8 @@ pub(crate) fn open_window(meta: &Meta, from: &Recovery, run: Run) {
 /// The writer loop of a `Service` and of every `ReplicaSet` replica. Runs
 /// until the queue disconnects (every sender dropped), which is what
 /// makes "admitted ⇒ processed" exact: a submission that was acked is in
-/// the queue, and the queue is drained to the end before the readers
-/// retire and the structure drops.
+/// the queue, and the queue is drained to the end before the structure
+/// drops.
 ///
 /// With a `DurCtl` attached, every write group is one WAL record and one
 /// generation increment, so the generation recovered from the log is
@@ -441,7 +432,7 @@ pub(crate) fn open_window(meta: &Meta, from: &Recovery, run: Run) {
 /// requests; a writer without one drops the request, so the requester
 /// sees a closed channel.
 pub(crate) fn writer_main<W: ServeWindow>(w: W, snapshot: Option<SnapshotFn<W>>, mut run: Run) {
-    let mut core = Core::new(w, run.generation, run.readers, run.rec);
+    let mut core = Core::new(w, run.generation, run.rec);
     let (q, dur, applied) = (&mut run.q, &mut run.dur, &run.applied);
     applied.store(core.generation, Ordering::Release);
     // Handle-side admission counter, paired with the queue's dequeued
@@ -482,31 +473,19 @@ pub(crate) fn writer_main<W: ServeWindow>(w: W, snapshot: Option<SnapshotFn<W>>,
     if let Some(d) = run.dur {
         d.close();
     }
-    core.shutdown();
 }
 
-/// Smallest per-slot slice of a merged plan: below this, splitting costs
-/// more (task envelope, channel hop) than a reader saves, so a plan shorter
-/// than this is one range and never leaves the writer when it is dealt to
-/// slot 0. The partition is a fixed function of `(plan len, slot count)` —
-/// never of timing — and answers are partition-independent anyway.
-const MIN_SHARD: usize = 64;
-
 /// Reusable buffers of the serve path: capacities grow to the largest run
-/// ever coalesced, then steady-state serving allocates nothing here.
+/// ever coalesced, then steady-state serving allocates only the answers.
 #[derive(Default)]
 pub(crate) struct ServeScratch {
     /// Every plan served so far, one per kind. A plan no request of the
-    /// current run joins stays empty and is not dispatched.
-    plans: Vec<Arc<Plan>>,
+    /// current run joins stays empty and is not answered.
+    plans: Vec<Plan>,
     /// Per run entry, parallel to [`Core::run`]: its plan and its offset
     /// in that plan, recorded at merge so split-back needs no cursors and
     /// no second cutoff lookup.
     slots: Vec<(usize, usize)>,
-    /// The current generation's partial answers.
-    parts: Vec<Partial>,
-    /// The ranges dealt to slot 0, the writer: `(plan index, range)`.
-    own: Vec<(usize, Range<usize>)>,
 }
 
 impl ServeScratch {
@@ -516,17 +495,17 @@ impl ServeScratch {
     fn join(&mut self, req: &QueryReq, kind: Kind) -> &mut Plan {
         let p = self.plans.iter().position(|p| p.kind == kind);
         let p = p.unwrap_or_else(|| {
-            self.plans.push(Arc::new(Plan {
+            self.plans.push(Plan {
                 kind,
                 pairs: Vec::new(),
                 verts: Vec::new(),
                 cutoffs: Vec::new(),
                 folds: Vec::new(),
                 out: req.no_answers(),
-            }));
+            });
             self.plans.len() - 1
         });
-        let plan = Arc::make_mut(&mut self.plans[p]);
+        let plan = &mut self.plans[p];
         self.slots.push((p, plan.len()));
         plan
     }
@@ -540,8 +519,8 @@ impl ServeScratch {
 /// # Panics
 ///
 /// On a tenant id the window does not serve: it must not be answered from
-/// the wrong window. [`Core::serve`] merges every request before it
-/// publishes, so unwinding here resolves every pending ticket as closed.
+/// the wrong window. Unwinding the writer resolves every pending ticket
+/// as closed.
 fn merge<W: ServeWindow>(req: &QueryReq, w: &W, ws: &mut ServeScratch) {
     match req {
         QueryReq::WindowConnected(q) => ws
@@ -573,8 +552,8 @@ fn merge<W: ServeWindow>(req: &QueryReq, w: &W, ws: &mut ServeScratch) {
 }
 
 /// The window owner of a writer thread, `Service` and replica alike:
-/// applies write groups, serves coalesced query runs as slot 0 of its
-/// reader pool, and answers metrics requests.
+/// applies write groups, answers coalesced query runs, and answers metrics
+/// requests.
 pub(crate) struct Core<W: ServeWindow> {
     pub(crate) w: W,
     /// Log records applied so far.
@@ -582,37 +561,24 @@ pub(crate) struct Core<W: ServeWindow> {
     pub(crate) obs: SvcObs,
     /// The query run being coalesced, reused across runs.
     pub(crate) run: Vec<RunEntry>,
-    /// Slots answering queries, the writer (slot 0) included.
-    readers: usize,
-    /// The writer's own executor, for the ranges dealt to slot 0.
+    /// The writer's executor, whose scratch persists across generations.
     q: QueryBatch,
-    /// The reader threads, slots `1..readers`.
-    pool: ReaderPool<W>,
-    done_tx: Sender<Partial>,
-    done_rx: Receiver<Partial>,
     /// Merged-plan/answer buffers, reused across generations.
     scratch: ServeScratch,
 }
 
 impl<W: ServeWindow> Core<W> {
-    /// A core at `generation` answering queries on `readers` slots (clamped
-    /// to ≥ 1): itself and `readers − 1` reader threads.
-    pub(crate) fn new(w: W, generation: u64, readers: usize, rec: bimst_obs::Recorder) -> Self {
-        let readers = readers.max(1);
+    /// A core at `generation`.
+    pub(crate) fn new(w: W, generation: u64, rec: bimst_obs::Recorder) -> Self {
         let obs = SvcObs::new(rec);
         // A recovered starting point is visible even before the first group.
         obs.generation.set(generation);
-        let (done_tx, done_rx) = channel();
         Core {
             w,
             generation,
             obs,
             run: Vec::new(),
-            readers,
             q: QueryBatch::new(),
-            pool: ReaderPool::spawn(readers),
-            done_tx,
-            done_rx,
             scratch: ServeScratch::default(),
         }
     }
@@ -642,121 +608,36 @@ impl<W: ServeWindow> Core<W> {
         snap
     }
 
-    /// Retires the reader pool.
-    pub(crate) fn shutdown(self) {
-        drop(self.done_tx);
-        self.pool.shutdown();
-    }
-
     /// Serves the coalesced run at the current generation: merge each
-    /// request into its plan, publish the snapshot, deal each plan's
-    /// contiguous ranges round-robin over the slots (slot 0 is this
-    /// writer), answer slot 0's ranges here while the reader threads answer
-    /// theirs, join, and split answers back per request. A run that is one
-    /// range, e.g. a single batch shorter than `MIN_SHARD`, never leaves
-    /// the writer. At steady state only the partials and the clients'
-    /// answer vectors are allocated.
+    /// request into its plan, answer each plan that any request joined
+    /// with one `QueryBatch` call on its whole input, and split the
+    /// answers back per request at the offsets recorded at merge.
+    ///
+    /// # Panics
+    ///
+    /// On a malformed batch, e.g. an out-of-range vertex id: the panic
+    /// unwinds the writer, and every pending ticket resolves as closed.
     pub(crate) fn serve(&mut self) {
         let Core {
             w,
             generation,
             obs,
             run,
-            readers,
             q,
-            pool,
-            done_tx,
-            done_rx,
             scratch: ws,
         } = self;
-        let (w, generation, readers): (&W, u64, usize) = (w, *generation, *readers);
-        // One span covers the whole publish→serve→retire protocol.
+        let (w, generation): (&W, u64) = (w, *generation);
+        // One span covers merge, answer and split.
         let _span = obs.serve_ns.time();
         // Merge in run order into the plans the previous serve cleared.
         for (req, _, _) in run.iter() {
             merge(req, w, ws);
         }
-
-        // Publish (protocol step 1): from here until the join completes, this
-        // thread must not mutate `w` — rustc enforces it locally via the `&W`
-        // borrow, the protocol extends it across the reader threads.
-        let snap = Snapshot::publish(w);
-        // Deal each plan in contiguous ranges, round-robin from slot 0 on
-        // every serve. Slot 0's ranges are kept for below; the rest go to
-        // the reader threads first, so they start while the writer works. A
-        // range a dead thread refuses sends no partial, so it is not joined
-        // on; it fails stop below like a reader that panicked mid-serve.
-        // Dealing goes on past it: unwinding before the join barrier would
-        // drop the structure while live readers still borrow it.
-        let (mut expected, mut dead_reader, mut slot) = (0usize, false, 0usize);
-        for (idx, plan) in ws.plans.iter().enumerate() {
-            let len = plan.len();
-            let chunk = len.div_ceil(readers).max(MIN_SHARD);
-            for lo in (0..len).step_by(chunk) {
-                let range = lo..(lo + chunk).min(len);
-                let dealt = slot;
-                slot = (slot + 1) % readers;
-                if dealt == 0 {
-                    ws.own.push((idx, range));
-                    continue;
-                }
-                let task = ServeTask {
-                    snap,
-                    idx,
-                    plan: plan.clone(),
-                    range,
-                    done: done_tx.clone(),
-                };
-                if pool.dispatch(dealt - 1, task) {
-                    expected += 1;
-                } else {
-                    dead_reader = true;
-                }
-            }
-        }
-        obs.reader_tasks.add(expected as u64);
-        // Slot 0 (protocol step 2): the writer answers its own ranges through
-        // the borrow it holds. `answer_range` catches a panic, so the writer
-        // reaches the join barrier whatever the batch holds.
-        for (idx, range) in ws.own.drain(..) {
-            ws.parts
-                .push(answer_range(q, w, &ws.plans[idx], idx, range));
-        }
-
-        // Join barrier (protocol step 3): collect every dispatched partial
-        // before touching the structure again. Plans of different kinds are
-        // dealt in one sequence, so a run mixing kinds uses the whole pool.
-        for _ in 0..expected {
-            let part = done_rx.recv().expect("bimst-service reader pool alive");
-            ws.parts.push(part);
-        }
-        // Every partial is in, and readers drop their plan clones before
-        // sending (reader_main), so the Arcs are singly held again: take the
-        // buffers back for the next generation.
         for plan in &mut ws.plans {
-            Arc::make_mut(plan).clear();
-        }
-        // Fail stop, but only after the join barrier: every reader is parked
-        // again, so unwinding the writer (dropping the structure) is safe, and
-        // pending tickets resolve with `ServiceClosed` instead of hanging.
-        // A poisoned partial may come from the writer's own share. A reader
-        // thread that was already dead at dispatch time (`dead_reader`)
-        // surfaces through this same path.
-        let poisoned = ws.parts.iter().any(|p| p.resp.is_none());
-        assert!(
-            !(poisoned || dead_reader),
-            "bimst-service: a reader worker {} serving a query batch \
-             (malformed batch, e.g. an out-of-range vertex id?)",
-            if poisoned { "panicked" } else { "died" }
-        );
-
-        // Splice each plan's partials in range order.
-        ws.parts.sort_unstable_by_key(|p| (p.idx, p.start));
-        for part in ws.parts.drain(..) {
-            let resp = part.resp.expect("poisoned partials fail stop above");
-            Arc::make_mut(&mut ws.plans[part.idx])
-                .out
-                .put(part.start, resp);
+            if plan.len() > 0 {
+                plan.answer(q, w);
+                plan.clear();
+            }
         }
 
         // Split the merged answers back per request, in run order. A client
@@ -786,6 +667,7 @@ mod tests {
     use bimst_primitives::{FoldKind, FoldValue};
     use bimst_query::WindowConnectivity;
     use bimst_sliding::SwConnEager;
+    use std::sync::mpsc::channel;
 
     /// The group-commit step, driven with a deterministic backlog (the
     /// runtime tests cannot force merging, which depends on queue
@@ -869,7 +751,7 @@ mod tests {
         w.batch_insert(&[(0, 1), (1, 2), (4, 5)]);
         w.batch_expire(1);
 
-        let mut core = Core::new(w, 7, 2, bimst_obs::Recorder::new());
+        let mut core = Core::new(w, 7, bimst_obs::Recorder::new());
         let mut rxs = Vec::new();
         let reqs = [
             QueryReq::WindowConnected(vec![(0, 1), (1, 2)]),
@@ -878,7 +760,7 @@ mod tests {
             QueryReq::PathMax(vec![(1, 2), (0, 2)]),
             QueryReq::ComponentSize(vec![2]),
             // Two fold kinds in one run: the merged plan carries a kind
-            // per query and the reader re-splits it into same-kind spans.
+            // per query and is answered in same-kind spans.
             QueryReq::PathFold {
                 kind: FoldKind::Hops,
                 pairs: vec![(0, 2), (4, 5)],
@@ -937,97 +819,13 @@ mod tests {
                 .path_fold::<bimst_primitives::MinW>(1, 2)
                 .map(FoldValue::Key)])
         );
-        core.shutdown();
     }
 
-    /// Large merged plans are range-partitioned across the slots; splicing
-    /// the partials back must reconstruct the full per-query loop answers.
+    /// The writer answers each plan whole, bit-identically to the
+    /// per-query loop: first a lone 500-pair connectivity plan, then a run
+    /// mixing window connectivity, path-max and two fold kinds.
     #[test]
-    fn fan_out_partitions_reassemble_exactly() {
-        let mut w = SwConnEager::new(200, 5);
-        let ring: Vec<(u32, u32)> = (0..199).map(|v| (v, v + 1)).collect();
-        w.batch_insert(&ring);
-        w.batch_expire(40);
-
-        let pairs: Vec<(u32, u32)> = (0..500u32).map(|i| (i % 200, (i * 7 + 3) % 200)).collect();
-        let mut core = Core::new(w, 1, 3, bimst_obs::Recorder::new());
-        let (tx, rx) = channel();
-        core.run
-            .push((QueryReq::WindowConnected(pairs.clone()), tx, None));
-        core.serve();
-        let got = rx.recv().unwrap().resp.into_window_connected().unwrap();
-        let want: Vec<bool> = pairs
-            .iter()
-            .map(|&(u, v)| core.w.is_connected(u, v))
-            .collect();
-        assert_eq!(got, want);
-        // 500 pairs on 3 slots → three ranges of ≤ 167: the writer answers
-        // the first, each reader thread one of the others.
-        let tasks = core.metrics().counter("service_reader_tasks");
-        assert_eq!(tasks, Some(2));
-        core.shutdown();
-    }
-
-    /// A reader thread that died *outside* a serve (so its channel is
-    /// already disconnected at dispatch time) must surface through the
-    /// poisoned-barrier fail-stop — the same error a reader that panicked
-    /// mid-serve produces — not a bare panic mid-fan-out while the
-    /// surviving readers still held the published snapshot. The writer
-    /// answers its own share and drains the accepted tasks first (the join
-    /// barrier counts only accepted tasks), then fails stop.
-    ///
-    /// Before that, the dispatch rule `MIN_SHARD` keeps: a plan shorter
-    /// than it is one range, dealt to slot 0, so with the only reader
-    /// thread dead a 10-query batch is still answered and no range is
-    /// counted as handed to a reader.
-    #[test]
-    fn dead_reader_routes_through_the_poisoned_barrier() {
-        let mut w = SwConnEager::new(200, 5);
-        let ring: Vec<(u32, u32)> = (0..199).map(|v| (v, v + 1)).collect();
-        w.batch_insert(&ring);
-        w.batch_expire(60);
-
-        let mut core = Core::new(w, 1, 2, bimst_obs::Recorder::new());
-        core.pool.kill_worker(0);
-        let pairs: Vec<(u32, u32)> = (0..200u32).map(|i| (i, (i * 3 + 1) % 200)).collect();
-        let (tx, rx) = channel();
-        core.run
-            .push((QueryReq::WindowConnected(pairs[..10].to_vec()), tx, None));
-        core.serve();
-        let want = pairs[..10].iter().map(|&(u, v)| core.w.is_connected(u, v));
-        assert_eq!(
-            rx.recv().unwrap().resp,
-            QueryResp::WindowConnected(want.collect())
-        );
-        let tasks = core.metrics().counter("service_reader_tasks");
-        assert_eq!(tasks, Some(0), "a small plan was handed to a reader");
-
-        // 200 pairs on 2 slots → chunk 100 ≥ MIN_SHARD → two ranges: the
-        // writer (slot 0) answers one, the other is dealt to the dead
-        // thread.
-        let (tx, answer_rx) = channel();
-        core.run.push((QueryReq::WindowConnected(pairs), tx, None));
-        let unwind = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| core.serve()))
-            .expect_err("a dead reader must fail stop the serve");
-        let msg = unwind.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(
-            msg.contains("a reader worker died serving a query batch"),
-            "fail-stop message names the dead-reader cause: {msg}"
-        );
-        // The ticket was never answered: the writer unwound before the
-        // split, so the run (and with it the answer sender) is what a
-        // real writer thread would drop on unwind — exactly like a
-        // poisoned serve, the client sees a closed channel, not a hang.
-        core.run.clear();
-        assert!(answer_rx.recv().is_err());
-        core.shutdown();
-    }
-
-    /// A one-slot core spawns no reader thread: the writer answers every
-    /// plan itself, bit-identically to the per-query loop, on a run mixing
-    /// window connectivity, path-max and two fold kinds.
-    #[test]
-    fn one_slot_core_answers_alone() {
+    fn core_answers_whole_plans_like_the_per_query_loop() {
         use bimst_primitives::{Hops, SumW};
         let mut w = SwConnEager::new(200, 5);
         let ring: Vec<(u32, u32)> = (0..199).map(|v| (v, v + 1)).collect();
@@ -1035,8 +833,18 @@ mod tests {
         w.batch_insert(&[(3, 150), (20, 90)]);
         w.batch_expire(30);
 
-        let mut core = Core::new(w, 2, 1, bimst_obs::Recorder::new());
-        assert_eq!(core.pool.threads(), 0, "readers: 1 spawns no thread");
+        let mut core = Core::new(w, 2, bimst_obs::Recorder::new());
+        let conn = |w: &SwConnEager, pairs: &[(u32, u32)]| -> Vec<bool> {
+            pairs.iter().map(|&(u, v)| w.is_connected(u, v)).collect()
+        };
+        let pairs: Vec<(u32, u32)> = (0..500u32).map(|i| (i % 200, (i * 7 + 3) % 200)).collect();
+        let (tx, rx) = channel();
+        core.run
+            .push((QueryReq::WindowConnected(pairs.clone()), tx, None));
+        core.serve();
+        let got = rx.recv().unwrap().resp.into_window_connected().unwrap();
+        assert_eq!(got, conn(&core.w, &pairs));
+
         let pairs: Vec<(u32, u32)> = (0..300u32).map(|i| (i % 200, (i * 13 + 7) % 200)).collect();
         let reqs = [
             QueryReq::WindowConnected(pairs.clone()),
@@ -1060,8 +868,7 @@ mod tests {
 
         let w = &core.w;
         let answers: Vec<QueryResp> = rxs.into_iter().map(|rx| rx.recv().unwrap().resp).collect();
-        let conn = pairs.iter().map(|&(u, v)| w.is_connected(u, v)).collect();
-        assert_eq!(answers[0], QueryResp::WindowConnected(conn));
+        assert_eq!(answers[0], QueryResp::WindowConnected(conn(w, &pairs)));
         let pm = pairs[..150].iter().map(|&(u, v)| w.msf().path_max(u, v));
         assert_eq!(answers[1], QueryResp::PathMax(pm.collect()));
         let sum = pairs[50..]
@@ -1072,9 +879,6 @@ mod tests {
             .iter()
             .map(|&(u, v)| w.msf().path_fold::<Hops>(u, v).map(FoldValue::Hops));
         assert_eq!(answers[3], QueryResp::PathFold(hops.collect()));
-        let tasks = core.metrics().counter("service_reader_tasks");
-        assert_eq!(tasks, Some(0));
-        core.shutdown();
     }
 
     /// The serve path over a `TenantSet`, driven directly with a run that
@@ -1098,7 +902,7 @@ mod tests {
         w.batch_expire(2);
 
         let pairs: Vec<(u32, u32)> = vec![(0, 2), (0, 3), (4, 6), (1, 3), (5, 5)];
-        let mut core = Core::new(w, 4, 2, bimst_obs::Recorder::new());
+        let mut core = Core::new(w, 4, bimst_obs::Recorder::new());
         let mut rxs = Vec::new();
         let mut reqs: Vec<QueryReq> = specs
             .iter()
@@ -1180,7 +984,6 @@ mod tests {
         // Five tenant batches of 5 pairs and one of 4: 29 tenant queries.
         let snap = core.metrics();
         assert_eq!(snap.counter("service_queries_tenant_connected"), Some(29));
-        core.shutdown();
     }
 
     /// Combined buffer capacity of the serve scratch, in elements: the
@@ -1199,11 +1002,7 @@ mod tests {
                 + w.folds.capacity()
                 + out
         });
-        plans.sum::<usize>()
-            + ws.plans.capacity()
-            + ws.slots.capacity()
-            + ws.parts.capacity()
-            + ws.own.capacity()
+        plans.sum::<usize>() + ws.plans.capacity() + ws.slots.capacity()
     }
 
     /// Runs `reqs` through `core` for 60 generations: after the warmup
@@ -1236,8 +1035,8 @@ mod tests {
 
     /// The serve path's merged-plan/answer buffers must reach a capacity
     /// plateau and stay there: after a warmup dispatch at each run shape,
-    /// repeated same-shape generations reclaim every buffer through the
-    /// post-join `Arc` round-trip instead of reallocating. Covers every
+    /// repeated same-shape generations reuse every input buffer and
+    /// answer into same-sized buffers. Covers every
     /// plan kind: folds of two kinds share one plan, and a `TenantSet`
     /// core adds the cutoff plan, joined by two tenants.
     /// Styled after `scratch_steady_state.rs` on the write path.
@@ -1251,7 +1050,7 @@ mod tests {
 
         let pairs: Vec<(u32, u32)> = (0..400u32).map(|i| (i % 300, (i * 11 + 5) % 300)).collect();
         let verts: Vec<u32> = (0..250u32).map(|i| (i * 7) % 300).collect();
-        let mut core = Core::new(w, 0, 3, bimst_obs::Recorder::new());
+        let mut core = Core::new(w, 0, bimst_obs::Recorder::new());
         assert_steady(
             &mut core,
             &[
@@ -1269,7 +1068,6 @@ mod tests {
                 },
             ],
         );
-        core.shutdown();
 
         let specs = [
             TenantSpec { id: 1, window: 200 },
@@ -1278,7 +1076,7 @@ mod tests {
         let mut w = TenantSet::new(300, 9, &specs);
         w.batch_insert(&ring);
         w.batch_expire(20);
-        let mut core = Core::new(w, 0, 3, bimst_obs::Recorder::new());
+        let mut core = Core::new(w, 0, bimst_obs::Recorder::new());
         let tenant = |tenant, pairs: &[(u32, u32)]| QueryReq::TenantConnected {
             tenant,
             pairs: pairs.to_vec(),
@@ -1293,6 +1091,5 @@ mod tests {
                 tenant(1, &pairs[..70]),
             ],
         );
-        core.shutdown();
     }
 }

@@ -21,7 +21,6 @@ use crate::conn::SwConnEager;
 /// Sliding-window approximate MSF weight.
 pub struct ApproxMsfWeight {
     n: usize,
-    eps: f64,
     /// `thresholds[i] = (1+ε)^i`; `levels[i]` holds edges with weight ≤ it.
     thresholds: Vec<f64>,
     levels: Vec<SwConnEager>,
@@ -38,7 +37,6 @@ impl ApproxMsfWeight {
         let r = (wmax.ln() / (1.0 + eps).ln()).ceil() as usize + 1;
         ApproxMsfWeight {
             n,
-            eps,
             thresholds: (0..r).map(|i| (1.0 + eps).powi(i as i32)).collect(),
             levels: (0..r)
                 .map(|i| SwConnEager::new(n, seed.wrapping_add(i as u64 * 0x517c)))
@@ -90,11 +88,6 @@ impl ApproxMsfWeight {
             w += (cc[i - 1] - cc[i]) as f64 * self.thresholds[i];
         }
         w
-    }
-
-    /// The `ε` this structure was built with.
-    pub fn epsilon(&self) -> f64 {
-        self.eps
     }
 }
 

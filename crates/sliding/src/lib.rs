@@ -28,6 +28,8 @@
 //! never expiring; [`inc`] additionally provides the `α(n)`-work union-find
 //! route of §5.7 for problems that never need expiry.
 
+#![forbid(unsafe_code)]
+
 pub mod approx_msf;
 pub mod bipartite;
 pub mod conn;

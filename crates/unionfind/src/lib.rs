@@ -17,6 +17,8 @@
 //!   (those are exactly the new spanning-forest edges — the role Gazit's
 //!   algorithm plays in the paper's §5.7 analog of `SW-Conn-Eager`).
 
+#![forbid(unsafe_code)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rayon::prelude::*;

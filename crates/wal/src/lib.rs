@@ -33,6 +33,8 @@
 //! level wiring and `crates/wal/tests/torture.rs` for the truncated-tail
 //! torture suite that pins the recovery contract at every byte offset.
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 mod frame;
 mod store;

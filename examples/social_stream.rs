@@ -20,9 +20,9 @@
 //!   commits the write batches, and logs every applied write group to the
 //!   WAL (one fsync per merged group under the default `GroupCommit`
 //!   policy) *before* applying it;
-//! * the writer and its reader thread answer each query ticket from a
-//!   generation-pinned snapshot — the `generation` stamp on every answer says exactly which
-//!   prefix of the write stream it reflects;
+//! * the writer answers each query ticket between two write groups — the
+//!   `generation` stamp on every answer says exactly which prefix of the
+//!   write stream it reflects;
 //! * shutdown drains: every admitted ticket resolves before the structure
 //!   is dropped — and then the demo **recovers**: `Service::recover`
 //!   rebuilds the window from the log (newest checkpoint + tail replay)
@@ -84,7 +84,6 @@ fn main() {
         tenants: 0,            // the durable phase serves one window
     };
     let svc_cfg = ServiceConfig {
-        readers: 2,
         queue_cap: 64,
         write_budget: cfg.insert_batch,
         // Defaults: sync = GroupCommit (one fsync per merged write group),
@@ -101,7 +100,7 @@ fn main() {
 
     println!(
         "serving {n}-vertex interaction stream: window = {}, {} writes + 3×{} queries per round,\n\
-         writer + 1 reader thread (2 query slots) behind a bounded queue, WAL at {}\n",
+         one writer thread behind a bounded queue, WAL at {}\n",
         cfg.window,
         cfg.insert_batch,
         cfg.query_batch,

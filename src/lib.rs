@@ -40,12 +40,12 @@
 //! ```
 //!
 //! Serving: when ops originate on many threads, hand the window to
-//! `bimst-service` — a writer thread group-commits the write stream and,
-//! with its reader threads, answers query tickets from generation-pinned
-//! snapshots, and a bounded queue provides backpressure (`try_*` variants) with
-//! drain-ordered shutdown. Answers are bit-identical to a sequential
-//! replay of the admitted ops; see the README's *Serving* section for the
-//! architecture diagram and the generation-handoff rules.
+//! `bimst-service` — a writer thread group-commits the write stream and
+//! answers query tickets between write groups, and a bounded queue
+//! provides backpressure (`try_*` variants) with drain-ordered shutdown.
+//! Answers are bit-identical to a sequential replay of the admitted ops;
+//! see the README's *Serving* section for the architecture diagram and the
+//! generation rules.
 //!
 //! ```
 //! use bimst_repro::service::{QueryReq, Service, ServiceConfig};
@@ -60,6 +60,8 @@
 //! drop(h);
 //! svc.shutdown(); // drains: every admitted ticket resolves first
 //! ```
+
+#![forbid(unsafe_code)]
 
 /// The paper's contribution: compressed path trees and batch-incremental
 /// MSF (re-export of `bimst-core`).

@@ -122,34 +122,31 @@ fn durable_cfg() -> impl Strategy<Value = (MixedConfig, ServiceConfig, u64)> {
             Just(SyncPolicy::GroupCommit),
             Just(SyncPolicy::None),
         ],
-        1usize..4,
         0u64..1_000_000,
     )
-        .prop_map(
-            |(topology, insert_batch, query_batch, sync, readers, seed)| {
-                (
-                    MixedConfig {
-                        n: 48,
-                        topology,
-                        insert_batch,
-                        query_batch,
-                        queries_per_insert: 2,
-                        window: 40,
-                        tenants: 0,
-                    },
-                    ServiceConfig {
-                        readers,
-                        queue_cap: 64,
-                        write_budget: 16,
-                        sync,
-                        // Off: checkpoints are a different axis; the WAL-record
-                        // identity below is about the op log alone.
-                        checkpoint_every: 0,
-                    },
-                    seed,
-                )
-            },
-        )
+        .prop_map(|(topology, insert_batch, query_batch, sync, seed)| {
+            (
+                MixedConfig {
+                    n: 48,
+                    topology,
+                    insert_batch,
+                    query_batch,
+                    queries_per_insert: 2,
+                    window: 40,
+                    tenants: 0,
+                },
+                ServiceConfig {
+                    queue_cap: 64,
+                    write_budget: 16,
+                    sync,
+                    // Off: checkpoints are a different axis; the WAL-record
+                    // identity below is about the op log alone.
+                    checkpoint_every: 0,
+                    ..ServiceConfig::default()
+                },
+                seed,
+            )
+        })
 }
 
 proptest! {

@@ -131,7 +131,7 @@ proptest! {
 
     /// Every replica of an in-memory set answers bit-identically to the
     /// sequential replay at every barrier generation, across replica
-    /// counts, reader counts and queue capacities.
+    /// counts and queue capacities.
     /// Both expiry disciplines (the replicas must agree with *their*
     /// discipline's replay — eager and lazy answers are themselves
     /// equivalent, but the oracle is exact per discipline).
@@ -144,7 +144,6 @@ proptest! {
         let n = 20usize;
         let cfg = ReplicaSetConfig {
             replicas: 1 + shape % 3,
-            readers: 1 + shape % 2,
             queue_cap: [1, 4, 64][shape % 3],
             ..ReplicaSetConfig::default()
         };
@@ -191,14 +190,12 @@ proptest! {
     fn killed_replica_rejoins_bit_identical(
         script in rounds(16),
         kill_at in 0usize..6,
-        shape in 0usize..4,
         seed in 0u64..100,
     ) {
         let n = 16usize;
         let dir = scratch_dir();
         let cfg = ReplicaSetConfig {
             replicas: 2,
-            readers: 1 + shape % 2,
             ..ReplicaSetConfig::default()
         };
         let mut set = ReplicaSet::eager_durable(&dir, n, seed, cfg).expect("create store");

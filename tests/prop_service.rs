@@ -1,7 +1,7 @@
 //! Property tests for the serving runtime (`bimst-service`): sequential-
 //! replay equivalence, backpressure that never loses acked ops, and
 //! drain-ordered shutdown, under randomized op scripts, service shapes
-//! (reader counts, queue capacities, write budgets) and client
+//! (queue capacities, write budgets) and client
 //! interleavings.
 //!
 //! The correctness bar is the one ISSUE 4 sets: anything the service acks
@@ -155,8 +155,8 @@ fn drive(svc: &Service, script: &[Round]) -> Vec<[Answered; 3]> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Served answers — across reader counts, queue capacities (including
-    /// the fully serialized capacity-1 queue) and write budgets — are
+    /// Served answers — across queue capacities (including the fully
+    /// serialized capacity-1 queue) and write budgets — are
     /// bit-identical to the sequential replay, and
     /// the generation stamps equal the admission-order write count (no op
     /// lost, duplicated, or reordered). Both expiry disciplines.
@@ -168,7 +168,6 @@ proptest! {
     ) {
         let n = 20usize;
         let cfg = ServiceConfig {
-            readers: 1 + shape % 3,
             queue_cap: [1, 4, 64][shape % 3],
             write_budget: if shape % 2 == 0 { 1 } else { 1 << 12 },
             ..ServiceConfig::default()
@@ -196,7 +195,6 @@ proptest! {
     ) {
         let n = 16usize;
         let cfg = ServiceConfig {
-            readers: 2,
             // Roomy queue: everything below is admitted before the writer
             // can catch up, so shutdown races a real backlog.
             queue_cap: 4096,
@@ -231,7 +229,6 @@ fn try_submit_under_full_queue_never_loses_acked_ops() {
     use bimst_repro::primitives::hash::hash2;
     let n = 12usize;
     let cfg = ServiceConfig {
-        readers: 2,
         queue_cap: 1,
         write_budget: 1 << 12,
         ..ServiceConfig::default()
@@ -337,7 +334,6 @@ fn concurrent_clients_get_ordered_generations_and_full_drain() {
         n,
         9,
         ServiceConfig {
-            readers: 3,
             queue_cap: 8,
             write_budget: 64,
             ..ServiceConfig::default()

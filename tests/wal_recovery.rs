@@ -159,7 +159,6 @@ fn sequential_answers(n: u32, seed: u64, ops: &[Write], eager: bool) -> Probe {
 
 fn shaped_cfg(shape: usize) -> ServiceConfig {
     ServiceConfig {
-        readers: 1 + shape % 2,
         queue_cap: [1, 64][shape % 2],
         write_budget: [1, 64][shape % 2],
         sync: [
@@ -168,6 +167,7 @@ fn shaped_cfg(shape: usize) -> ServiceConfig {
             SyncPolicy::None,
         ][shape % 3],
         checkpoint_every: [0, 3, 16][shape % 3],
+        ..ServiceConfig::default()
     }
 }
 
