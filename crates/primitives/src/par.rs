@@ -49,7 +49,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn map_into_matches_sequential_map_and_reuses_capacity() {
+    fn map_into_matches_map_and_reuses_capacity() {
         let xs: Vec<u64> = (0..10_000).collect();
         let mut out: Vec<u64> = Vec::new();
         map_into(&xs, &mut out, |&x| x * 3);

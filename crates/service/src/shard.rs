@@ -821,11 +821,34 @@ mod tests {
         );
     }
 
-    /// The writer answers each plan whole, bit-identically to the
-    /// per-query loop: first a lone 500-pair connectivity plan, then a run
-    /// mixing window connectivity, path-max and two fold kinds.
+    /// A large merged plan is answered whole by the writer in one batch
+    /// call; the answers must reproduce the per-query loop exactly.
     #[test]
-    fn core_answers_whole_plans_like_the_per_query_loop() {
+    fn fan_out_partitions_reassemble_exactly() {
+        let mut w = SwConnEager::new(200, 5);
+        let ring: Vec<(u32, u32)> = (0..199).map(|v| (v, v + 1)).collect();
+        w.batch_insert(&ring);
+        w.batch_expire(40);
+
+        let pairs: Vec<(u32, u32)> = (0..500u32).map(|i| (i % 200, (i * 7 + 3) % 200)).collect();
+        let mut core = Core::new(w, 1, bimst_obs::Recorder::new());
+        let (tx, rx) = channel();
+        core.run
+            .push((QueryReq::WindowConnected(pairs.clone()), tx, None));
+        core.serve();
+        let got = rx.recv().unwrap().resp.into_window_connected().unwrap();
+        let want: Vec<bool> = pairs
+            .iter()
+            .map(|&(u, v)| core.w.is_connected(u, v))
+            .collect();
+        assert_eq!(got, want);
+    }
+
+    /// The writer answers every plan itself, bit-identically to the
+    /// per-query loop, on a run mixing window connectivity, path-max and
+    /// two fold kinds.
+    #[test]
+    fn one_slot_core_answers_alone() {
         use bimst_primitives::{Hops, SumW};
         let mut w = SwConnEager::new(200, 5);
         let ring: Vec<(u32, u32)> = (0..199).map(|v| (v, v + 1)).collect();
@@ -834,17 +857,6 @@ mod tests {
         w.batch_expire(30);
 
         let mut core = Core::new(w, 2, bimst_obs::Recorder::new());
-        let conn = |w: &SwConnEager, pairs: &[(u32, u32)]| -> Vec<bool> {
-            pairs.iter().map(|&(u, v)| w.is_connected(u, v)).collect()
-        };
-        let pairs: Vec<(u32, u32)> = (0..500u32).map(|i| (i % 200, (i * 7 + 3) % 200)).collect();
-        let (tx, rx) = channel();
-        core.run
-            .push((QueryReq::WindowConnected(pairs.clone()), tx, None));
-        core.serve();
-        let got = rx.recv().unwrap().resp.into_window_connected().unwrap();
-        assert_eq!(got, conn(&core.w, &pairs));
-
         let pairs: Vec<(u32, u32)> = (0..300u32).map(|i| (i % 200, (i * 13 + 7) % 200)).collect();
         let reqs = [
             QueryReq::WindowConnected(pairs.clone()),
@@ -868,7 +880,8 @@ mod tests {
 
         let w = &core.w;
         let answers: Vec<QueryResp> = rxs.into_iter().map(|rx| rx.recv().unwrap().resp).collect();
-        assert_eq!(answers[0], QueryResp::WindowConnected(conn(w, &pairs)));
+        let conn = pairs.iter().map(|&(u, v)| w.is_connected(u, v)).collect();
+        assert_eq!(answers[0], QueryResp::WindowConnected(conn));
         let pm = pairs[..150].iter().map(|&(u, v)| w.msf().path_max(u, v));
         assert_eq!(answers[1], QueryResp::PathMax(pm.collect()));
         let sum = pairs[50..]
